@@ -3,7 +3,6 @@ perturbed spectra, and sampling/interpolation of the associated meromorphic
 functions."""
 
 from .errors import (
-    BracketFailure,
     DimensionMismatch,
     InconsistentNodes,
     InsufficientCoefficients,

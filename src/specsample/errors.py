@@ -22,7 +22,7 @@ class DimensionMismatch(ValidationError):
 
 
 class NumericalError(SpectralError):
-    """Evaluation failed for numerical reasons (pole hits, lost brackets)."""
+    """Evaluation failed for numerical reasons (pole hits, infinite roots)."""
 
 
 class PoleProximity(NumericalError):
@@ -31,10 +31,6 @@ class PoleProximity(NumericalError):
 
 class ZeroOfF(NumericalError):
     """Evaluation point too close to a zero of the Borel transform."""
-
-
-class BracketFailure(NumericalError):
-    """Root finder could not isolate a sign change."""
 
 
 class InconsistentNodes(NumericalError):

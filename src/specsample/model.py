@@ -79,9 +79,6 @@ def normalize(model: SpectralModel) -> SpectralModel:
                         model.weights / model.mu_norm_sq)
 
 
-_INFINITE = object()
-
-
 @dataclass(frozen=True)
 class Coupling:
     """A finite real coupling constant, or the symbolic infinite coupling."""

@@ -2,8 +2,13 @@
 
 Eigenvalues of the perturbed operator at coupling h solve the secular
 equation 1 + h F(x) = 0; at infinite coupling they are the zeros of F.
-Roots are isolated by bisection on a sign change inside each spectral gap
-and polished with a few guarded Newton steps.
+Both are the roots of a + b F(x), with (a, b) = (1, h) or (0, 1).  Since
+F' = sum w_j/(lam_j - x)^2 > 0, F runs from -inf to +inf across every
+spectral gap, so each gap holds exactly one root and the sign of a + b F
+next to each pole is known without evaluating it.  All roots are solved at
+once: each is stored as an offset tau from the pole it is nearer to, which
+keeps lam_j - x accurate next to that pole, and |tau| is bisected on its
+bit pattern until the bracket is two adjacent doubles.
 """
 from __future__ import annotations
 
@@ -11,145 +16,79 @@ import math
 
 import numpy as np
 
-from .errors import BracketFailure, InconsistentNodes
+from .errors import InconsistentNodes, NumericalError
 from .herglotz import _weyl_raw
 from .model import Coupling, SpectralModel, new_model
 
-# Bisection terminates at this width relative to the model scale.
-_BISECT_WIDTH = 1e-13
-_NEWTON_STEPS = 5
-# Relative endpoint offsets tried when hunting for a sign change next to a
-# pole; roots can sit very close to a pole when its weight is small.
-_OFFSETS = (1e-2, 1e-3, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-13, 1e-14)
 
+def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
+    """Roots of a + b F(x), one per gap, in increasing order.
 
-def _approach(g, base: float, far: float, want_sign: float):
-    """Walk from `far` toward the open endpoint `base` until g has want_sign.
-
-    Returns (x, g(x)) or None when the sign never shows up at resolvable
-    offsets (root closer to the pole than floating resolution).
+    With a != 0 the exterior root in (lam_N, lam_N + b ||mu||^2] (b > 0) or
+    [lam_1 + b ||mu||^2, lam_1) (b < 0) is included; there |F| <= 1/|b| at
+    the far end, so a + b F has the sign of a.
     """
-    width = far - base
-    for d in _OFFSETS:
-        x = base + d * width
-        v = g(x)
-        if v == 0.0:
-            return x, 0.0
-        if math.copysign(1.0, v) == want_sign:
-            return x, v
-    return None
+    lam, w = model.eigenvalues, model.weights
 
+    def g(origin, tau):
+        # lam_j - x as (lam_j - lam_origin) - tau is exact at the origin.
+        d = lam - lam[origin, None] - tau[:, None]
+        return a + b * np.sum(w / d, axis=1)
 
-def _polish(g, gp, x: float, lo: float, hi: float) -> float:
-    for _ in range(_NEWTON_STEPS):
-        d = gp(x)
-        if d == 0.0 or not math.isfinite(d):
-            break
-        step = g(x) / d
-        x_new = x - step
-        if not (lo <= x_new <= hi) or x_new == x:
-            break
-        x = x_new
-    return x
+    lower = np.arange(model.dim - 1)
+    # Halving before subtracting keeps gaps near the largest double finite.
+    half = 0.5 * lam[1:] - 0.5 * lam[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # a + b F has the sign -sign(b) just right of a pole and sign(b) just
+        # left of it; the root is past the midpoint while a + b F still has
+        # the left pole's sign there.
+        right = g(lower, half) * np.sign(b) < 0.0
+        origin = np.where(right, lower + 1, lower)
+        far = np.where(right, -half, half)
+        if a != 0.0:
+            at = origin.size if b > 0.0 else 0
+            origin = np.insert(origin, at, model.dim - 1 if b > 0.0 else 0)
+            far = np.insert(far, at, b * model.mu_norm_sq)
+        pole_sign = -np.sign(b) * np.sign(far)
 
+        def offset(bits):
+            return np.copysign(bits.view(np.float64), far)
 
-def _bracketed_root(g, gp, lo: float, hi: float, scale: float,
-                    lo_sign: float) -> float:
-    """Root of g in (lo, hi) where g carries lo_sign near lo, -lo_sign near hi."""
-    left = _approach(g, lo, hi, lo_sign)
-    right = _approach(g, hi, lo, -lo_sign)
-    if left is None or right is None:
-        raise BracketFailure(
-            f"no sign change of the secular function resolvable in "
-            f"({lo!r}, {hi!r})"
-        )
-    (a, fa), (b, fb) = left, right
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if a > b:
-        raise BracketFailure(f"bracket endpoints crossed in ({lo!r}, {hi!r})")
-    tol = _BISECT_WIDTH * scale
-    while b - a > tol:
-        mid = 0.5 * (a + b)
-        if mid <= a or mid >= b:
-            break
-        fm = g(mid)
-        if fm == 0.0:
-            return mid
-        if math.copysign(1.0, fm) == lo_sign:
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return _polish(g, gp, 0.5 * (a + b), a, b)
-
-
-def _secular(model: SpectralModel, h: float):
-    def g(x):
-        f, _ = _weyl_raw(model, x)
-        return 1.0 + h * f.real
-
-    def gp(x):
-        _, fp = _weyl_raw(model, x)
-        return h * fp.real
-
-    return g, gp
-
-
-def _borel(model: SpectralModel):
-    def g(x):
-        f, _ = _weyl_raw(model, x)
-        return f.real
-
-    def gp(x):
-        _, fp = _weyl_raw(model, x)
-        return fp.real
-
-    return g, gp
+        # A non-negative double orders like its int64 bit pattern, so halving
+        # the integer bracket [lo, hi] of |tau| ends at adjacent doubles
+        # after at most 64 steps; the end with the smaller |a + b F| wins.
+        # Rows already there have mid == lo and stay put.  A NaN (terms
+        # overflowing with both signs) moves hi, inside the bracket.
+        lo = np.zeros(origin.size, dtype=np.int64)
+        hi = np.abs(far).view(np.int64)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = (mid == lo) | (g(origin, offset(mid)) * pole_sign > 0.0)
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        x_hi = lam[origin] + offset(hi)
+        if not np.all(np.isfinite(x_hi)):
+            raise NumericalError(
+                f"the exterior root at coupling {b!r} is beyond the largest "
+                "double"
+            )
+        nearer = np.abs(g(origin, offset(lo))) < np.abs(g(origin, offset(hi)))
+    return np.where(nearer, lam[origin] + offset(lo), x_hi)
 
 
 def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
-    """Eigenvalues of the perturbed operator, strictly increasing.
+    """Eigenvalues of the perturbed operator, in increasing order.
 
-    Finite nonzero coupling yields one root per spectral gap plus one
-    exterior root within |h| * mu_norm_sq of the edge; infinite coupling
-    yields the N-1 zeros of F.
+    Finite nonzero coupling yields one root per spectral gap (in its closed
+    gap) plus one exterior root within |h| * mu_norm_sq of the edge;
+    infinite coupling yields the N-1 zeros of F.  Raises NumericalError
+    when the exterior root is beyond the largest double.
     """
-    lam = model.eigenvalues
-    scale = model.scale
     if coupling.is_infinite:
-        g, gp = _borel(model)
-        roots = [
-            _bracketed_root(g, gp, lam[j], lam[j + 1], scale, -1.0)
-            for j in range(model.dim - 1)
-        ]
-        return np.array(roots)
-
+        return _secular_roots(model, 0.0, 1.0)
     h = float(coupling.value)
     if h == 0.0:
-        return lam.copy()
-
-    g, gp = _secular(model, h)
-    # Inside each gap F runs from -inf to +inf, so g = 1 + hF starts out
-    # with the sign of -h.
-    lo_sign = -math.copysign(1.0, h)
-    roots = [
-        _bracketed_root(g, gp, lam[j], lam[j + 1], scale, lo_sign)
-        for j in range(model.dim - 1)
-    ]
-    shift = abs(h) * model.mu_norm_sq + _BISECT_WIDTH * scale
-    # Exterior root: g diverges with sign -sign(h) at the spectral edge and
-    # is nonnegative at the rank-one norm bound, so lo_sign carries over.
-    if h > 0.0:
-        roots.append(
-            _bracketed_root(g, gp, lam[-1], lam[-1] + shift, scale, lo_sign)
-        )
-    else:
-        roots.insert(
-            0, _bracketed_root(g, gp, lam[0] - shift, lam[0], scale, lo_sign)
-        )
-    return np.array(sorted(roots))
+        return model.eigenvalues.copy()
+    return _secular_roots(model, 1.0, h)
 
 
 # Newton-step distance above which supplied nodes are rejected as belonging

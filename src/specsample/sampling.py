@@ -27,7 +27,6 @@ from .herglotz import (
     _xi_coords_raw,
     check_pole_distance,
     _check_zero_of_f,
-    pole_radius,
     xi,
 )
 from .model import (
@@ -190,8 +189,9 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""
     fs = sample(model, phi, h)
-    gs = sample(model, psi, h)
-    return _csum(np.conj(fs.values) * gs.values * fs.node_weights)
+    check_dims(model, psi)
+    gs = np.array([_transform_raw(model, psi, complex(x)) for x in fs.nodes])
+    return _csum(np.conj(fs.values) * gs * fs.node_weights)
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

@@ -5,6 +5,7 @@ Complex scalars are encoded everywhere as two-element arrays [re, im].
 from __future__ import annotations
 
 import json
+import operator
 
 import numpy as np
 
@@ -25,16 +26,35 @@ def _complex_to(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
+def _field(data: dict, key: str, convert):
+    """convert(data[key]), with a missing or unconvertible field reported."""
+    if key not in data:
+        raise ValidationError(f"missing field {key!r}")
+    try:
+        return convert(data[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"bad field {key!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def _complexes(value) -> list[complex]:
+    return [_complex_from(p) for p in value]
+
+
 def model_from_dict(data: dict) -> SpectralModel:
     kind = data.get("kind", "explicit")
     if kind == "explicit":
-        return new_model(data["eigenvalues"], data["weights"])
+        return new_model(_field(data, "eigenvalues", _floats),
+                         _field(data, "weights", _floats))
     if kind == "jacobi":
-        params = JacobiParams(np.array(data["q"], float),
-                              np.array(data["b"], float))
-        return truncate(params, int(data["truncation"]))
+        params = JacobiParams(_field(data, "q", _floats),
+                              _field(data, "b", _floats))
+        return truncate(params, _field(data, "truncation", operator.index))
     if kind == "oscillator":
-        return oscillator_model(int(data["levels"]),
+        return oscillator_model(_field(data, "levels", operator.index),
                                 bool(data.get("normalized", False)))
     raise ValidationError(f"unknown model kind {kind!r}")
 
@@ -48,7 +68,7 @@ def model_to_dict(model: SpectralModel) -> dict:
 
 
 def state_from_dict(data: dict) -> StateVector:
-    return StateVector(np.array([_complex_from(p) for p in data["coords"]]))
+    return StateVector(_field(data, "coords", _complexes))
 
 
 def state_to_dict(phi: StateVector) -> dict:
@@ -57,10 +77,10 @@ def state_to_dict(phi: StateVector) -> dict:
 
 def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(
-        h=float(data["h"]),
-        nodes=np.array(data["nodes"], float),
-        node_weights=np.array(data["weights"], float),
-        values=np.array([_complex_from(p) for p in data["values"]]),
+        h=_field(data, "h", float),
+        nodes=_field(data, "nodes", _floats),
+        node_weights=_field(data, "weights", _floats),
+        values=_field(data, "values", _complexes),
     )
 
 
@@ -75,9 +95,9 @@ def samples_to_dict(samples: SampleSet) -> dict:
 
 def rep_from_dict(data: dict) -> MeromorphicRep:
     return MeromorphicRep(
-        constant=_complex_from(data["c"]),
-        poles=np.array(data["poles"], float),
-        coefficients=np.array([_complex_from(p) for p in data["coeffs"]]),
+        constant=_field(data, "c", _complex_from),
+        poles=_field(data, "poles", _floats),
+        coefficients=_field(data, "coeffs", _complexes),
     )
 
 
@@ -90,7 +110,7 @@ def rep_to_dict(rep: MeromorphicRep) -> dict:
 
 
 def grid_from_dict(data: dict) -> list[complex]:
-    return [_complex_from(p) for p in data["points"]]
+    return _field(data, "points", _complexes)
 
 
 def load_json(path: str) -> dict:

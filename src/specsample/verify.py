@@ -15,7 +15,6 @@ from .herglotz import _weyl_raw, weyl_h
 from .model import Coupling, SpectralModel, StateVector, normalize
 from .perturbation import (
     compression_spectrum,
-    node_weights,
     perturbed_model,
     perturbed_spectrum,
 )

@@ -50,6 +50,19 @@ def test_spectrum_bad_model(files, capsys):
                  "--coupling", "1"]) == 2
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "explicit", "eigenvalues": [0.0, 2.0]},
+    {"kind": "explicit", "eigenvalues": ["a", 2.0], "weights": [0.5, 0.5]},
+    {"kind": "jacobi", "q": [1, 2, 3], "b": [1, 1], "truncation": "x"},
+    {"kind": "oscillator", "levels": 2.5},
+], ids=["missing-weights", "non-numeric-eigenvalues", "truncation-x",
+        "non-integer-levels"])
+def test_spectrum_malformed_model(files, capsys, model):
+    assert main(["spectrum", "--model", files("m.json", model),
+                 "--coupling", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_spectrum_bad_coupling(files):
     assert main(["spectrum", "--model", files("m.json", M2),
                  "--coupling", "nope"]) == 2

@@ -6,6 +6,7 @@ import pytest
 from specsample import (
     Coupling,
     InconsistentNodes,
+    NumericalError,
     compression_spectrum,
     new_model,
     node_weights,
@@ -203,3 +204,96 @@ def test_monotone_coupling():
         s1 = perturbed_spectrum(m, Coupling.finite(h1))
         s2 = perturbed_spectrum(m, Coupling.finite(h2))
         assert np.all(s2 >= s1 - 1e-12)
+
+
+# The two models on which bracket hunting used to fail: a weight of 1e-20
+# puts a root within 1e-20 of its pole, and a far pole at h = -1e-8 puts one
+# within 1e-8 of a pole at 1e12.
+SMALL_WEIGHT = ([0.0, 1.0, 2.0, 3.0], [1.0, 1e-20, 1.0, 1.0])
+FAR_POLE = ([0.0, 1.0, 1e12], [1.0, 1.0, 1.0])
+
+
+def _mp_secular_roots(m, h):
+    """Roots of 1 + hF (zeros of F for h=None) by bisection at 40 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        lam = [mp.mpf(float(v)) for v in m.eigenvalues]
+        w = [mp.mpf(float(v)) for v in m.weights]
+
+        def g(x):
+            f = mp.fsum(wj / (lj - x) for lj, wj in zip(lam, w))
+            return f if h is None else 1 + mp.mpf(h) * f
+
+        brackets = list(zip(lam, lam[1:]))
+        if h is not None:
+            shift = mp.mpf(h) * mp.fsum(w)
+            if h > 0:
+                brackets.append((lam[-1], lam[-1] + shift))
+            else:
+                brackets.insert(0, (lam[0] + shift, lam[0]))
+        # sign(h) * g increases between consecutive poles.
+        s = 1 if h is None or h > 0 else -1
+        roots = []
+        for lo, hi in brackets:
+            for _ in range(200):
+                mid = (lo + hi) / 2
+                if s * g(mid) < 0:
+                    lo = mid
+                else:
+                    hi = mid
+            roots.append((lo + hi) / 2)
+        return roots
+
+
+@pytest.mark.parametrize("data,h", [(SMALL_WEIGHT, 1.0), (SMALL_WEIGHT, None),
+                                    (FAR_POLE, -1e-8)],
+                         ids=["small-weight-h1", "small-weight-inf",
+                              "far-pole-h-1e-8"])
+def test_roots_next_to_a_pole_match_the_oracle(data, h):
+    m = new_model(*data)
+    coupling = Coupling.infinite() if h is None else Coupling.finite(h)
+    nodes = perturbed_spectrum(m, coupling)
+    assert nodes.size == (m.dim - 1 if h is None else m.dim)
+    assert np.all(np.diff(nodes) > 0.0)
+    gap_roots = nodes if h is None else (nodes[:-1] if h > 0 else nodes[1:])
+    lam = m.eigenvalues
+    assert np.all(lam[:-1] <= gap_roots) and np.all(gap_roots <= lam[1:])
+    eps = np.finfo(float).eps
+    for x, exact in zip(nodes, _mp_secular_roots(m, h)):
+        assert abs(x - float(exact)) <= 4 * eps * max(m.scale, abs(x))
+
+
+def _hard_models():
+    rng = np.random.default_rng(67)
+    lam = np.sort(rng.uniform(-10, 10, 20))
+    w = rng.uniform(0.1, 1.0, 20)
+    clustered = np.sort(np.concatenate(
+        [4.0 * k + rng.uniform(0, 1e-6, 5) for k in range(4)]))
+    spread = np.sort(np.concatenate([rng.uniform(0, 1, 10),
+                                     rng.uniform(2, 1e12, 10)]))
+    return [new_model(*SMALL_WEIGHT), new_model(*FAR_POLE),
+            new_model(lam, w), new_model(lam + 1e8, w),
+            new_model(lam, 10.0 ** rng.uniform(-299, 0, 20)),
+            new_model(clustered, w), new_model(spread, w)]
+
+
+@pytest.mark.parametrize("h", [1e-8, -1e-8, 1e8, -1e8, 1e300, -1e300])
+def test_extreme_couplings_give_finite_interlaced_roots(h):
+    for m in _hard_models():
+        try:
+            nodes = perturbed_spectrum(m, Coupling.finite(h))
+        except NumericalError:
+            continue
+        assert nodes.size == m.dim
+        assert np.all(np.isfinite(nodes))
+        gap_roots = nodes[:-1] if h > 0 else nodes[1:]
+        lam = m.eigenvalues
+        assert np.all(lam[:-1] <= gap_roots) and np.all(gap_roots <= lam[1:])
+
+
+@pytest.mark.parametrize("h", [1e308, -1e308])
+def test_exterior_root_beyond_the_largest_double_raises(h):
+    # |h| * ||mu||^2 = 2e308 overflows, and so does the exterior root.
+    with pytest.raises(NumericalError):
+        perturbed_spectrum(new_model([0.0, 1.0], [1.0, 1.0]),
+                           Coupling.finite(h))

@@ -143,6 +143,22 @@ def test_unitarity():
         assert abs(lhs - rhs) <= 1e-10 * phi.norm() * psi.norm()
 
 
+def test_inner_h_solves_once_and_matches_two_samples(monkeypatch):
+    from specsample import sampling
+
+    rng = np.random.default_rng(90)
+    m = random_model(rng, 7)
+    phi, psi = random_state(rng, m.dim), random_state(rng, m.dim)
+    fs, gs = sample(m, phi, 1.3), sample(m, psi, 1.3)
+    expected = sampling._csum(np.conj(fs.values) * gs.values * fs.node_weights)
+    solves = []
+    solve = sampling.perturbed_spectrum
+    monkeypatch.setattr(sampling, "perturbed_spectrum",
+                        lambda *args: solves.append(args) or solve(*args))
+    assert inner_h(m, 1.3, phi, psi) == expected
+    assert len(solves) == 1
+
+
 def test_partial_fractions_m2(m2):
     e1 = StateVector([1.0, 0.0])
     rep = to_partial_fractions(m2, e1)
