@@ -1,7 +1,9 @@
 """Borel transform of the spectral measure and derived Herglotz quantities.
 
-All sums are accumulated with math.fsum (error-free transformation of the
-partial sums), in index order, so results are reproducible across platforms.
+Every sum is a correctly rounded math.fsum of its terms (error-free
+transformation of the partial sums), so results are reproducible across
+platforms.  Sums at many real points are taken per row, in blocks of rows
+of at most _BLOCK_TERMS terms, so memory stays bounded at any model size.
 """
 from __future__ import annotations
 
@@ -16,10 +18,60 @@ from .model import SpectralModel
 # Relative pole-exclusion radius; scaled by the model's eigenvalue spread.
 EXCLUSION_RADIUS = 1e-8
 
+# Terms formed at once by cauchy_rows: 2^14 doubles is 128 KiB per array.
+_BLOCK_TERMS = 1 << 14
+
 
 def _csum(terms: np.ndarray) -> complex:
-    """Compensated sum of a complex array, in index order."""
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    """Correctly rounded sum of a complex array (per part)."""
+    return complex(math.fsum(terms.real.tolist()),
+                   math.fsum(terms.imag.tolist()))
+
+
+def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
+                power: int = 1, skip: np.ndarray | None = None,
+                shift: np.ndarray | None = None) -> np.ndarray:
+    """sum_j coeffs_j / (poles_j - x)^power at each real point x.
+
+    Each row is one math.fsum of the correctly rounded terms coeffs_j / d_j
+    (d_j * d_j for power 2, d_j = poles_j - x), so it equals the per-point
+    sum bit for bit; complex coefficients are divided part by part.  A
+    point on a pole gives an infinite or NaN row.  Optional per-point
+    arrays: skip, the index of one pole whose term is left out (-1 for
+    none); shift, an offset below the point's rounding, taken as
+    d_j = (poles_j - x) - shift.
+    """
+    parts = ((coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs)
+             else (coeffs,))
+    sums = np.empty((len(parts), points.size))
+    rows = max(1, _BLOCK_TERMS // poles.size)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for start in range(0, points.size, rows):
+            block = slice(start, start + rows)
+            d = poles - points[block, None]
+            if shift is not None:
+                d -= shift[block, None]
+            if power == 2:
+                d *= d
+            if skip is not None:
+                row = np.flatnonzero(skip[block] >= 0)
+                # c / inf is an exact zero, which leaves the fsum unchanged.
+                d[row, skip[block][row]] = np.inf
+            for part, out in zip(parts, sums):
+                out[block] = [math.fsum(r) for r in (part / d).tolist()]
+    return sums[0] if len(parts) == 1 else _complex(sums[0], sums[1])
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _real_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den for complex num and real den, each part rounded once
+    (numpy's complex division multiplies by a rounded reciprocal)."""
+    return _complex(num.real / den, num.imag / den)
 
 
 def pole_radius(model: SpectralModel) -> float:
@@ -84,31 +136,19 @@ class XiVector:
         return float(np.sum(np.abs(self.coords) ** 2))
 
 
-def _xi_coords_raw(model: SpectralModel, z: complex) -> np.ndarray:
-    """Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))), unguarded.
-
-    Exact at eigenvalues (where the limit vector is e_k/sqrt(w_k)); near
-    misses below floating resolution are snapped to the limit.
-    """
-    zb = complex(z).conjugate()
-    d = model.eigenvalues - zb
-    dist = np.abs(d)
-    k = int(dist.argmin())
-    if dist[k] < 1e-13 * model.scale and abs(zb.imag) < 1e-13 * model.scale:
-        out = np.zeros(model.dim, dtype=complex)
-        out[k] = 1.0 / math.sqrt(model.weights[k])
-        return out
-    f, _ = _weyl_raw(model, zb)
-    return model.sqrt_weights / (d * f)
-
-
 def xi(model: SpectralModel, z: complex) -> XiVector:
-    """The eigenvector field: xi(x) spans Ker(A_h - x) for the matching h."""
+    """The eigenvector field: xi(x) spans Ker(A_h - x) for the matching h.
+
+    Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
+    conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
+    """
     z = complex(z)
     check_pole_distance(model, z)
     f, fp = _weyl_raw(model, z)
     _check_zero_of_f(model, z, f, fp)
-    return XiVector(at=z, coords=_xi_coords_raw(model, z))
+    zb = z.conjugate()
+    coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
+    return XiVector(at=z, coords=coords)
 
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:

@@ -47,11 +47,17 @@ class SpectralModel:
             raise UnsortedEigenvalues("eigenvalues must be strictly increasing")
         if not np.all(np.isfinite(w)) or np.any(w <= _WEIGHT_FLOOR):
             raise NonPositiveWeight("all weights must be strictly positive")
+        try:
+            total = math.fsum(w.tolist())
+        except OverflowError:
+            raise ValidationError(
+                "the weights sum past the largest double"
+            ) from None
         lam.flags.writeable = False
         w.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "mu_norm_sq", float(math.fsum(w)))
+        object.__setattr__(self, "mu_norm_sq", total)
 
     @property
     def dim(self) -> int:

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
-from .herglotz import _weyl_raw
+from .herglotz import _real_quotient, cauchy_rows
 from .model import Coupling, SpectralModel, new_model
 
 
@@ -29,11 +29,13 @@ def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
     the far end, so a + b F has the sign of a.
     """
     lam, w = model.eigenvalues, model.weights
+    buf = np.empty((model.dim, model.dim))
 
-    def g(origin, tau):
-        # lam_j - x as (lam_j - lam_origin) - tau is exact at the origin.
-        d = lam - lam[origin, None] - tau[:, None]
-        return a + b * np.sum(w / d, axis=1)
+    def g(shift, tau):
+        # lam_j - x as (lam_j - lam_origin) - tau is exact at the origin;
+        # shift holds lam_j - lam_origin, one row per root.
+        d = np.subtract(shift, tau[:, None], out=buf[:tau.size])
+        return a + b * np.sum(np.divide(w, d, out=d), axis=1)
 
     lower = np.arange(model.dim - 1)
     # Halving before subtracting keeps gaps near the largest double finite.
@@ -42,7 +44,7 @@ def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
         # a + b F has the sign -sign(b) just right of a pole and sign(b) just
         # left of it; the root is past the midpoint while a + b F still has
         # the left pole's sign there.
-        right = g(lower, half) * np.sign(b) < 0.0
+        right = g(lam - lam[lower, None], half) * np.sign(b) < 0.0
         origin = np.where(right, lower + 1, lower)
         far = np.where(right, -half, half)
         if a != 0.0:
@@ -50,6 +52,7 @@ def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
             origin = np.insert(origin, at, model.dim - 1 if b > 0.0 else 0)
             far = np.insert(far, at, b * model.mu_norm_sq)
         pole_sign = -np.sign(b) * np.sign(far)
+        shift = lam - lam[origin, None]
 
         def offset(bits):
             return np.copysign(bits.view(np.float64), far)
@@ -63,7 +66,7 @@ def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
         hi = np.abs(far).view(np.int64)
         while np.any(hi - lo > 1):
             mid = lo + (hi - lo) // 2
-            up = (mid == lo) | (g(origin, offset(mid)) * pole_sign > 0.0)
+            up = (mid == lo) | (g(shift, offset(mid)) * pole_sign > 0.0)
             lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
         x_hi = lam[origin] + offset(hi)
         if not np.all(np.isfinite(x_hi)):
@@ -71,7 +74,7 @@ def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
                 f"the exterior root at coupling {b!r} is beyond the largest "
                 "double"
             )
-        nearer = np.abs(g(origin, offset(lo))) < np.abs(g(origin, offset(hi)))
+        nearer = np.abs(g(shift, offset(lo))) < np.abs(g(shift, offset(hi)))
     return np.where(nearer, lam[origin] + offset(lo), x_hi)
 
 
@@ -91,39 +94,122 @@ def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
     return _secular_roots(model, 1.0, h)
 
 
-# Newton-step distance above which supplied nodes are rejected as belonging
-# to a different coupling.  A raw residual bound would misfire at roots that
-# hug a pole with a tiny weight: there F' is huge and cancellation inflates
-# |1 + h F| even for a correctly placed node, while the root distance
-# |1 + h F| / (|h| |F'|) stays tiny.
+# Newton-step distance, relative to the model scale, above which supplied
+# nodes are rejected as belonging to a different coupling.  A raw residual
+# bound would misfire at roots that hug a pole with a tiny weight: there F'
+# is huge and cancellation inflates |1 + h F| even for a correctly placed
+# node, while the root distance |1 + h F| / (|h| |F'|) stays tiny.
 _NODE_DISTANCE_TOL = 1e-7
+# Far from 0 (a large |h|, or eigenvalues offset far from 0) a node is only
+# known to a few rounding errors of the largest magnitude in play, |x_j| or
+# max |lam_k|, which can exceed any fixed fraction of the scale; solved
+# nodes stay within 4 eps of it.  A fraction of max(scale, |x_j|) instead
+# would accept the nodes of another coupling once the offset dwarfs the gaps.
+_NODE_ROUNDING_TOL = 64 * np.finfo(float).eps
+# A node whose ulp exceeds this fraction of its distance to the nearest
+# eigenvalue has lost digits of that distance to rounding (see _Nodes).
+_POLE_LOCAL_TOL = 1e-12
+
+
+def _nearest_poles(model: SpectralModel,
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the eigenvalue nearest each real point (the lower one on a
+    tie), and whether the point is pole-local: on that eigenvalue, or so
+    near it that one ulp of the point exceeds _POLE_LOCAL_TOL of the
+    distance."""
+    lam = model.eigenvalues
+    k = np.clip(np.searchsorted(lam, x), 1, lam.size - 1)
+    k -= np.abs(lam[k - 1] - x) <= np.abs(lam[k] - x)
+    return k, np.spacing(np.abs(x)) > _POLE_LOCAL_TOL * np.abs(x - lam[k])
+
+
+def _pole_local_masses(model: SpectralModel, h: float, x: np.ndarray,
+                       k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of nodes x next to their eigenvalues lam_k, and each node's
+    Newton step to its root.
+
+    With R, R' the sums of F, F' over the other poles, and a = 1 + h R, the
+    root's offset tau from lam_k solves G(tau) = a tau - h w_k = 0, which is
+    smooth at the pole.  One Newton step on G from the node finds the root
+    to a small fraction of the node's rounding error, and at the root the
+    mass is w_k / (a^2 + h^2 w_k R') exactly; R and R' are summed again
+    there.
+    """
+    lam, w = model.eigenvalues, model.weights
+    wk, tau = w[k], x - lam[k]
+    r, rp = (cauchy_rows(lam, w, x, p, skip=k) for p in (1, 2))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = h * (wk + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
+        r, rp = (cauchy_rows(lam, w, x, p, skip=k, shift=step) for p in (1, 2))
+        a = 1.0 + h * r
+        return np.abs(step), wk / (a * a + h * h * wk * rp)
+
+
+class _Nodes:
+    """Nodes of the h-coupled spectrum, their masses, and image values there.
+
+    At a secular root F(x_j) = -1/h exactly, so the mass 1/||xi(x_j)||^2 is
+    1/(h^2 F'(x_j)).  The mass belongs to the exact root: at a pole-local
+    node the rounding of x_j moves lam_k - x_j, and with it 1/(h^2 F'), by
+    more than 1e-12, so the mass is taken at the root instead
+    (_pole_local_masses).  An image value belongs to the node it is
+    returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j/(lam_j - x),
+    is well defined at any double off the poles, and on a pole lam_k it is
+    the limit psi_k/sqrt(w_k).  Nodes farther than a Newton step of
+    _NODE_DISTANCE_TOL times the scale (or a few rounding errors) from
+    their root raise InconsistentNodes.
+    """
+
+    def __init__(self, model: SpectralModel, h: float, nodes) -> None:
+        self.model = model
+        self.nodes = x = np.asarray(nodes, dtype=float)
+        lam, w = model.eigenvalues, model.weights
+        self.k, local = _nearest_poles(model, x)
+        self.f = cauchy_rows(lam, w, x)
+        if h == 0.0:
+            if x.size != model.dim or np.max(
+                np.abs(x - lam)
+            ) > 1e-9 * model.scale:
+                raise InconsistentNodes(
+                    "nodes do not match the unperturbed spectrum")
+            self.masses = w.copy()
+            return
+        fp = cauchy_rows(lam, w, x, 2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            distance = np.abs(1.0 + h * self.f) / (abs(h) * fp)
+            self.masses = 1.0 / (h * h * fp)
+        j = np.flatnonzero(local)
+        distance[j], self.masses[j] = _pole_local_masses(model, h, x[j],
+                                                         self.k[j])
+        big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
+        bad = ~(distance <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
+                                       _NODE_ROUNDING_TOL * big))
+        if bad.any():
+            j = int(bad.argmax())
+            raise InconsistentNodes(
+                f"node {float(x[j])!r} is about {distance[j]:.3e} off its "
+                f"secular root at h={h}"
+            )
+
+    def values(self, coords: np.ndarray) -> np.ndarray:
+        """The image function of the state with these coordinates at each
+        node."""
+        m, k = self.model, self.k
+        n = cauchy_rows(m.eigenvalues, m.sqrt_weights * coords, self.nodes)
+        on = self.nodes == m.eigenvalues[k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(on, coords[k] / m.sqrt_weights[k],
+                            _real_quotient(n, self.f))
 
 
 def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     """Point masses m_h({x_j}) = 1/||xi(x_j)||^2 at the perturbed spectrum.
 
     At a secular root F(x_j) = -1/h exactly, so the mass reduces to
-    1/(h^2 F'(x_j)); this form stays accurate for roots that hug a pole.
+    1/(h^2 F'(x_j)); a node next to an eigenvalue takes it at the exact
+    root (see _Nodes), so it stays accurate for roots that hug a pole.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    if h == 0.0:
-        if nodes.size != model.dim or np.max(
-            np.abs(nodes - model.eigenvalues)
-        ) > 1e-9 * model.scale:
-            raise InconsistentNodes("nodes do not match the unperturbed spectrum")
-        return model.weights.copy()
-
-    out = np.empty(nodes.size)
-    for j, x in enumerate(nodes):
-        f, fp = _weyl_raw(model, x)
-        residual = abs(1.0 + h * f.real)
-        distance = residual / (abs(h) * fp.real)
-        if not math.isfinite(distance) or distance > _NODE_DISTANCE_TOL * model.scale:
-            raise InconsistentNodes(
-                f"node {x!r} has secular residual {residual:.3e} at h={h}"
-            )
-        out[j] = 1.0 / (h * h * fp.real)
-    return out
+    return _Nodes(model, float(h), nodes).masses
 
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:

@@ -22,11 +22,12 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import (
-    _csum,
-    _weyl_raw,
-    _xi_coords_raw,
-    check_pole_distance,
     _check_zero_of_f,
+    _csum,
+    _real_quotient,
+    _weyl_raw,
+    cauchy_rows,
+    check_pole_distance,
     xi,
 )
 from .model import (
@@ -37,7 +38,7 @@ from .model import (
     StateVector,
     check_dims,
 )
-from .perturbation import compression_spectrum, node_weights, perturbed_spectrum
+from .perturbation import _Nodes, compression_spectrum, perturbed_spectrum
 
 
 def mu_state(model: SpectralModel) -> StateVector:
@@ -50,19 +51,6 @@ def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
     return _csum(model.sqrt_weights * phi.coords)
 
 
-def _transform_raw(model: SpectralModel, phi: StateVector, z: complex) -> complex:
-    """f(z) without exclusion checks; nodes of the perturbed spectra are
-    regular points of f even when they hug an eigenvalue."""
-    d = model.eigenvalues - z
-    dist = np.abs(d)
-    k = int(dist.argmin())
-    if dist[k] < 1e-13 * model.scale and abs(z.imag) < 1e-13 * model.scale:
-        # Removable singularity at an eigenvalue: residue ratio.
-        return complex(phi.coords[k] / math.sqrt(model.weights[k]))
-    f, _ = _weyl_raw(model, z)
-    return _csum(model.sqrt_weights * phi.coords / d) / f
-
-
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
     check_dims(model, phi)
@@ -73,15 +61,26 @@ def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     return _csum(model.sqrt_weights * phi.coords / (model.eigenvalues - z)) / f
 
 
-def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
-    """Sample the image of phi on the spectrum of the h-coupled operator."""
-    check_dims(model, phi)
+def _sample(model: SpectralModel, h: float, *states: StateVector):
+    """Nodes and masses at coupling h, and each state's image function on
+    the nodes, from one solve and one F(x_j).
+
+    Nodes are regular points of the image functions even when they hug an
+    eigenvalue; on one the value is its limit there (see _Nodes).
+    """
+    for phi in states:
+        check_dims(model, phi)
     h = float(h)
     if not math.isfinite(h):
         raise ValidationError("sampling requires a finite coupling")
-    nodes = perturbed_spectrum(model, Coupling.finite(h))
-    weights = node_weights(model, h, nodes)
-    values = np.array([_transform_raw(model, phi, complex(x)) for x in nodes])
+    nodes = _Nodes(model, h, perturbed_spectrum(model, Coupling.finite(h)))
+    return (nodes.nodes, nodes.masses,
+            [nodes.values(phi.coords) for phi in states])
+
+
+def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
+    """Sample the image of phi on the spectrum of the h-coupled operator."""
+    nodes, weights, (values,) = _sample(model, h, phi)
     return SampleSet(h=h, nodes=nodes, node_weights=weights, values=values)
 
 
@@ -113,16 +112,17 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
 
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
                        z: complex) -> complex:
-    """Orthogonal-expansion reconstruction using explicit xi vectors."""
-    z = complex(z)
-    xi_z = xi(model, z).coords
-    total = 0.0 + 0.0j
-    for x, value in zip(samples.nodes, samples.values):
-        xi_x = _xi_coords_raw(model, complex(x))
-        overlap = _csum(np.conj(xi_z) * xi_x)
-        norm_sq = math.fsum(np.abs(xi_x) ** 2)
-        total += overlap * value / norm_sq
-    return total
+    """Orthogonal-expansion reconstruction
+    f(z) = sum_j <xi(z), xi(x_j)> f(x_j) / ||xi(x_j)||^2.
+
+    <xi(z), xi(x)> is the image of the state conj(xi(z)) at x, and
+    1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
+    samples' nodes.  Raises InconsistentNodes when those nodes are not the
+    spectrum at the samples' coupling.
+    """
+    nodes = _Nodes(model, float(samples.h), samples.nodes)
+    ratio = nodes.masses * nodes.values(np.conj(xi(model, z).coords))
+    return _csum(ratio * samples.values)
 
 
 _UNIT_WEIGHT_TOL = 1e-12
@@ -150,11 +150,11 @@ def to_partial_fractions(model: SpectralModel,
         )
     poles = compression_spectrum(model)
     c = mu_inner(model, phi)
-    coeffs = np.empty(poles.size, dtype=complex)
-    for n, x in enumerate(poles):
-        omega = model.sqrt_weights / (model.eigenvalues - x)
-        # ||omega||^2 = F'(x) at a zero of F.
-        coeffs[n] = _csum(omega * phi.coords) / math.fsum(omega * omega)
+    # Against omega_n = sqrt(w)/(lam - x_n), ||omega_n||^2 = F'(x_n) at a
+    # zero of F.
+    coeffs = _real_quotient(
+        cauchy_rows(model.eigenvalues, model.sqrt_weights * phi.coords, poles),
+        cauchy_rows(model.eigenvalues, model.weights, poles, power=2))
     return MeromorphicRep(constant=c, poles=poles, coefficients=coeffs)
 
 
@@ -188,10 +188,8 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
 def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""
-    fs = sample(model, phi, h)
-    check_dims(model, psi)
-    gs = np.array([_transform_raw(model, psi, complex(x)) for x in fs.nodes])
-    return _csum(np.conj(fs.values) * gs * fs.node_weights)
+    _, weights, (f, g) = _sample(model, h, phi, psi)
+    return _csum(np.conj(f) * g * weights)
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

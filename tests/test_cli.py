@@ -55,8 +55,9 @@ def test_spectrum_bad_model(files, capsys):
     {"kind": "explicit", "eigenvalues": ["a", 2.0], "weights": [0.5, 0.5]},
     {"kind": "jacobi", "q": [1, 2, 3], "b": [1, 1], "truncation": "x"},
     {"kind": "oscillator", "levels": 2.5},
+    {"kind": "explicit", "eigenvalues": [0.0, 1.0], "weights": [1e308, 1e308]},
 ], ids=["missing-weights", "non-numeric-eigenvalues", "truncation-x",
-        "non-integer-levels"])
+        "non-integer-levels", "weights-overflow"])
 def test_spectrum_malformed_model(files, capsys, model):
     assert main(["spectrum", "--model", files("m.json", model),
                  "--coupling", "1"]) == 2

@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from specsample import (
+    Coupling,
     PoleProximity,
     StateVector,
     ZeroOfF,
+    node_weights,
+    perturbed_spectrum,
     weyl,
     weyl_h,
     xi,
     xi_norm_sq,
 )
+from specsample.herglotz import cauchy_rows
 from specsample.sampling import apply_perturbed
 
 from conftest import random_model, random_state
@@ -154,3 +158,61 @@ def test_resolvent_identity_form():
         fwb, _ = weyl(m, w.conjugate())
         rhs = (1.0 / fwb - 1.0 / fz) / (z - w.conjugate())
         assert lhs == pytest.approx(rhs, rel=1e-10)
+
+
+def _per_node_sums(poles, coeffs, points, power):
+    """The per-point loop the batched kernel replaces, as the reference."""
+    out = []
+    for x in points:
+        d = poles - x
+        terms = coeffs / (d * d if power == 2 else d)
+        out.append(complex(math.fsum(terms.real), math.fsum(terms.imag))
+                   if np.iscomplexobj(terms) else math.fsum(terms))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [2, 50, 200])
+@pytest.mark.parametrize("h", [1.3, -0.7, None], ids=["1.3", "-0.7", "inf"])
+def test_cauchy_rows_match_per_node_fsum(n, h):
+    # N=200 runs 81 rows per block: the last block is partial.
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    coupling = Coupling.infinite() if h is None else Coupling.finite(h)
+    nodes = perturbed_spectrum(m, coupling)
+    lam, w = m.eigenvalues, m.weights
+    for power in (1, 2):
+        assert (cauchy_rows(lam, w, nodes, power).tobytes()
+                == _per_node_sums(lam, w, nodes, power).tobytes())
+    c = m.sqrt_weights * random_state(rng, n).coords
+    assert np.array_equal(cauchy_rows(lam, c, nodes).real,
+                          [math.fsum(c.real / (lam - x)) for x in nodes])
+    assert np.array_equal(cauchy_rows(lam, c, nodes).imag,
+                          [math.fsum(c.imag / (lam - x)) for x in nodes])
+    if h is not None:
+        want = _per_node_masses(lam, w, h, nodes)
+        assert node_weights(m, h, nodes).tobytes() == want.tobytes()
+
+
+def _per_node_masses(lam, w, h, nodes):
+    """node_weights one node at a time: 1/(h^2 F'), or, within 1e12 ulps
+    of the nearest eigenvalue lam_k, the mass at the root one Newton step
+    on (1 + h R) tau - h w_k away, R, R' summed over the other poles."""
+    out = []
+    for x in nodes:
+        k = int(np.argmin(np.abs(lam - x)))
+        if np.spacing(abs(x)) <= 1e-12 * abs(x - lam[k]):
+            out.append(1.0 / (h * h * math.fsum(w / (lam - x) ** 2)))
+            continue
+        rest = np.arange(lam.size) != k
+
+        def sums(step):
+            d = (lam[rest] - x) - step
+            return math.fsum(w[rest] / d), math.fsum(w[rest] / (d * d))
+
+        tau = x - lam[k]
+        r, rp = sums(0.0)
+        step = h * (w[k] + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
+        r, rp = sums(step)
+        a = 1.0 + h * r
+        out.append(w[k] / (a * a + h * h * w[k] * rp))
+    return np.array(out)

@@ -43,6 +43,8 @@ def test_new_model_rejects_bad_weights():
         new_model([0, 1], [0.5, -1.0])
     with pytest.raises(NonPositiveWeight):
         new_model([0, 1], [0.5, 1e-310])
+    with pytest.raises(ValidationError, match="weights sum"):
+        new_model([0, 1], [1e308, 1e308])
 
 
 def test_new_model_rejects_mismatch_and_small():

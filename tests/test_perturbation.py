@@ -92,6 +92,14 @@ def test_node_weights_rejects_foreign_nodes(m2):
     nodes_h2 = perturbed_spectrum(m2, Coupling.finite(2.0))
     with pytest.raises(InconsistentNodes):
         node_weights(m2, 1.0, nodes_h2)
+    # Offset far from 0, a node is known to ~1e-8 but the gaps are ~0.4: a
+    # tolerance relative to |x| would take these.
+    rng = np.random.default_rng(43)
+    m = new_model(np.sort(rng.uniform(-10, 10, 30)) + 1e8,
+                  rng.uniform(0.1, 1.0, 30))
+    nodes = perturbed_spectrum(m, Coupling.finite(0.55))
+    with pytest.raises(InconsistentNodes):
+        node_weights(m, 0.37, nodes)
 
 
 def test_node_weight_sum_matches_total():
@@ -245,10 +253,22 @@ def _mp_secular_roots(m, h):
         return roots
 
 
+# At |h| = 1e9 the exterior root is near 3e9, where one ulp (4.8e-7)
+# exceeds 1e-7 times the model scale.
+LARGE_H = ([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
+# Offset to 1e8, where one ulp is 1.5e-8: at h = -1e-8 the exterior root is
+# about 5e-9 below the lowest eigenvalue and rounds to a double next to it.
+_offset_rng = np.random.default_rng(44)
+OFFSET = (np.sort(_offset_rng.uniform(-10, 10, 20)) + 1e8,
+          _offset_rng.uniform(0.1, 1.0, 20))
+
+
 @pytest.mark.parametrize("data,h", [(SMALL_WEIGHT, 1.0), (SMALL_WEIGHT, None),
-                                    (FAR_POLE, -1e-8)],
+                                    (FAR_POLE, -1e-8), (LARGE_H, 1e9),
+                                    (LARGE_H, -1e9), (OFFSET, -1e-8)],
                          ids=["small-weight-h1", "small-weight-inf",
-                              "far-pole-h-1e-8"])
+                              "far-pole-h-1e-8", "large-h-1e9",
+                              "large-h--1e9", "offset-1e8-h-1e-8"])
 def test_roots_next_to_a_pole_match_the_oracle(data, h):
     m = new_model(*data)
     coupling = Coupling.infinite() if h is None else Coupling.finite(h)
@@ -259,8 +279,24 @@ def test_roots_next_to_a_pole_match_the_oracle(data, h):
     lam = m.eigenvalues
     assert np.all(lam[:-1] <= gap_roots) and np.all(gap_roots <= lam[1:])
     eps = np.finfo(float).eps
-    for x, exact in zip(nodes, _mp_secular_roots(m, h)):
-        assert abs(x - float(exact)) <= 4 * eps * max(m.scale, abs(x))
+    exact = _mp_secular_roots(m, h)
+    for x, root in zip(nodes, exact):
+        assert abs(x - float(root)) <= 4 * eps * max(m.scale, abs(x))
+    if h is None:
+        return
+    # Masses 1/(h^2 F'(x)) at the exact roots.  The far-pole root at
+    # 1 - 1e-8, the small-weight root that rounds onto its pole and the
+    # offset exterior root are each known only to half an ulp, which is
+    # 1e-8 or more of their distance to the pole: their masses are taken at
+    # the root.
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        masses = [1 / (mp.mpf(h) ** 2 * mp.fsum(
+            mp.mpf(float(wj)) / (mp.mpf(float(lj)) - x) ** 2
+            for lj, wj in zip(m.eigenvalues, m.weights))) for x in exact]
+    got = node_weights(m, h, nodes)
+    for g, want in zip(got, masses):
+        assert abs(g - float(want)) <= 1e-12 * float(want)
 
 
 def _hard_models():

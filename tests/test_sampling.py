@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from specsample import (
+    InconsistentNodes,
     MeromorphicRep,
     NormalizationRequired,
     NotAZero,
     PoleMismatch,
     PoleProximity,
     RealPoint,
+    SampleSet,
     StateVector,
     apply_perturbed,
     blaschke_swap,
@@ -267,3 +269,84 @@ def test_apply_perturbed_matrix_oracle():
 
 def test_mu_inner(m2):
     assert mu_inner(m2, StateVector([1.0, 1.0])) == pytest.approx(SQ2)
+
+
+def test_node_on_an_eigenvalue_takes_the_limit_value():
+    # The root next to the pole at 1 is 1.3e-40 away: it rounds onto the pole.
+    m = new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0])
+    phi = StateVector([1.0, 2.0 - 1.0j, 3.0])
+    s = sample(m, phi, 1.3)
+    assert s.nodes[1] == 1.0
+    assert s.values[1] == phi.coords[1] / math.sqrt(1e-40)
+    assert np.all(np.isfinite(s.values))
+    # Mass w_1 / ((1 + hR)^2 + h^2 w_1 R'), with R = 0 and R' = 2 at x = 1.
+    assert s.node_weights[1] == pytest.approx(1e-40 / (1.0 + 2 * 1.69e-40),
+                                              rel=1e-15, abs=0.0)
+    assert inner_h(m, 1.3, phi, phi) == pytest.approx(phi.norm() ** 2,
+                                                      rel=1e-12)
+
+
+def test_node_beside_an_eigenvalue_takes_its_own_value_and_root_mass():
+    # The root next to the pole at 1 is ~6 ulps away: the image function
+    # changes by O(1) within that distance, so the value is the one at the
+    # returned node, not the limit at the pole, and the mass is the one at
+    # the exact root, not at the node.
+    mp = pytest.importorskip("mpmath")
+    lam, w, h = [0.0, 1.0, 2.0], [1.0, 1e-15, 2.0], 1.3
+    m = new_model(lam, w)
+    phi = StateVector([1.0, 2.0 - 1.0j, 3.0])
+    s = sample(m, phi, h)
+    x = s.nodes[1]
+    assert 0.0 < x - 1.0 < 1e-13
+    with mp.workdps(60):
+        lm = [mp.mpf(v) for v in lam]
+        wm = [mp.mpf(v) for v in m.weights]
+        cm = [mp.sqrt(wj) * mp.mpc(c.real, c.imag)
+              for wj, c in zip(wm, phi.coords)]
+
+        def sums(t):
+            return (mp.fsum(wj / (lj - t) for lj, wj in zip(lm, wm)),
+                    mp.fsum(wj / (lj - t) ** 2 for lj, wj in zip(lm, wm)),
+                    mp.fsum(cj / (lj - t) for lj, cj in zip(lm, cm)))
+
+        f, _, n = sums(mp.mpf(x))
+        value = complex(n / f)
+        lo, hi = mp.mpf(1), mp.mpf(x) + mp.mpf(1e-15)
+        for _ in range(150):
+            mid = (lo + hi) / 2
+            # 1 + h F rises from -inf at the pole through the root.
+            lo, hi = (lo, mid) if 1 + h * sums(mid)[0] > 0 else (mid, hi)
+        mass = float(1 / (h * h * sums(lo)[1]))
+    assert abs(s.values[1] - value) <= 1e-12 * abs(value)
+    assert abs(s.values[1] - phi.coords[1] / math.sqrt(1e-15)) > 0.1 * abs(value)
+    assert s.node_weights[1] == pytest.approx(mass, rel=1e-13, abs=0.0)
+
+
+def test_kramer_rejects_samples_of_another_coupling():
+    m = random_model(np.random.default_rng(93), 12)
+    phi = random_state(np.random.default_rng(94), 12)
+    s = sample(m, phi, 1.3)
+    other = SampleSet(h=0.9, nodes=s.nodes, node_weights=s.node_weights,
+                      values=s.values)
+    with pytest.raises(InconsistentNodes):
+        kramer_reconstruct(m, other, 0.5 + 1.0j)
+
+
+def _cross_check_models():
+    from specsample import JacobiParams, oscillator_model, truncate
+
+    rng = np.random.default_rng(91)
+    return [new_model([0.0, 2.0], [0.5, 0.5]), random_model(rng, 40),
+            truncate(JacobiParams(np.arange(1.0, 9.0), np.ones(8)), 6),
+            oscillator_model(8, normalized=False)]
+
+
+def test_kramer_agrees_with_lagrange_to_the_cli_bound():
+    rng = np.random.default_rng(92)
+    for m in _cross_check_models():
+        phi = random_state(rng, m.dim)
+        s = sample(m, phi, 1.3)
+        lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
+        for _ in range(10):
+            z = complex(rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(0.1, 3.0))
+            assert abs(kramer_reconstruct(m, s, z) - reconstruct(s, z)) <= 1e-8
