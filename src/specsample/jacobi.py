@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     InsufficientCoefficients,
+    NumericalError,
     PoleProximity,
     QZero,
     ValidationError,
@@ -169,7 +170,17 @@ def truncate(params: JacobiParams, n: int) -> SpectralModel:
     weights = np.empty(n)
     for j in range(n):
         ev = polys(params, lam[j], n)
-        weights[j] = 1.0 / math.fsum(ev.P[:n].real ** 2)
+        try:
+            with np.errstate(over="ignore"):
+                total = math.fsum(ev.P[:n].real ** 2)
+        except OverflowError:
+            total = math.inf
+        if not total < math.inf:
+            raise NumericalError(
+                f"the weight sum of P_k(x)^2 overflows the largest double at "
+                f"eigenvalue {float(lam[j])!r} of the degree-{n} truncation"
+            )
+        weights[j] = 1.0 / total
     return new_model(lam, weights)
 
 

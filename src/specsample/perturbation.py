@@ -5,10 +5,21 @@ equation 1 + h F(x) = 0; at infinite coupling they are the zeros of F.
 Both are the roots of a + b F(x), with (a, b) = (1, h) or (0, 1).  Since
 F' = sum w_j/(lam_j - x)^2 > 0, F runs from -inf to +inf across every
 spectral gap, so each gap holds exactly one root and the sign of a + b F
-next to each pole is known without evaluating it.  All roots are solved at
-once: each is stored as an offset tau from the pole it is nearer to, which
-keeps lam_j - x accurate next to that pole, and |tau| is bisected on its
-bit pattern until the bracket is two adjacent doubles.
+next to each pole is known without evaluating it.
+
+All roots are solved at once.  Each is stored as an offset tau from the
+pole it is nearer to, its origin, which keeps lam_j - x accurate next to
+that pole; |tau| lies in a bracket of int64 bit patterns whose ends give
+a + b F opposite signs.  Each step evaluates a + b F where R.-C. Li's
+middle-way iteration (LAPACK Working Note 89, 1993; the method of LAPACK's
+dlaed4, after Bunch, Nielsen & Sorensen, Numer. Math. 31, 1978) or Newton
+on the pole-free form tau (a + b F) puts the root, most roots taking four
+to seven evaluations.  The safeguard doubles steps that stop shrinking and
+takes the bracket's bit midpoint for a point outside the bracket or one
+that would leave it behind a bisection schedule, so no root takes more
+than 65 + _FREE_STEPS evaluations.  A root is done when its bracket is two
+adjacent doubles or both ends give the same node, and the end with the
+smaller |a + b F| is returned.
 """
 from __future__ import annotations
 
@@ -20,62 +31,203 @@ from .errors import InconsistentNodes, NumericalError
 from .herglotz import _real_quotient, cauchy_rows
 from .model import Coupling, SpectralModel, new_model
 
+# Steps a root may take before its bracket must keep up with bisection.
+_FREE_STEPS = 16
 
-def _secular_roots(model: SpectralModel, a: float, b: float) -> np.ndarray:
-    """Roots of a + b F(x), one per gap, in increasing order.
+
+def _secular_roots(model: SpectralModel, a: float,
+                   b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of a + b F(x), one per gap, in increasing order, and the
+    number of evaluations of a + b F each took.
 
     With a != 0 the exterior root in (lam_N, lam_N + b ||mu||^2] (b > 0) or
     [lam_1 + b ||mu||^2, lam_1) (b < 0) is included; there |F| <= 1/|b| at
     the far end, so a + b F has the sign of a.
     """
     lam, w = model.eigenvalues, model.weights
-    buf = np.empty((model.dim, model.dim))
+    n = model.dim
+    # Steps are taken on s (a + b F) / c = a' + b' F, s = sign(b) and
+    # c = max(|a|, |b|): it increases across every gap, and |a'|, b' <= 1
+    # keep it finite at any coupling.
+    s = 1.0 if b > 0.0 else -1.0
+    c = max(abs(a), abs(b))
+    a1, b1 = s * a / c, abs(b) / c
+    # Row k of shift holds lam_j - lam_k.
+    shift = np.subtract(lam, lam[:, None])
+    diff, work = np.empty((n, n)), np.empty((n, n))
+    index = np.arange(n)
+    starts = index * n
 
-    def g(shift, tau):
-        # lam_j - x as (lam_j - lam_origin) - tau is exact at the origin;
-        # shift holds lam_j - lam_origin, one row per root.
-        d = np.subtract(shift, tau[:, None], out=buf[:tau.size])
-        return a + b * np.sum(np.divide(w, d, out=d), axis=1)
+    def evaluate(origin, cut, tau):
+        """At x = lam_k + tau, k = origin: a + b F; u = a' + b' R;
+        v = tau (a' + b' F) = tau u - b' w_k; and R' summed over the
+        columns before cut and from it on.  R and R' sum F and F' over the
+        poles other than lam_k."""
+        m = tau.size
+        # lam_j - x as (lam_j - lam_k) - tau is exact at the origin.
+        d = np.take(shift, origin, axis=0, out=diff[:m], mode="clip")
+        d -= tau[:, None]
+        q = np.divide(w, d, out=work[:m])
+        total = q.sum(axis=1)
+        value = a + b * total
+        q[index[:m], origin] = 0.0
+        cuts = (starts[:m, None] + cut).ravel()
+        r = np.add.reduceat(q.ravel(), cuts)
+        rp = np.add.reduceat(np.divide(q, d, out=d).ravel(), cuts)
+        u = a1 + b1 * (r[0::2] + r[1::2])
+        v = tau * u - b1 * w[origin]
+        # w_k / tau overflows next to a pole at 0 while a + b F is finite:
+        # there the sign comes from the pole-free form.
+        if not np.isfinite(total).all():
+            k = np.flatnonzero(~np.isfinite(total))
+            value[k] = s * c * v[k] / tau[k]
+        # Steps aim at the sign change of the sum the bracket reads, so v
+        # is taken from it wherever that (or b F at a huge |b|) is finite.
+        direct = tau * value * (s / c)
+        v = np.where(np.isfinite(direct), direct, v)
+        return value, u, v, rp[0::2], rp[1::2]
 
-    lower = np.arange(model.dim - 1)
-    # Halving before subtracting keeps gaps near the largest double finite.
-    half = 0.5 * lam[1:] - 0.5 * lam[:-1]
+    def propose(tau, other, toward, u, v, rp_before, rp_after):
+        """Where the root is by Li's middle-way step from tau: a' + b' F
+        modelled by two poles, at the origin and at the gap's other end
+        (offset other), each fitted to the value and slope of the sum over
+        its side.  Newton on v where that is not finite (always at the
+        exterior root, whose other is NaN) or points away from the root
+        (toward: +1 away from the origin, -1 towards it)."""
+        # The model's quadratic for the step eta, cq eta^2 - qa eta - pb = 0,
+        # divided by |v'| (v' = nd, the slope of v) so that its
+        # coefficients neither underflow nor overflow when squared.
+        nd = u + b1 * tau * (rp_before + rp_after)
+        scale = 1.0 / np.abs(nd)
+        slope, newton = nd * scale, -v * scale
+        far = other - tau
+        qa, pb = far * slope + newton, -far * newton
+        cq = slope - b1 * other * scale * np.where(other > 0.0, rp_after,
+                                                   rp_before)
+        root = np.sqrt(np.abs(qa * qa + 4.0 * pb * cq))
+        eta = np.where(qa <= 0.0, (qa - root) / (2.0 * cq),
+                       -2.0 * pb / (qa + root))
+        fine = np.isfinite(eta) & (eta * tau * toward >= 0.0)
+        return tau + np.where(fine, eta, newton * slope)
+
+    # One row per gap, first seen from its left pole at its midpoint
+    # (halving before subtracting keeps gaps near the largest double
+    # finite), and the exterior row last (b > 0) or first (b < 0), seen
+    # from the edge pole at its far end.  Columns are cut at the gap.
+    lower = np.arange(n - 1)
+    origin, tau, other, cut = (lower, 0.5 * lam[1:] - 0.5 * lam[:-1],
+                               lam[1:] - lam[:-1], lower + 1)
+    if a != 0.0:
+        ext = ((n - 1, b * model.mu_norm_sq, np.nan, n - 1) if b > 0.0
+               else (0, b * model.mu_norm_sq, np.nan, 1))
+        origin, tau, other, cut = (
+            np.concatenate((v, [e]) if b > 0.0 else ([e], v))
+            for v, e in zip((origin, tau, other, cut), ext))
+    cut = np.stack((np.zeros_like(cut), cut), axis=1)
+    rows = origin.size
+    live = np.arange(rows)
+    steps = np.ones(rows, dtype=np.int64)
+    ends = np.empty((4, rows))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        # a + b F has the sign -sign(b) just right of a pole and sign(b) just
-        # left of it; the root is past the midpoint while a + b F still has
-        # the left pole's sign there.
-        right = g(lam - lam[lower, None], half) * np.sign(b) < 0.0
-        origin = np.where(right, lower + 1, lower)
-        far = np.where(right, -half, half)
-        if a != 0.0:
-            at = origin.size if b > 0.0 else 0
-            origin = np.insert(origin, at, model.dim - 1 if b > 0.0 else 0)
-            far = np.insert(far, at, b * model.mu_norm_sq)
-        pole_sign = -np.sign(b) * np.sign(far)
-        shift = lam - lam[origin, None]
-
-        def offset(bits):
-            return np.copysign(bits.view(np.float64), far)
-
-        # A non-negative double orders like its int64 bit pattern, so halving
-        # the integer bracket [lo, hi] of |tau| ends at adjacent doubles
-        # after at most 64 steps; the end with the smaller |a + b F| wins.
-        # Rows already there have mid == lo and stay put.  A NaN (terms
-        # overflowing with both signs) moves hi, inside the bracket.
-        lo = np.zeros(origin.size, dtype=np.int64)
+        # a + b F has the sign -s just right of a pole and s just left of
+        # it; the root is past the midpoint while a + b F still has the left
+        # pole's sign there, and then the right pole becomes its origin.
+        value, *slopes = evaluate(origin, cut, tau)
+        right = s * value < 0.0
+        right[np.isnan(other)] = False
+        guess = propose(tau, other, np.where(right, 1.0, -1.0), *slopes)
+        k = np.flatnonzero(right)
+        guess[k] -= other[k]
+        other[k], origin[k] = -other[k], origin[k] + 1
+        far = np.where(right, -tau, tau)
+        sign = np.sign(far)
+        final_origin, final_cut = origin, cut
+        # The root's offset has the sign of far and its magnitude lies in
+        # [lo, hi] as bit patterns (a non-negative double orders like its
+        # int64 bit pattern).  up: the root lies beyond the last point,
+        # away from the origin.  v_lo, v_hi: a + b F at the ends (infinite
+        # at the pole, NaN if not evaluated).  proposed, taken: the last
+        # step proposed and taken, in bits.
+        lo = np.zeros(rows, dtype=np.int64)
         hi = np.abs(far).view(np.int64)
-        while np.any(hi - lo > 1):
+        v_lo, v_hi = np.full(rows, np.inf), np.where(right, np.nan, value)
+        up = np.zeros(rows, dtype=bool)
+        proposed = np.full(rows, 1 << 62)
+        taken = np.zeros(rows, dtype=np.int64)
+        base = lam[origin]
+        step = 0
+        while True:
+            # Roots whose bracket is two adjacent doubles, or whose bracket
+            # ends give the same node, are done.
+            x_lo = base + np.copysign(lo.view(np.float64), sign)
+            done = (hi - lo <= 1) | (
+                x_lo == base + np.copysign(hi.view(np.float64), sign))
+            if done.any():
+                k = live[done]
+                ends[:, k] = (lo[done].view(np.float64),
+                              hi[done].view(np.float64), v_lo[done],
+                              v_hi[done])
+                steps[k] += step
+                keep = ~done
+                (live, origin, base, cut, sign, other, lo, hi, v_lo, v_hi,
+                 up, proposed, taken, guess) = (
+                    v[keep] for v in (live, origin, base, cut, sign, other,
+                                      lo, hi, v_lo, v_hi, up, proposed, taken,
+                                      guess))
+                if not live.size:
+                    break
+            # The guess's step from the last point towards the root, in
+            # bits: 0 if it points away, and a guess past the origin reads
+            # as bit pattern -1.
+            toward = np.where(up, 1, -1)
+            cur = np.where(up, lo, hi)
+            ahead = np.maximum(toward * (np.where(
+                guess * sign > 0.0, np.abs(guess).view(np.int64), -1) - cur),
+                0)
+            # A step no shorter than half the one proposed before (the
+            # iteration stalls, or creeps on rounding noise) doubles the
+            # last step taken instead, and every step is at least one bit,
+            # so the bracket closes across the root within a few steps.
+            stalled = ahead >= proposed - ahead
+            proposed = ahead
+            taken = np.minimum(np.where(stalled,
+                                        2 * np.minimum(taken, 1 << 61),
+                                        np.maximum(ahead, 1)), hi - lo)
+            bits = cur + toward * taken
+            # A point outside the bracket, or one after which the bracket
+            # could stay wider than 2^(62 + _FREE_STEPS - step) bits, becomes
+            # the bit midpoint: after 63 + _FREE_STEPS steps every bracket
+            # is two adjacent doubles.
             mid = lo + (hi - lo) // 2
-            up = (mid == lo) | (g(shift, offset(mid)) * pole_sign > 0.0)
-            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
-        x_hi = lam[origin] + offset(hi)
+            bits = np.where((bits <= lo) | (bits >= hi), mid, bits)
+            if step >= _FREE_STEPS:
+                width = 1 << max(0, 62 + _FREE_STEPS - step)
+                bits = np.where((bits - lo > width) | (hi - bits > width),
+                                mid, bits)
+            tau = np.copysign(bits.view(np.float64), sign)
+            value, *slopes = evaluate(origin, cut, tau)
+            # A NaN (terms overflowing with both signs) moves hi.
+            up = s * sign * value < 0.0
+            lo, v_lo = np.where(up, bits, lo), np.where(up, value, v_lo)
+            hi, v_hi = np.where(up, hi, bits), np.where(up, v_hi, value)
+            guess = propose(tau, other, np.where(up, 1.0, -1.0), *slopes)
+            step += 1
+        tau_lo, tau_hi = np.copysign(ends[:2], far)
+        x_lo, x_hi = lam[final_origin] + tau_lo, lam[final_origin] + tau_hi
         if not np.all(np.isfinite(x_hi)):
             raise NumericalError(
                 f"the exterior root at coupling {b!r} is beyond the largest "
                 "double"
             )
-        nearer = np.abs(g(shift, offset(lo))) < np.abs(g(shift, offset(hi)))
-    return np.where(nearer, lam[origin] + offset(lo), x_hi)
+        # Past its gap's midpoint by less than one bit, a root has no value
+        # at hi yet.
+        k = np.flatnonzero(np.isnan(ends[3]) & (x_lo != x_hi))
+        if k.size:
+            ends[3, k] = evaluate(final_origin[k], final_cut[k],
+                                  tau_hi[k])[0]
+            steps[k] += 1
+        nearer = np.abs(ends[2]) < np.abs(ends[3])
+    return np.where(nearer, x_lo, x_hi), steps
 
 
 def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
@@ -87,11 +239,11 @@ def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
     when the exterior root is beyond the largest double.
     """
     if coupling.is_infinite:
-        return _secular_roots(model, 0.0, 1.0)
+        return _secular_roots(model, 0.0, 1.0)[0]
     h = float(coupling.value)
     if h == 0.0:
         return model.eigenvalues.copy()
-    return _secular_roots(model, 1.0, h)
+    return _secular_roots(model, 1.0, h)[0]
 
 
 # Newton-step distance, relative to the model scale, above which supplied

@@ -111,18 +111,24 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
 
 
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
-                       z: complex) -> complex:
+                       z: complex | np.ndarray) -> complex | np.ndarray:
     """Orthogonal-expansion reconstruction
     f(z) = sum_j <xi(z), xi(x_j)> f(x_j) / ||xi(x_j)||^2.
 
     <xi(z), xi(x)> is the image of the state conj(xi(z)) at x, and
     1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
-    samples' nodes.  Raises InconsistentNodes when those nodes are not the
-    spectrum at the samples' coupling.
+    samples' nodes.  z is a point (the result is a complex) or an array of
+    points (an array of the same shape); F, F' and the masses at the nodes
+    do not depend on z and are computed once.  Raises InconsistentNodes
+    when the nodes are not the spectrum at the samples' coupling.
     """
     nodes = _Nodes(model, float(samples.h), samples.nodes)
-    ratio = nodes.masses * nodes.values(np.conj(xi(model, z).coords))
-    return _csum(ratio * samples.values)
+    points = np.asarray(z, dtype=complex)
+    out = np.empty(points.shape, dtype=complex)
+    for i, point in np.ndenumerate(points):
+        ratio = nodes.masses * nodes.values(np.conj(xi(model, point).coords))
+        out[i] = _csum(ratio * samples.values)
+    return complex(out) if out.ndim == 0 else out
 
 
 _UNIT_WEIGHT_TOL = 1e-12

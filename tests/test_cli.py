@@ -43,6 +43,19 @@ def test_spectrum_infinite(files, capsys):
     assert "weights" not in out
 
 
+@pytest.mark.parametrize("n", [100, 120])
+def test_spectrum_jacobi_weight_overflow_is_a_numerical_failure(files, capsys,
+                                                                 n):
+    # q_k = k - 1, b_k = 1: sum_k P_k(lam_j)^2 passes the largest double
+    # (math.fsum raises at n = 100, the squares are infinite at n = 120).
+    jac = {"kind": "jacobi", "q": list(range(n)), "b": [1.0] * (n - 1),
+           "truncation": n}
+    assert main(["spectrum", "--model", files("j.json", jac),
+                 "--coupling", "inf"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "overflows" in err
+
+
 def test_spectrum_bad_model(files, capsys):
     bad = {"kind": "explicit", "eigenvalues": [2.0, 0.0],
            "weights": [0.5, 0.5]}

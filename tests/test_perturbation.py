@@ -15,6 +15,7 @@ from specsample import (
     weyl,
 )
 from specsample.herglotz import _weyl_raw
+from specsample.perturbation import _secular_roots
 
 from conftest import random_model
 
@@ -221,8 +222,10 @@ SMALL_WEIGHT = ([0.0, 1.0, 2.0, 3.0], [1.0, 1e-20, 1.0, 1.0])
 FAR_POLE = ([0.0, 1.0, 1e12], [1.0, 1.0, 1.0])
 
 
-def _mp_secular_roots(m, h):
-    """Roots of 1 + hF (zeros of F for h=None) by bisection at 40 digits."""
+def _mp_secular_roots(m, h, which=None, steps=200):
+    """Roots of 1 + hF (zeros of F for h=None) by bisection at 40 digits:
+    all of them, or those with the indices in which; steps halvings of each
+    bracket."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         lam = [mp.mpf(float(v)) for v in m.eigenvalues]
@@ -242,8 +245,9 @@ def _mp_secular_roots(m, h):
         # sign(h) * g increases between consecutive poles.
         s = 1 if h is None or h > 0 else -1
         roots = []
-        for lo, hi in brackets:
-            for _ in range(200):
+        for lo, hi in (brackets if which is None
+                       else [brackets[j] for j in which]):
+            for _ in range(steps):
                 mid = (lo + hi) / 2
                 if s * g(mid) < 0:
                     lo = mid
@@ -333,3 +337,99 @@ def test_exterior_root_beyond_the_largest_double_raises(h):
     with pytest.raises(NumericalError):
         perturbed_spectrum(new_model([0.0, 1.0], [1.0, 1.0]),
                            Coupling.finite(h))
+
+
+def _bisection_roots(m, a, b):
+    """The solver this one replaced, kept as its reference: |tau| bisected
+    on its bit pattern down to two adjacent doubles, the end with the
+    smaller |a + b F| returned.  Roots the solver returns must equal these
+    bit for bit, or lie no farther from the exact root."""
+    lam, w = m.eigenvalues, m.weights
+    buf = np.empty((m.dim, m.dim))
+
+    def g(shift, tau):
+        d = np.subtract(shift, tau[:, None], out=buf[:tau.size])
+        return a + b * np.sum(np.divide(w, d, out=d), axis=1)
+
+    lower = np.arange(m.dim - 1)
+    half = 0.5 * lam[1:] - 0.5 * lam[:-1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        right = g(lam - lam[lower, None], half) * np.sign(b) < 0.0
+        origin = np.where(right, lower + 1, lower)
+        far = np.where(right, -half, half)
+        if a != 0.0:
+            at = origin.size if b > 0.0 else 0
+            origin = np.insert(origin, at, m.dim - 1 if b > 0.0 else 0)
+            far = np.insert(far, at, b * m.mu_norm_sq)
+        pole_sign = -np.sign(b) * np.sign(far)
+        shift = lam - lam[origin, None]
+
+        def offset(bits):
+            return np.copysign(bits.view(np.float64), far)
+
+        lo = np.zeros(origin.size, dtype=np.int64)
+        hi = np.abs(far).view(np.int64)
+        while np.any(hi - lo > 1):
+            mid = lo + (hi - lo) // 2
+            up = (mid == lo) | (g(shift, offset(mid)) * pole_sign > 0.0)
+            lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+        nearer = np.abs(g(shift, offset(lo))) < np.abs(g(shift, offset(hi)))
+    return np.where(nearer, lam[origin] + offset(lo), lam[origin] + offset(hi))
+
+
+def _reference_models():
+    rng = np.random.default_rng(71)
+    models = {f"random-{n}": new_model(np.sort(rng.uniform(-10, 10, n)),
+                                       rng.uniform(0.1, 1.0, n))
+              for n in (2, 3, 50, 200)}
+    hard = _hard_models()
+    models.update({"small-weight": hard[0], "far-pole": hard[1],
+                   "offset-1e8": hard[3], "tiny-weights": hard[4],
+                   "clustered": hard[5], "spread-1e12": hard[6]})
+    # Weights spread over 40 decades: a + b F is lost in rounding over up
+    # to ~100 ulps of tau around some roots, where steps of one ulp would
+    # creep (53 to 75 evaluations per root).
+    rng = np.random.default_rng(1)
+    models["weights-1e40"] = new_model(np.sort(rng.uniform(-10, 10, 120)),
+                                       10.0 ** rng.uniform(-20, 20, 120))
+    return models
+
+
+_REFERENCE_MODELS = _reference_models()
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_MODELS))
+@pytest.mark.parametrize("h", [1.3, -1.3, 1e-8, -1e-8, 1e8, -1e8, None])
+def test_roots_equal_the_bit_bisection(name, h):
+    m = _REFERENCE_MODELS[name]
+    a, b = (0.0, 1.0) if h is None else (1.0, h)
+    got, steps = _secular_roots(m, a, b)
+    want = _bisection_roots(m, a, b)
+    # 65 + _FREE_STEPS bounds every root; these take far fewer.
+    assert steps.min() >= 1 and steps.max() <= 24
+    differ = np.flatnonzero(got != want)
+    if differ.size:
+        exact = _mp_secular_roots(m, h, which=differ.tolist())
+        for j, root in zip(differ, exact):
+            assert abs(got[j] - root) <= abs(want[j] - root)
+
+
+@pytest.mark.parametrize("h", [1.3, -0.7, None])
+def test_most_roots_take_a_few_evaluations(h):
+    rng = np.random.default_rng(73)
+    m = new_model(np.sort(rng.uniform(-10, 10, 200)),
+                  rng.uniform(0.1, 1.0, 200))
+    _, steps = _secular_roots(m, *((0.0, 1.0) if h is None else (1.0, h)))
+    assert np.median(steps) <= 8
+
+
+@pytest.mark.parametrize("h", [5e-324, -5e-324, 1e-320, 2.5e-310])
+def test_root_next_to_a_pole_at_zero_matches_the_oracle(h):
+    # The root sits within about h of the eigenvalue at 0, where w / tau
+    # overflows though 1 + h F is of order one.
+    # The lowest root is that one: in the first gap for h > 0, below the
+    # spectrum for h < 0.
+    m = new_model(*FAR_POLE)
+    nodes = perturbed_spectrum(m, Coupling.finite(h))
+    exact = _mp_secular_roots(m, h, which=[0], steps=1200)[0]
+    assert nodes[0] == float(exact)

@@ -350,3 +350,22 @@ def test_kramer_agrees_with_lagrange_to_the_cli_bound():
         for _ in range(10):
             z = complex(rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(0.1, 3.0))
             assert abs(kramer_reconstruct(m, s, z) - reconstruct(s, z)) <= 1e-8
+
+
+def test_kramer_on_a_grid_equals_point_by_point():
+    # The node data is built once per grid; every value must be the one a
+    # single-point call returns, bit for bit, in the grid's shape.
+    rng = np.random.default_rng(95)
+    for m in _cross_check_models():
+        s = sample(m, random_state(rng, m.dim), 1.3)
+        lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
+        grid = (rng.uniform(lo - 1.0, hi + 1.0, (2, 5))
+                + 1j * rng.uniform(0.1, 3.0, (2, 5)))
+        batched = kramer_reconstruct(m, s, grid)
+        assert batched.shape == grid.shape
+        for idx, z in np.ndenumerate(grid):
+            single = kramer_reconstruct(m, s, complex(z))
+            assert isinstance(single, complex)
+            assert batched[idx] == single
+        assert kramer_reconstruct(m, s, grid[0].tolist()).tolist() == (
+            batched[0].tolist())
