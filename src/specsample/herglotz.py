@@ -4,18 +4,26 @@ Every sum is a correctly rounded math.fsum of its terms (error-free
 transformation of the partial sums), so results are reproducible across
 platforms.  Sums at many real points are taken per row, in blocks of rows
 of at most _BLOCK_TERMS terms, so memory stays bounded at any model size.
+
+Pole guards, one policy for every point evaluator of the package: within
+r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
+PoleProximity, and where the Newton step |f/f'| puts a zero of its
+denominator f within r it raises ZeroOfF (for F; PoleProximity for F_h and
+P_n, whose zeros are poles of the evaluated function).  A non-finite point
+is a ValidationError.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximity, ZeroOfF
+from .errors import PoleProximity, ValidationError, ZeroOfF
 from .model import SpectralModel
 
-# Relative pole-exclusion radius; scaled by the model's eigenvalue spread.
+# Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
 # Terms formed at once by cauchy_rows: 2^14 doubles is 128 KiB per array.
@@ -74,18 +82,34 @@ def _real_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return _complex(num.real / den, num.imag / den)
 
 
-def pole_radius(model: SpectralModel) -> float:
-    return EXCLUSION_RADIUS * model.scale
+def _check_finite(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise ValidationError(f"z={z} is not a finite point")
 
 
-def check_pole_distance(model: SpectralModel, z: complex) -> None:
-    r = pole_radius(model)
-    d = np.abs(model.eigenvalues - z)
-    if d.min() < r:
+def _radius(spread: float) -> float:
+    """Pole-exclusion radius for poles spread over the given length."""
+    return EXCLUSION_RADIUS * max(1.0, spread)
+
+
+def _guard(poles: np.ndarray, z: complex, what: str) -> float:
+    """The exclusion radius r of the sorted poles; PoleProximity (naming
+    the pole) when z is within r of one, ValidationError when z is not
+    finite."""
+    _check_finite(z)
+    r = _radius(float(poles[-1] - poles[0]) if poles.size else 0.0)
+    d = np.abs(poles - z)
+    if d.size and d.min() < r:
         raise PoleProximity(
-            f"z={z} is within {r:.3e} of eigenvalue "
-            f"{model.eigenvalues[int(d.argmin())]}"
+            f"z={z} is within {r:.3e} of {what} {poles[int(d.argmin())]}"
         )
+    return r
+
+
+def _near_zero(f: complex, fp: complex, r: float) -> bool:
+    """Whether the Newton step |f/f'| puts a zero of f within r; for a
+    Herglotz f (F, F_h) |f/f'| >= |Im z|, so only near-real z can."""
+    return f == 0 or abs(f) < r * abs(fp)
 
 
 def _weyl_raw(model: SpectralModel, z: complex) -> tuple[complex, complex]:
@@ -96,29 +120,29 @@ def _weyl_raw(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     return f, fp
 
 
-def _check_zero_of_f(model: SpectralModel, z: complex,
-                     f: complex, fp: complex) -> None:
-    # Zeros of F are real; only near-real points can be close to one.  The
-    # Newton step |F/F'| estimates the distance to the nearest zero.
-    r = pole_radius(model)
-    if abs(z.imag) < r and abs(f) < r * abs(fp):
+def _regular(model: SpectralModel,
+             z: complex) -> tuple[complex, complex, complex]:
+    """complex(z), F(z) and F'(z), once z is guarded against the
+    eigenvalues and the zeros of F."""
+    z = complex(z)
+    r = _guard(model.eigenvalues, z, "eigenvalue")
+    f, fp = _weyl_raw(model, z)
+    if _near_zero(f, fp, r):
         raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
+    return z, f, fp
 
 
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
     z = complex(z)
-    check_pole_distance(model, z)
+    _guard(model.eigenvalues, z, "eigenvalue")
     return _weyl_raw(model, z)
 
 
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'."""
-    z = complex(z)
-    check_pole_distance(model, z)
-    f, fp = _weyl_raw(model, z)
-    _check_zero_of_f(model, z, f, fp)
+    _, f, fp = _regular(model, z)
     f_h = f / (1.0 + h * f)
     g_h = h + 1.0 / f
     g_h_prime = -fp / (f * f)
@@ -142,10 +166,7 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
     Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
-    z = complex(z)
-    check_pole_distance(model, z)
-    f, fp = _weyl_raw(model, z)
-    _check_zero_of_f(model, z, f, fp)
+    z, f, _ = _regular(model, z)
     zb = z.conjugate()
     coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
     return XiVector(at=z, coords=coords)
@@ -153,8 +174,5 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
     """Squared norm of xi at a real point, via F'(x)/F(x)^2."""
-    z = complex(x)
-    check_pole_distance(model, z)
-    f, fp = _weyl_raw(model, z)
-    _check_zero_of_f(model, z, f, fp)
+    _, f, fp = _regular(model, x)
     return float((fp / (f * f)).real)

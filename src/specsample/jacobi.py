@@ -19,6 +19,7 @@ from .errors import (
     QZero,
     ValidationError,
 )
+from .herglotz import _check_finite, _guard, _near_zero, _radius
 from .model import SampleSet, SpectralModel, new_model
 
 
@@ -82,6 +83,7 @@ def polys(params: JacobiParams, z: complex, n: int) -> PolynomialEval:
     """Run the three-term recurrence (and its derivative) up to degree n."""
     _require(params, n)
     z = complex(z)
+    _check_finite(z)
     q, b1 = params.q, params.offdiag(1)
     P = np.empty(n + 1, dtype=complex)
     Q = np.empty(n + 1, dtype=complex)
@@ -188,7 +190,7 @@ def weyl_approx(params: JacobiParams, z: complex, n: int) -> complex:
     """Rational Weyl-function approximant -Q_n(z)/P_n(z)."""
     ev = polys(params, z, n)
     p, pd = ev.P[n], ev.P_prime[n]
-    if p == 0.0 or (pd != 0.0 and abs(p) < 1e-8 * params.scale(n) * abs(pd)):
+    if _near_zero(p, pd, _radius(params.scale(n))):
         raise PoleProximity(
             f"z={z} is at (or near) an eigenvalue of the degree-{n} truncation"
         )
@@ -204,9 +206,7 @@ def jm_reconstruct(params: JacobiParams, n: int, samples: SampleSet,
     and is compared against the exact reconstruction in convergence studies.
     """
     z = complex(z)
-    spread = max(1.0, float(samples.nodes[-1] - samples.nodes[0]))
-    if np.abs(z - samples.nodes).min() < 1e-8 * spread:
-        raise PoleProximity(f"z={z} is too close to a sampling node")
+    _guard(samples.nodes, z, "sampling node")
     ev = polys(params, z, n)
     if abs(ev.Q[n]) < 1e-12 * max(1.0, abs(ev.P[n])):
         raise QZero(f"second-kind polynomial vanishes at z={z}")

@@ -69,7 +69,7 @@ class SpectralModel:
 
     @property
     def scale(self) -> float:
-        """Length scale used for pole-exclusion radii and root tolerances."""
+        """Length scale used for root and node tolerances."""
         return max(1.0, float(self.eigenvalues[-1] - self.eigenvalues[0]))
 
 
@@ -161,6 +161,8 @@ class SampleSet:
             raise DimensionMismatch(
                 "nodes, node_weights and values must have equal length"
             )
+        if x.size == 0:
+            raise ValidationError("a sample set needs at least one node")
         if np.any(np.diff(x) <= 0.0):
             raise UnsortedEigenvalues("nodes must be strictly increasing")
         if np.any(m <= 0.0) or not np.all(np.isfinite(m)):

@@ -13,6 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PoleProximity, QuadratureNonConvergence, ValidationError
+from .herglotz import _check_finite, _guard
 from .model import SpectralModel, new_model
 
 _PI4 = math.pi ** -0.25
@@ -45,20 +46,10 @@ def oscillator_model(levels: int, normalized: bool = False) -> SpectralModel:
     return new_model(lam, w)
 
 
-def _check_pole(z: complex, terms: int) -> float:
-    """Distance from z to the poles below the series cutoff."""
-    d = min(
-        abs(z - (2 * n + 1)) for n in range(terms)
-    )
-    if d < 1e-8:
-        raise PoleProximity(f"z={z} is too close to an oscillator level")
-    return d
-
-
 def osc_F_series(z: complex, terms: int) -> complex:
     """Partial sum of F(z) = sum 1/(n! (2n+1-z))."""
     z = complex(z)
-    _check_pole(z, terms)
+    _guard(2.0 * np.arange(terms) + 1.0, z, "oscillator level")
     parts = []
     inv_fact = 1.0
     for n in range(terms):
@@ -99,6 +90,7 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
     exp(-cos t - i sin t) exp(i (1-z) t / 2) dt.
     """
     z = complex(z)
+    _check_finite(z)
     if abs(np.cos(math.pi * z / 2.0)) < 1e-8:
         raise PoleProximity(f"z={z} is too close to an oscillator level")
     coarse = _integral_value(z, max(8, quad_points // 2))

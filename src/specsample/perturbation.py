@@ -366,8 +366,6 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:
     """Spectral model of the perturbed operator with the same cyclic vector."""
-    if h == 0.0:
-        return new_model(model.eigenvalues, model.weights)
     nodes = perturbed_spectrum(model, Coupling.finite(h))
     return new_model(nodes, node_weights(model, h, nodes))
 

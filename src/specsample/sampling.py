@@ -22,12 +22,12 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import (
-    _check_zero_of_f,
     _csum,
+    _guard,
+    _near_zero,
     _real_quotient,
-    _weyl_raw,
+    _regular,
     cauchy_rows,
-    check_pole_distance,
     xi,
 )
 from .model import (
@@ -54,10 +54,7 @@ def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
     check_dims(model, phi)
-    z = complex(z)
-    check_pole_distance(model, z)
-    f, fp = _weyl_raw(model, z)
-    _check_zero_of_f(model, z, f, fp)
+    z, f, _ = _regular(model, z)
     return _csum(model.sqrt_weights * phi.coords / (model.eigenvalues - z)) / f
 
 
@@ -84,10 +81,6 @@ def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
     return SampleSet(h=h, nodes=nodes, node_weights=weights, values=values)
 
 
-def _sample_radius(samples: SampleSet) -> float:
-    return 1e-8 * max(1.0, float(samples.nodes[-1] - samples.nodes[0]))
-
-
 def reconstruct(samples: SampleSet, z: complex) -> complex:
     """Lagrange reconstruction from the samples alone.
 
@@ -95,19 +88,17 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     G_h = 1/F_h and G_h'(x_j) = -1/m_j; no model is needed.
     """
     z = complex(z)
-    r = _sample_radius(samples)
-    d = z - samples.nodes
-    if np.abs(d).min() < r:
-        raise PoleProximity(f"z={z} is within {r:.3e} of a sampling node")
-    f_h = _csum(samples.node_weights / (samples.nodes - z))
-    fp_h = _csum(samples.node_weights / (samples.nodes - z) ** 2)
-    if abs(z.imag) < r and abs(f_h) < r * abs(fp_h):
+    r = _guard(samples.nodes, z, "sampling node")
+    d = samples.nodes - z
+    f_h = _csum(samples.node_weights / d)
+    fp_h = _csum(samples.node_weights / d ** 2)
+    if _near_zero(f_h, fp_h, r):
         raise PoleProximity(
             f"z={z} is too close to a pole of the reconstructed function"
         )
     g_h = 1.0 / f_h
-    # G_h'(x_j) = -1/m_j turns the Lagrange weight into -m_j G_h(z)/(z - x_j).
-    return _csum(samples.node_weights * samples.values * (-g_h / d))
+    # G_h'(x_j) = -1/m_j turns the Lagrange weight into m_j G_h(z)/(x_j - z).
+    return _csum(samples.node_weights * samples.values * (g_h / d))
 
 
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
@@ -182,12 +173,9 @@ def from_partial_fractions(model: SpectralModel,
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     """Evaluate constant + sum c_n/(z - x_n)."""
     z = complex(z)
+    _guard(rep.poles, z, "pole of the representation")
     if rep.poles.size:
-        spread = max(1.0, float(rep.poles[-1] - rep.poles[0]))
-        d = z - rep.poles
-        if np.abs(d).min() < 1e-8 * spread:
-            raise PoleProximity(f"z={z} is at a pole of the representation")
-        return rep.constant + _csum(rep.coefficients / d)
+        return rep.constant + _csum(rep.coefficients / (z - rep.poles))
     return rep.constant
 
 

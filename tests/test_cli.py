@@ -137,6 +137,26 @@ def test_reconstruct_grid_at_node(files, capsys):
     assert main(["reconstruct", "--samples", sfile, "--grid", grid]) == 3
 
 
+@pytest.mark.parametrize("samples,grid", [
+    (None, '{"points": [[1e999, 0]]}'),
+    (None, '{"points": [[0.5, 1e999]]}'),
+    (None, '{"points": [[NaN, 0]]}'),
+    ('{"h": 1, "nodes": [], "weights": [], "values": []}',
+     '{"points": [[0, 1]]}'),
+], ids=["infinite-point", "infinite-imaginary-part", "nan-point",
+        "empty-samples"])
+def test_reconstruct_malformed_input(tmp_path, files, capsys, samples, grid):
+    if samples is None:
+        assert main(["sample", "--model", files("m.json", M2),
+                     "--state", files("s.json", MU), "--coupling", "1"]) == 0
+        samples = capsys.readouterr().out
+    (tmp_path / "samples.json").write_text(samples)
+    (tmp_path / "grid.json").write_text(grid)
+    assert main(["reconstruct", "--samples", str(tmp_path / "samples.json"),
+                 "--grid", str(tmp_path / "grid.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_verify_m2(files, capsys):
     assert main(["verify", "--model", files("m.json", M2),
                  "--seed", "42"]) == 0

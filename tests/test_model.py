@@ -111,6 +111,8 @@ def test_sample_set_validation():
     with pytest.raises(ValidationError):
         SampleSet(h=float("inf"), nodes=[0.0, 1.0],
                   node_weights=[0.5, 0.5], values=[1.0, 2.0])
+    with pytest.raises(ValidationError):
+        SampleSet(h=1.0, nodes=[], node_weights=[], values=[])
 
 
 def test_meromorphic_rep_validation():
