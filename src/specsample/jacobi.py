@@ -2,8 +2,8 @@
 Weyl-function approximants, and the polynomial interpolation formula.
 
 First- and second-kind polynomials follow the three-term recurrence of the
-tridiagonal matrix; a size-N truncation yields a spectral model whose Borel
-transform is exactly the rational approximant -Q_N/P_N.
+tridiagonal matrix.  A size-N truncation is solved without it (eigvalsh and
+twisted factorizations), into a model whose Borel transform is -Q_N/P_N.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import _check_finite, _guard, _near_zero, _radius
-from .model import SampleSet, SpectralModel, new_model
+from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, new_model
 
 
 @dataclass(frozen=True)
@@ -80,7 +80,8 @@ def _require(params: JacobiParams, n: int) -> None:
 
 
 def polys(params: JacobiParams, z: complex, n: int) -> PolynomialEval:
-    """Run the three-term recurrence (and its derivative) up to degree n."""
+    """Run the three-term recurrence (and its derivative) up to degree n;
+    NumericalError where it overflows."""
     _require(params, n)
     z = complex(z)
     _check_finite(z)
@@ -92,98 +93,95 @@ def polys(params: JacobiParams, z: complex, n: int) -> PolynomialEval:
     P[0], Q[0], Pd[0], Qd[0] = 1.0, 0.0, 0.0, 0.0
     P[1], Q[1] = (z - q[0]) / b1, 1.0 / b1
     Pd[1], Qd[1] = 1.0 / b1, 0.0
-    for k in range(2, n + 1):
-        bk = params.offdiag(k)
-        bprev = params.offdiag(k - 1)
-        zq = z - q[k - 1]
-        P[k] = (zq * P[k - 1] - bprev * P[k - 2]) / bk
-        Q[k] = (zq * Q[k - 1] - bprev * Q[k - 2]) / bk
-        Pd[k] = (P[k - 1] + zq * Pd[k - 1] - bprev * Pd[k - 2]) / bk
-        Qd[k] = (Q[k - 1] + zq * Qd[k - 1] - bprev * Qd[k - 2]) / bk
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            bk = params.offdiag(k)
+            bprev = params.offdiag(k - 1)
+            zq = z - q[k - 1]
+            P[k] = (zq * P[k - 1] - bprev * P[k - 2]) / bk
+            Q[k] = (zq * Q[k - 1] - bprev * Q[k - 2]) / bk
+            Pd[k] = (P[k - 1] + zq * Pd[k - 1] - bprev * Pd[k - 2]) / bk
+            Qd[k] = (Q[k - 1] + zq * Qd[k - 1] - bprev * Qd[k - 2]) / bk
+    if not np.isfinite([P[n], Q[n], Pd[n], Qd[n]]).all():
+        raise NumericalError(f"the degree-{n} polynomials overflow at z={z}")
     return PolynomialEval(at=z, P=P, Q=Q, P_prime=Pd, Q_prime=Qd)
 
 
-def _sturm_count(q: np.ndarray, b: np.ndarray, n: int, t: float) -> int:
-    """Number of eigenvalues of the n-truncation strictly below t."""
-    pivmin = 1e-280
-    count = 0
-    d = q[0] - t
-    if abs(d) < pivmin:
-        d = -pivmin
-    if d < 0.0:
-        count += 1
-    for k in range(1, n):
-        d = (q[k] - t) - b[k - 1] * b[k - 1] / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        if d < 0.0:
-            count += 1
-    return count
+# A pivot of J - t smaller than this is nudged to -_PIVMIN (LAPACK's rule).
+_PIVMIN = 1e-280
 
 
 def sturm_count(params: JacobiParams, n: int, t: float) -> int:
+    """Number of eigenvalues of the n-truncation strictly below t."""
     _require(params, n)
-    return _sturm_count(params.q, params.b, n, float(t))
+    q, b, t = params.q, params.b, float(t)
+    count, d = 0, 1.0
+    for k in range(n):
+        d = (q[k] - t) - (b[k - 1] * b[k - 1] / d if k else 0.0)
+        if abs(d) < _PIVMIN:
+            d = -_PIVMIN
+        count += d < 0.0
+    return count
 
 
-def _char_poly(params: JacobiParams, n: int, x: float) -> tuple[float, float]:
-    ev = polys(params, x, n)
-    return ev.P[n].real, ev.P_prime[n].real
+def _nudge(d: np.ndarray) -> np.ndarray:
+    return np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
+
+
+def _twisted(q: np.ndarray, b: np.ndarray,
+             lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(z_1^2/|z|^2) and the Rayleigh step gamma_r/|z|^2 at each lam_j,
+    for the vector z (z_r = 1) of the twisted factorization of J - lam_j
+    (Parlett & Dhillon, LAA 267, 1997): top-down pivots d_k and bottom-up
+    pivots e_k meet at the r of least |gamma_k| = |d_k + e_k - (q_k - lam_j)|.
+    """
+    # Row k, column j: pivot k of J - lam_j; the loop fills d[1:], e[:-1].
+    a = q[:, None] - lam
+    b2 = (b * b)[:, None]
+    d, e = _nudge(a), _nudge(a)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for k in range(1, q.size):
+            d[k] = _nudge(a[k] - b2[k - 1] / d[k - 1])
+            e[-1 - k] = _nudge(a[-1 - k] - b2[-k] / e[-k])
+        gamma = d + e - a
+        cols = np.arange(q.size)
+        r = np.argmin(np.abs(gamma), axis=0)
+        logb = np.log(b)[:, None]
+        # z_k = -b_k z_(k+1)/d_k above r and -b_(k-1) z_(k-1)/e_k below.
+        up = np.where(cols[:-1, None] < r, logb - np.log(np.abs(d[:-1])), 0.0)
+        down = np.where(cols[1:, None] > r, logb - np.log(np.abs(e[1:])), 0.0)
+        log_z = np.zeros_like(a)
+        log_z[:-1] += np.cumsum(up[::-1], axis=0)[::-1]
+        log_z[1:] += np.cumsum(down, axis=0)
+        # z_r = 1 is near the largest component: the sum cannot overflow.
+        norm_sq = np.sum(np.exp(2.0 * log_z), axis=0)
+        return 2.0 * log_z[0] - np.log(norm_sq), gamma[r, cols] / norm_sq
 
 
 def truncate(params: JacobiParams, n: int) -> SpectralModel:
-    """Spectral model of the leading n-by-n truncation with cyclic vector
+    """Spectral model of the leading n-by-n truncation J with cyclic vector
     along the first basis element.
 
-    Eigenvalues come from Sturm-sequence bisection polished on the
-    first-kind polynomial; the weight at lam_j is the squared first
-    component 1/sum_k P_k(lam_j)^2.
+    Eigenvalues from eigvalsh take one Rayleigh step; weights come from
+    twisted factorizations at the corrected eigenvalues, in logs, so they
+    stay accurate on diagonals spread well past 2b, where the forward
+    recurrence for P_k(lam) fails.  A weight at or below the model floor
+    raises NumericalError.
     """
     if n < 2:
         raise ValidationError("truncation size must be at least 2")
     _require(params, n)
-    q, b = params.q, params.b
-    lo = float(np.min(q[:n]) - 2.0 * np.max(b[: n - 1]))
-    hi = float(np.max(q[:n]) + 2.0 * np.max(b[: n - 1]))
-    tol = 1e-13 * max(1.0, hi - lo)
-    lam = np.empty(n)
-    for j in range(n):
-        a, c = lo, hi
-        # Invariant: count(a) <= j < count(c).
-        while c - a > tol:
-            mid = 0.5 * (a + c)
-            if mid <= a or mid >= c:
-                break
-            if _sturm_count(q, b, n, mid) <= j:
-                a = mid
-            else:
-                c = mid
-        x = 0.5 * (a + c)
-        for _ in range(4):
-            p, dp = _char_poly(params, n, x)
-            if dp == 0.0:
-                break
-            step = p / dp
-            x_new = x - step
-            if not (a <= x_new <= c) or x_new == x:
-                break
-            x = x_new
-        lam[j] = x
-    weights = np.empty(n)
-    for j in range(n):
-        ev = polys(params, lam[j], n)
-        try:
-            with np.errstate(over="ignore"):
-                total = math.fsum(ev.P[:n].real ** 2)
-        except OverflowError:
-            total = math.inf
-        if not total < math.inf:
-            raise NumericalError(
-                f"the weight sum of P_k(x)^2 overflows the largest double at "
-                f"eigenvalue {float(lam[j])!r} of the degree-{n} truncation"
-            )
-        weights[j] = 1.0 / total
-    return new_model(lam, weights)
+    q, b = params.q[:n], params.b[: n - 1]
+    lam = np.linalg.eigvalsh(np.diag(q) + np.diag(b, 1) + np.diag(b, -1))
+    lam = lam + _twisted(q, b, lam)[1]
+    log_w = _twisted(q, b, lam)[0]
+    if not np.all(log_w > math.log(_WEIGHT_FLOOR)):
+        j = int(np.argmin(log_w))
+        raise NumericalError(
+            f"weight 10^{log_w[j] / math.log(10.0):.1f} at eigenvalue "
+            f"{float(lam[j])!r} of the degree-{n} truncation is below the "
+            f"model floor {_WEIGHT_FLOOR:g}")
+    return new_model(lam, np.exp(log_w))
 
 
 def weyl_approx(params: JacobiParams, z: complex, n: int) -> complex:
@@ -208,7 +206,7 @@ def jm_reconstruct(params: JacobiParams, n: int, samples: SampleSet,
     z = complex(z)
     _guard(samples.nodes, z, "sampling node")
     ev = polys(params, z, n)
-    if abs(ev.Q[n]) < 1e-12 * max(1.0, abs(ev.P[n])):
+    if _near_zero(ev.Q[n], ev.Q_prime[n], _radius(params.scale(n))):
         raise QZero(f"second-kind polynomial vanishes at z={z}")
     w_z = ev.P[n] / ev.Q[n]
     h = samples.h

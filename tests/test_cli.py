@@ -43,17 +43,19 @@ def test_spectrum_infinite(files, capsys):
     assert "weights" not in out
 
 
-@pytest.mark.parametrize("n", [100, 120])
+@pytest.mark.parametrize("n, magnitude", [(100, "10^-314.7"),
+                                          (120, "10^-396.3")],
+                         ids=["100", "120"])
 def test_spectrum_jacobi_weight_overflow_is_a_numerical_failure(files, capsys,
-                                                                 n):
-    # q_k = k - 1, b_k = 1: sum_k P_k(lam_j)^2 passes the largest double
-    # (math.fsum raises at n = 100, the squares are infinite at n = 120).
+                                                                 n, magnitude):
+    # q_k = k - 1, b_k = 1: the smallest weight falls below the model floor.
     jac = {"kind": "jacobi", "q": list(range(n)), "b": [1.0] * (n - 1),
            "truncation": n}
     assert main(["spectrum", "--model", files("j.json", jac),
                  "--coupling", "inf"]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure:") and "overflows" in err
+    assert err.startswith("numerical failure:")
+    assert "floor 1e-300" in err and magnitude in err
 
 
 def test_spectrum_bad_model(files, capsys):

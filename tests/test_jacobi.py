@@ -4,11 +4,14 @@ import pytest
 from specsample import (
     InsufficientCoefficients,
     JacobiParams,
+    NumericalError,
     PoleProximity,
+    QZero,
     StateVector,
     ValidationError,
     jm_reconstruct,
     polys,
+    reconstruct,
     sample,
     sturm_count,
     transform,
@@ -152,3 +155,125 @@ def test_jm_reconstruct_truncation_converges():
             for n in (4, 6, 8, 10)]
     assert errs[-1] <= 1e-8
     assert errs[0] > errs[-1]
+
+
+def _wide(kind, n):
+    """Jacobi parameters with b = 1 and a diagonal spread well past 2b."""
+    if kind == "ramp":
+        q = np.arange(n, dtype=float)
+    elif kind == "ramp0.3":
+        q = 0.3 * np.arange(n)
+    elif kind == "free":
+        q = np.zeros(n)
+    else:
+        q = np.random.default_rng(n).uniform(-n, n, size=n)
+    return JacobiParams(q=q, b=np.ones(n - 1))
+
+
+@pytest.mark.parametrize("n", [20, 30, 45, 60])
+@pytest.mark.parametrize("kind", ["ramp", "ramp0.3", "uniform"])
+def test_truncation_borel_transform_is_the_rational_approximant(kind, n):
+    params = _wide(kind, n)
+    m = truncate(params, n)
+    z = 0.5 + 1j
+    want = weyl_approx(params, z, n)
+    assert abs(weyl(m, z)[0] - want) <= 1e-13 * abs(want)
+    assert m.mu_norm_sq == pytest.approx(1.0, abs=1e-13)
+    lam = m.eigenvalues
+    cuts = np.concatenate([[lam[0] - 1.0], 0.5 * (lam[:-1] + lam[1:]),
+                           [lam[-1] + 1.0]])
+    assert [sturm_count(params, n, t) for t in cuts] == list(range(n + 1))
+
+
+def _mp_truncation(params, n):
+    """Eigenvalues and weights at 80 digits: the implicit-QL stage of
+    mpmath.eigsy, run on the tridiagonal itself with only the first row of
+    the eigenvector matrix accumulated."""
+    mp = pytest.importorskip("mpmath")
+    from mpmath.matrices.eigen_symmetric import tridiag_eigen
+
+    with mp.workdps(80):
+        d = [mp.mpf(float(v)) for v in params.q[:n]]
+        e = [mp.mpf(float(v)) for v in params.b[: n - 1]] + [mp.mpf(0)]
+        first = mp.matrix(1, n)
+        first[0, 0] = 1
+        tridiag_eigen(mp.mp, d, e, first)
+        return d, [first[0, j] ** 2 for j in range(n)]
+
+
+def _sturm_newton_nodes(params, n):
+    """The former node rule: Sturm bisection to 1e-13 of the spread, then
+    at most four Newton steps on P_n kept inside the bracket."""
+    q, b = params.q[:n], params.b[: n - 1]
+    lo = float(q.min() - 2.0 * b.max())
+    hi = float(q.max() + 2.0 * b.max())
+    tol = 1e-13 * max(1.0, hi - lo)
+    lam = np.empty(n)
+    for j in range(n):
+        a, c = lo, hi
+        while c - a > tol and a < 0.5 * (a + c) < c:
+            mid = 0.5 * (a + c)
+            if sturm_count(params, n, mid) <= j:
+                a = mid
+            else:
+                c = mid
+        x = 0.5 * (a + c)
+        for _ in range(4):
+            ev = polys(params, x, n)
+            p, dp = ev.P[n].real, ev.P_prime[n].real
+            if dp == 0.0 or not a <= x - p / dp <= c or p == 0.0:
+                break
+            x -= p / dp
+        lam[j] = x
+    return lam
+
+
+@pytest.mark.parametrize("kind, n", [("ramp", 30), ("ramp", 60),
+                                     ("ramp0.3", 30), ("uniform", 50),
+                                     ("free", 40)])
+def test_truncate_against_80_digit_eigensolver(kind, n):
+    params = _wide(kind, n)
+    m = truncate(params, n)
+    lam, w = _mp_truncation(params, n)
+    rel = [abs(got / float(want) - 1.0) for got, want in zip(m.weights, w)]
+    assert max(rel) <= 1e-11
+    ref = np.array([float(x) for x in lam])
+    old = np.abs(_sturm_newton_nodes(params, n) - ref).max()
+    assert np.abs(m.eigenvalues - ref).max() <= old + np.spacing(
+        np.abs(ref).max())
+
+
+def test_truncate_refuses_weights_below_the_model_floor():
+    params = _wide("ramp", 100)
+    with pytest.raises(NumericalError, match=r"10\^-314\.7.*floor 1e-300"):
+        truncate(params, 100)
+
+
+def test_weyl_approx_overflow_is_a_numerical_error():
+    params = JacobiParams(q=10.0 * np.arange(201.0), b=np.ones(201))
+    with pytest.raises(NumericalError, match="overflow"):
+        weyl_approx(params, 0.5 + 1j, 200)
+
+
+def _jm_case():
+    params = JacobiParams(q=np.arange(1.0, 9.0), b=np.ones(8))
+    m = truncate(params, 6)
+    return params, sample(m, StateVector(np.ones(6, dtype=complex)), 1.3)
+
+
+def test_jm_reconstruct_far_from_the_axis():
+    # Q_n/P_n ~ 1/z, so a test on |Q_n| against |P_n| misfires here.
+    params, s = _jm_case()
+    for z in (1e12j, 1e14j):
+        want = reconstruct(s, z)
+        assert jm_reconstruct(params, 6, s, z) == pytest.approx(want,
+                                                                rel=1e-12)
+
+
+def test_jm_reconstruct_at_a_zero_of_q():
+    # The zeros of Q_n are the eigenvalues of the minor without row one.
+    params, s = _jm_case()
+    minor = JacobiParams(q=params.q[1:], b=params.b[1:])
+    for x in np.linalg.eigvalsh(_tridiag(minor, 5)):
+        with pytest.raises(QZero):
+            jm_reconstruct(params, 6, s, x)
