@@ -1,9 +1,11 @@
 """Borel transform of the spectral measure and derived Herglotz quantities.
 
-Every sum is a correctly rounded math.fsum of its terms (error-free
-transformation of the partial sums), so results are reproducible across
-platforms.  Sums at many real points are taken per row, in blocks of rows
-of at most _BLOCK_TERMS terms, so memory stays bounded at any model size.
+Every sum is the correctly rounded sum of its terms, so results are
+reproducible across platforms.  A sum at one point is a math.fsum; sums at
+many real points (cauchy_rows) are taken a block of rows at a time, at most
+_BLOCK_TERMS terms per array so memory stays bounded at any model size, by
+a vectorized error-free extraction that certifies each row correctly
+rounded, and math.fsum for the few rows it cannot certify (_row_sums).
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -26,8 +28,8 @@ from .model import SpectralModel
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
-# Terms formed at once by cauchy_rows: 2^14 doubles is 128 KiB per array.
-_BLOCK_TERMS = 1 << 14
+# Terms formed at once by cauchy_rows, per array: 2^15 doubles is 256 KiB.
+_BLOCK_TERMS = 1 << 15
 
 
 def _csum(terms: np.ndarray) -> complex:
@@ -36,38 +38,116 @@ def _csum(terms: np.ndarray) -> complex:
                    math.fsum(terms.imag.tolist()))
 
 
-def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
-                power: int = 1, skip: np.ndarray | None = None,
-                shift: np.ndarray | None = None) -> np.ndarray:
-    """sum_j coeffs_j / (poles_j - x)^power at each real point x.
+def _extract(t: np.ndarray):
+    """One error-free extraction of the rows of t: each row's sum r rounded
+    once, whether it is certified correctly rounded, and tau, low with
+    tau + sum(low) equal to the row's sum exactly (see _row_sums)."""
+    n = t.shape[1]
+    bits = (n + 2).bit_length()
+    top = np.maximum.reduce(np.abs(t), axis=1)
+    sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)
+    q = t + sigma[:, None]
+    q -= sigma[:, None]
+    tau = np.add.reduce(q, axis=1)
+    low = np.subtract(t, q, out=q)
+    e = np.add.reduce(low, axis=1)
+    r = tau + e
+    back = r - tau
+    g = (tau - (r - back)) + (e - back)
+    # beta rounded up to a power of two; one below the smallest subnormal
+    # rounds to 0, and then e is exact, its error being a multiple of that
+    # double.
+    beta = sigma * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
+    gap = np.spacing(np.nextafter(np.abs(r), 0.0))
+    certified = ((np.abs(g) + beta < 0.5 * gap) & np.isfinite(r)
+                 & (r != 0.0))
+    return r, certified, tau, low
 
-    Each row is one math.fsum of the correctly rounded terms coeffs_j / d_j
-    (d_j * d_j for power 2, d_j = poles_j - x), so it equals the per-point
-    sum bit for bit; complex coefficients are divided part by part.  A
-    point on a pole gives an infinite or NaN row.  Optional per-point
-    arrays: skip, the index of one pole whose term is left out (-1 for
-    none); shift, an offset below the point's rounding, taken as
-    d_j = (poles_j - x) - shift.
+
+def _row_sums(t: np.ndarray) -> np.ndarray:
+    """The correctly rounded sum of each row of t, which is what math.fsum
+    returns for the row, bit for bit.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31,
+    2008): with sigma = 2^M 2^e per row, 2^M >= n + 2 and max |t| < 2^e,
+    q = (sigma + t) - sigma and low = t - q are exact, and tau = sum(q) is
+    exact in any order.  Only the float sum e of low carries an error, at
+    most beta = 4 n^2 u^2 sigma (u = 2^-53) in any order, so the result
+    cannot depend on numpy's summation order.  A row is certified when the
+    TwoSum error g of r = fl(tau + e) and beta together stay below half the
+    gap from |r| to the next double towards zero: then r is the rounded
+    sum.  A row that cancels heavily is certified by a second extraction,
+    of its exact remainder [tau, low].  Every other row (a zero sum, a tie,
+    a sum past the largest double, a non-finite term) takes math.fsum,
+    which raises its OverflowError where its partial sums overflow.
     """
-    parts = ((coeffs.real, coeffs.imag) if np.iscomplexobj(coeffs)
-             else (coeffs,))
-    sums = np.empty((len(parts), points.size))
-    rows = max(1, _BLOCK_TERMS // poles.size)
+    r, certified, tau, low = _extract(t)
+    if not certified.all():
+        rows = (~certified).nonzero()[0]
+        rest = np.concatenate((tau[rows, None], low[rows]), axis=1)
+        r[rows], certified = _extract(rest)[:2]
+        for i in rows[~certified]:
+            r[i] = math.fsum(t[i].tolist())
+    return r
+
+
+def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
+                power: int | tuple[int, ...] = 1,
+                skip: np.ndarray | None = None,
+                shift: np.ndarray | None = None) -> np.ndarray:
+    """sum_j c_j / (poles_j - x)^p at each real point x, for one coefficient
+    set c (coeffs of shape (n,), result (points,)) or a stack of them
+    (coeffs of shape (k, n), result (k, points)), summed in one pass.
+
+    power p is 1 or 2, for every set or one per set.  Each row is the
+    correctly rounded sum of the correctly rounded terms c_j / d_j
+    (d_j * d_j for power 2, d_j = poles_j - x), so it equals the per-point
+    math.fsum bit for bit on every machine (see _row_sums); complex
+    coefficients are divided part by part.  A point on a pole gives an
+    infinite or NaN row.  Optional per-point arrays: skip, the index of one
+    pole whose term is left out (-1 for none); shift, an offset below the
+    point's rounding, taken as d_j = (poles_j - x) - shift.
+    """
+    n = poles.size
+    sets = coeffs.reshape(-1, n)
+    powers = (power,) * len(sets) if isinstance(power, int) else tuple(power)
+    if np.iscomplexobj(sets):
+        sets = np.concatenate((sets.real, sets.imag))
+        powers += powers
+    # Sets of power 1 first: a chunk of sets divides by d, then by d * d.
+    k = len(sets)
+    order = sorted(range(k), key=powers.__getitem__)
+    sets, split = sets[order, None, :], powers.count(1)
+    sums = np.empty((k, points.size))
+    # Rows of points per block, so that a block of every set holds at most
+    # _BLOCK_TERMS terms; with more sets than that allows for one point,
+    # the sets are split into chunks.
+    rows = max(1, _BLOCK_TERMS // max(1, n * k))
+    chunk = max(1, _BLOCK_TERMS // (n * rows))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, points.size, rows):
             block = slice(start, start + rows)
             d = poles - points[block, None]
             if shift is not None:
                 d -= shift[block, None]
-            if power == 2:
-                d *= d
+            dens = [d, d * d] if split < k else [d]
             if skip is not None:
-                row = np.flatnonzero(skip[block] >= 0)
-                # c / inf is an exact zero, which leaves the fsum unchanged.
-                d[row, skip[block][row]] = np.inf
-            for part, out in zip(parts, sums):
-                out[block] = [math.fsum(r) for r in (part / d).tolist()]
-    return sums[0] if len(parts) == 1 else _complex(sums[0], sums[1])
+                row = (skip[block] >= 0).nonzero()[0]
+                # c / inf is an exact zero, which leaves the sum unchanged.
+                for den in dens:
+                    den[row, skip[block][row]] = np.inf
+            for lo in range(0, k, chunk):
+                hi = min(k, lo + chunk)
+                mid = min(max(split, lo), hi)
+                t = np.empty((hi - lo,) + d.shape)
+                for a, b, den in ((lo, mid, d), (mid, hi, dens[-1])):
+                    if a < b:
+                        np.divide(sets[a:b], den, out=t[a - lo:b - lo])
+                sums[order[lo:hi], block] = _row_sums(
+                    t.reshape(-1, n)).reshape(hi - lo, -1)
+    if np.iscomplexobj(coeffs):
+        sums = _complex(sums[:k // 2], sums[k // 2:])
+    return sums[0] if coeffs.ndim == 1 else sums
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
-from .herglotz import _real_quotient, cauchy_rows
+from .herglotz import _complex, _real_quotient, cauchy_rows
 from .model import Coupling, SpectralModel, new_model
 
 # Steps a root may take before its bracket must keep up with bisection.
@@ -289,10 +289,11 @@ def _pole_local_masses(model: SpectralModel, h: float, x: np.ndarray,
     """
     lam, w = model.eigenvalues, model.weights
     wk, tau = w[k], x - lam[k]
-    r, rp = (cauchy_rows(lam, w, x, p, skip=k) for p in (1, 2))
+    both = np.stack((w, w))
+    r, rp = cauchy_rows(lam, both, x, (1, 2), skip=k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         step = h * (wk + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
-        r, rp = (cauchy_rows(lam, w, x, p, skip=k, shift=step) for p in (1, 2))
+        r, rp = cauchy_rows(lam, both, x, (1, 2), skip=k, shift=step)
         a = 1.0 + h * r
         return np.abs(step), wk / (a * a + h * h * wk * rp)
 
@@ -310,29 +311,45 @@ class _Nodes:
     the limit psi_k/sqrt(w_k).  Nodes farther than a Newton step of
     _NODE_DISTANCE_TOL times the scale (or a few rounding errors) from
     their root raise InconsistentNodes.
+
+    F, F' and the numerators N of the states given as coords (one row of
+    coordinates per state) are summed in one stacked cauchy_rows pass,
+    each row certified correctly rounded or else a math.fsum, so they
+    equal the per-node sums bit for bit; sampled holds those states' image
+    values at the nodes.
     """
 
-    def __init__(self, model: SpectralModel, h: float, nodes) -> None:
+    def __init__(self, model: SpectralModel, h: float, nodes,
+                 coords: np.ndarray | None = None) -> None:
         self.model = model
         self.nodes = x = np.asarray(nodes, dtype=float)
         lam, w = model.eigenvalues, model.weights
         self.k, local = _nearest_poles(model, x)
-        self.f = cauchy_rows(lam, w, x)
+        if h == 0.0 and (x.size != model.dim or np.max(
+            np.abs(x - lam)
+        ) > 1e-9 * model.scale):
+            raise InconsistentNodes(
+                "nodes do not match the unperturbed spectrum")
+        coords = np.empty((0, model.dim)) if coords is None else coords
+        num = model.sqrt_weights * coords
+        head = (w,) if h == 0.0 else (w, w)
+        sums = cauchy_rows(lam, np.vstack((*head, num.real, num.imag)), x,
+                           (1, 2)[:len(head)] + (1,) * (2 * len(num)))
+        self.f = sums[0]
+        re, im = len(head), len(head) + len(coords)
+        self.sampled = self._quotients(
+            coords, _complex(sums[re:im], sums[im:]))
         if h == 0.0:
-            if x.size != model.dim or np.max(
-                np.abs(x - lam)
-            ) > 1e-9 * model.scale:
-                raise InconsistentNodes(
-                    "nodes do not match the unperturbed spectrum")
             self.masses = w.copy()
             return
-        fp = cauchy_rows(lam, w, x, 2)
+        fp = sums[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             distance = np.abs(1.0 + h * self.f) / (abs(h) * fp)
             self.masses = 1.0 / (h * h * fp)
         j = np.flatnonzero(local)
-        distance[j], self.masses[j] = _pole_local_masses(model, h, x[j],
-                                                         self.k[j])
+        if j.size:
+            distance[j], self.masses[j] = _pole_local_masses(model, h, x[j],
+                                                             self.k[j])
         big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
         bad = ~(distance <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
                                        _NODE_ROUNDING_TOL * big))
@@ -344,13 +361,20 @@ class _Nodes:
             )
 
     def values(self, coords: np.ndarray) -> np.ndarray:
-        """The image function of the state with these coordinates at each
-        node."""
+        """The image functions at each node of the states with these
+        coordinates, one row per state."""
+        m = self.model
+        return self._quotients(
+            coords, cauchy_rows(m.eigenvalues, m.sqrt_weights * coords,
+                                self.nodes))
+
+    def _quotients(self, coords: np.ndarray, n: np.ndarray) -> np.ndarray:
+        """N/F at the nodes, from the numerators n, and the limit on a
+        pole."""
         m, k = self.model, self.k
-        n = cauchy_rows(m.eigenvalues, m.sqrt_weights * coords, self.nodes)
         on = self.nodes == m.eigenvalues[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(on, coords[k] / m.sqrt_weights[k],
+            return np.where(on, coords[:, k] / m.sqrt_weights[k],
                             _real_quotient(n, self.f))
 
 

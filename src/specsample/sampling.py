@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import (
+    _complex,
     _csum,
     _guard,
     _near_zero,
@@ -70,9 +71,9 @@ def _sample(model: SpectralModel, h: float, *states: StateVector):
     h = float(h)
     if not math.isfinite(h):
         raise ValidationError("sampling requires a finite coupling")
-    nodes = _Nodes(model, h, perturbed_spectrum(model, Coupling.finite(h)))
-    return (nodes.nodes, nodes.masses,
-            [nodes.values(phi.coords) for phi in states])
+    nodes = _Nodes(model, h, perturbed_spectrum(model, Coupling.finite(h)),
+                   np.array([phi.coords for phi in states]))
+    return nodes.nodes, nodes.masses, list(nodes.sampled)
 
 
 def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
@@ -101,6 +102,11 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     return _csum(samples.node_weights * samples.values * (g_h / d))
 
 
+# Grid points whose xi coordinates and node values Kramer holds at once:
+# at most 2^20 complex doubles (16 MiB) per array.
+_KRAMER_TERMS = 1 << 20
+
+
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
                        z: complex | np.ndarray) -> complex | np.ndarray:
     """Orthogonal-expansion reconstruction
@@ -110,16 +116,24 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
     samples' nodes.  z is a point (the result is a complex) or an array of
     points (an array of the same shape); F, F' and the masses at the nodes
-    do not depend on z and are computed once.  Raises InconsistentNodes
-    when the nodes are not the spectrum at the samples' coupling.
+    do not depend on z and are computed once, and the images of conj(xi(z))
+    at the nodes are summed for the whole grid in one stacked pass (per
+    slab of _KRAMER_TERMS coordinates).  Raises InconsistentNodes when the
+    nodes are not the spectrum at the samples' coupling.
     """
     nodes = _Nodes(model, float(samples.h), samples.nodes)
-    points = np.asarray(z, dtype=complex)
-    out = np.empty(points.shape, dtype=complex)
-    for i, point in np.ndenumerate(points):
-        ratio = nodes.masses * nodes.values(np.conj(xi(model, point).coords))
-        out[i] = _csum(ratio * samples.values)
-    return complex(out) if out.ndim == 0 else out
+    points = np.asarray(z, dtype=complex).ravel()
+    out = np.empty(points.size, dtype=complex)
+    # conj(xi(z)) at every point of a slab first, each through xi and its
+    # guards, then their images at every node in one stacked pass.
+    slab = max(1, _KRAMER_TERMS // max(model.dim, samples.nodes.size))
+    for start in range(0, points.size, slab):
+        coords = np.array([np.conj(xi(model, point).coords)
+                           for point in points[start:start + slab]])
+        ratio = nodes.masses * nodes.values(coords)
+        out[start:start + slab] = [_csum(row * samples.values)
+                                   for row in ratio]
+    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 _UNIT_WEIGHT_TOL = 1e-12
@@ -149,9 +163,11 @@ def to_partial_fractions(model: SpectralModel,
     c = mu_inner(model, phi)
     # Against omega_n = sqrt(w)/(lam - x_n), ||omega_n||^2 = F'(x_n) at a
     # zero of F.
-    coeffs = _real_quotient(
-        cauchy_rows(model.eigenvalues, model.sqrt_weights * phi.coords, poles),
-        cauchy_rows(model.eigenvalues, model.weights, poles, power=2))
+    num = model.sqrt_weights * phi.coords
+    re, im, fp = cauchy_rows(model.eigenvalues,
+                             np.stack((num.real, num.imag, model.weights)),
+                             poles, (1, 1, 2))
+    coeffs = _real_quotient(_complex(re, im), fp)
     return MeromorphicRep(constant=c, poles=poles, coefficients=coeffs)
 
 

@@ -1,0 +1,185 @@
+"""The row-sum kernel of cauchy_rows: every row must equal the per-row
+math.fsum of its terms bit for bit (the correctly rounded sum), whatever
+numpy's summation order, including the rows the extraction cannot certify
+and hands to math.fsum.  Examples are derandomized so the suite stays
+deterministic."""
+import math
+
+import numpy as np
+import pytest
+
+from specsample import Coupling, new_model, perturbed_spectrum
+from specsample.herglotz import cauchy_rows
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+SETTINGS = hypothesis.settings(derandomize=True, max_examples=60,
+                               deadline=None)
+
+
+def _fsum_rows(poles, coeffs, points, powers, skip=None, shift=None):
+    """cauchy_rows one set, point and fsum at a time: terms c_j / d_j
+    (d_j * d_j for power 2; complex c part by part), d_j = (poles_j - x) -
+    shift, and d = inf at the skipped pole."""
+    out = np.empty((len(coeffs), points.size), dtype=coeffs.dtype)
+    for i, (c, p) in enumerate(zip(coeffs, powers)):
+        for j, x in enumerate(points):
+            d = poles - x
+            if shift is not None:
+                d = d - shift[j]
+            if p == 2:
+                d = d * d
+            if skip is not None and skip[j] >= 0:
+                d[skip[j]] = np.inf
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if np.iscomplexobj(c):
+                    out[i, j] = complex(math.fsum(c.real / d),
+                                        math.fsum(c.imag / d))
+                else:
+                    out[i, j] = math.fsum(c / d)
+    return out
+
+
+def _assert_rows_match(poles, coeffs, points, powers, skip=None, shift=None):
+    try:
+        want = _fsum_rows(poles, coeffs, points, powers, skip, shift)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            cauchy_rows(poles, coeffs, points, powers, skip, shift)
+        return
+    got = cauchy_rows(poles, coeffs, points, powers, skip, shift)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def models(draw):
+    """The hard regimes: clusters 1e-6 wide, weights down to 1e-299,
+    spreads of 1e12 and offsets of 1e8, next to plain random models."""
+    n = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(
+        ["uniform", "clustered", "tiny-weights", "spread-1e12",
+         "offset-1e8"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lam = np.sort(rng.uniform(-10.0, 10.0, n))
+    w = rng.uniform(0.1, 1.0, n)
+    if kind == "clustered":
+        lam = np.sort(4.0 * (np.arange(n) % 5) + rng.uniform(0, 1e-6, n))
+    elif kind == "tiny-weights":
+        w = 10.0 ** rng.uniform(-299, 0, n)
+    elif kind == "spread-1e12":
+        lam = np.sort(np.concatenate([rng.uniform(0, 1, n // 2),
+                                      rng.uniform(2, 1e12, n - n // 2)]))
+    elif kind == "offset-1e8":
+        lam = lam + 1e8
+    lam, first = np.unique(lam, return_index=True)
+    return new_model(lam, w[first]), rng
+
+
+@SETTINGS
+@hypothesis.given(case=models(),
+                  h=st.sampled_from([1.3, -0.7, 1e-8, 1e8, None]),
+                  on_pole=st.booleans(), skipped=st.booleans(),
+                  shifted=st.booleans())
+def test_rows_at_secular_roots_match_fsum(case, h, on_pole, skipped,
+                                          shifted):
+    m, rng = case
+    lam, n = m.eigenvalues, m.dim
+    coupling = Coupling.infinite() if h is None else Coupling.finite(h)
+    nodes = perturbed_spectrum(m, coupling)
+    if on_pole:
+        # A point on a pole gives an infinite or NaN row, as fsum does.
+        nodes = np.concatenate((nodes, lam[rng.integers(n, size=2)]))
+    k = np.abs(lam - nodes[:, None]).argmin(axis=1)
+    skip = (np.where(rng.random(nodes.size) < 0.7, k, -1) if skipped
+            else None)
+    shift = (nodes * 2.0 ** -53 * rng.uniform(-1.0, 1.0, nodes.size)
+             if shifted else None)
+    real = np.stack((m.weights, m.weights, m.sqrt_weights))
+    _assert_rows_match(lam, real, nodes, (1, 2, 1), skip, shift)
+    coords = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+    _assert_rows_match(lam, m.sqrt_weights * coords, nodes, (2, 1), skip,
+                       shift)
+
+
+TIE = 2.0 ** -53
+
+
+@st.composite
+def term_rows(draw):
+    """Rows of raw terms: any finite doubles, sums that cancel to exactly
+    0, rows of -0.0, exact ties, subnormal terms, and terms near 1e308."""
+    n = draw(st.integers(1, 30))
+    shape = draw(st.sampled_from(
+        ["any", "cancel", "negative-zero", "tie", "subnormal", "huge"]))
+    if shape == "tie":
+        return draw(st.sampled_from([[1.0, TIE], [1.0, TIE, TIE * TIE],
+                                     [1.0 + 4.0 * TIE, TIE, TIE * TIE],
+                                     [-1.0, -TIE, 3.0 * TIE * TIE],
+                                     [2.0 ** 1000, 2.0 ** 947],
+                                     [1.0, 1.0, TIE, TIE, -TIE]]))
+    if shape == "negative-zero":
+        return [-0.0] * n
+    if shape == "subnormal":
+        units = draw(st.lists(st.integers(-2**52, 2**52), min_size=n,
+                              max_size=n))
+        return [math.ldexp(u, -1074) for u in units]
+    if shape == "huge":
+        return draw(st.lists(st.floats(1e307, 1.7e308).map(
+            lambda x: x * draw(st.sampled_from([1.0, -1.0]))),
+            min_size=n, max_size=n))
+    row = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                  width=64), min_size=n, max_size=n))
+    if shape == "cancel":
+        row = row + [-x for x in reversed(row)]
+    return row
+
+
+@SETTINGS
+@hypothesis.given(rows=st.lists(term_rows(), min_size=1, max_size=4),
+                  power=st.sampled_from([1, 2]), scale=st.integers(0, 3))
+def test_raw_terms_match_fsum(rows, power, scale):
+    # Poles at 0 and the point -1 make every d_j (and d_j^2) exactly 1, so
+    # the coefficients are the terms; rows are padded with zeros to one
+    # length, and tiled so that the sum sees more terms (and orders).
+    width = max(map(len, rows))
+    coeffs = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    coeffs = np.tile(coeffs, (1, 1 + scale))
+    poles = np.zeros(coeffs.shape[1])
+    _assert_rows_match(poles, coeffs, np.array([-1.0]), (power,) * len(rows))
+
+
+def test_exact_ties_and_zeros_round_like_fsum():
+    # The last two ties round to even unless the 2^-106 term, which the
+    # float sum of the low parts drops, is seen.
+    cases = {(1.0, TIE): 1.0, (1.0, TIE, TIE * TIE): 1.0 + 2.0 * TIE,
+             (1.0 + 4.0 * TIE, TIE, TIE * TIE): 1.0 + 6.0 * TIE,
+             (1.0, -1.0): 0.0, (-0.0, -0.0): math.fsum([-0.0, -0.0])}
+    for terms, want in cases.items():
+        got = cauchy_rows(np.zeros(len(terms)), np.array(terms),
+                          np.array([-1.0]))
+        assert got.tobytes() == np.array([want]).tobytes()
+    with pytest.raises(OverflowError):
+        cauchy_rows(np.zeros(2), np.array([1e308, 1e308]), np.array([-1.0]))
+
+
+@pytest.mark.parametrize("n", [300, 700])
+def test_rows_do_not_depend_on_the_order_of_the_poles(n):
+    # Permuting the poles with their coefficients (and the skipped index)
+    # reorders every row's terms; numpy's sum would change the last bits
+    # of many rows, the correctly rounded sum cannot change.
+    rng = np.random.default_rng(n)
+    lam = np.sort(rng.uniform(-10.0, 10.0, n))
+    m = new_model(lam, rng.uniform(0.1, 1.0, n))
+    nodes = perturbed_spectrum(m, Coupling.finite(1.3))
+    skip = np.abs(lam - nodes[:, None]).argmin(axis=1)
+    coeffs = np.stack((m.weights, m.weights, m.sqrt_weights
+                       * rng.normal(size=n)))
+    want = cauchy_rows(lam, coeffs, nodes, (1, 2, 1), skip)
+    for _ in range(3):
+        perm = rng.permutation(n)
+        back = np.argsort(perm)
+        got = cauchy_rows(lam[perm], coeffs[:, perm], nodes, (1, 2, 1),
+                          back[skip])
+        assert got.tobytes() == want.tobytes()

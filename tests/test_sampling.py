@@ -23,6 +23,7 @@ from specsample import (
     kramer_reconstruct,
     mu_inner,
     mu_state,
+    node_weights,
     new_model,
     omega_state,
     reconstruct,
@@ -369,3 +370,63 @@ def test_kramer_on_a_grid_equals_point_by_point():
             assert batched[idx] == single
         assert kramer_reconstruct(m, s, grid[0].tolist()).tolist() == (
             batched[0].tolist())
+
+
+def _kramer_per_point(m, s, z):
+    """Kramer at one point summed node by node: the image of conj(xi(z))
+    at each node from one math.fsum per node and part, weighed by the
+    node's mass (on an eigenvalue, the image's limit there)."""
+    coords = np.conj(xi(m, z).coords)
+    c, lam = m.sqrt_weights * coords, m.eigenvalues
+    masses = node_weights(m, s.h, s.nodes)
+    values = []
+    for x in s.nodes:
+        k = int(np.argmin(np.abs(lam - x)))
+        if x == lam[k]:
+            values.append(coords[k] / m.sqrt_weights[k])
+            continue
+        d = lam - x
+        f = math.fsum(m.weights / d)
+        values.append(complex(math.fsum(c.real / d) / f,
+                              math.fsum(c.imag / d) / f))
+    terms = masses * np.array(values) * s.values
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
+    # One stacked pass over a whole grid gives, bit for bit, the value a
+    # node-by-node sum gives at each point; the N=120 grid has more
+    # coefficient sets than one block holds, and a small slab bound splits
+    # the grid.
+    import specsample.sampling as sampling
+
+    rng = np.random.default_rng(98)
+    for m, count in [(mm, 12) for mm in _cross_check_models()] + [
+            (random_model(rng, 120), 150)]:
+        s = sample(m, random_state(rng, m.dim), 1.3)
+        lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
+        grid = (rng.uniform(lo - 1.0, hi + 1.0, count)
+                + 1j * rng.uniform(0.1, 3.0, count))
+        want = np.array([_kramer_per_point(m, s, z) for z in grid]).tobytes()
+        assert kramer_reconstruct(m, s, grid).tobytes() == want
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "_KRAMER_TERMS", 1000)
+            assert kramer_reconstruct(m, s, grid).tobytes() == want
+
+
+def test_partial_fraction_coefficients_match_the_pole_by_pole_sums():
+    # N and F' at the poles come from one stacked pass; each coefficient
+    # is N/F' from one math.fsum per pole and part.
+    rng = np.random.default_rng(99)
+    for n in (2, 9, 60):
+        m = random_model(rng, n)
+        phi = random_state(rng, n)
+        rep = to_partial_fractions(m, phi)
+        c = m.sqrt_weights * phi.coords
+        want = []
+        for x in rep.poles:
+            d = m.eigenvalues - x
+            fp = math.fsum(m.weights / (d * d))
+            want.append(complex(math.fsum(c.real / d) / fp,
+                                math.fsum(c.imag / d) / fp))
+        assert rep.coefficients.tobytes() == np.array(want).tobytes()
