@@ -166,8 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                                            "reconstruction on a grid")
     p.add_argument("--samples", required=True)
     p.add_argument("--grid", required=True)
-    p.add_argument("--model", "--cross-check", dest="model",
-                   help="enable the Kramer cross-check")
+    p.add_argument("--model", help="enable the Kramer cross-check")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="run the invariant suite on a model")

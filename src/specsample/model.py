@@ -29,7 +29,7 @@ class SpectralModel:
 
     eigenvalues: np.ndarray
     weights: np.ndarray
-    mu_norm_sq: float = field(default=0.0)
+    mu_norm_sq: float = field(init=False)
 
     def __post_init__(self):
         lam = np.asarray(self.eigenvalues, dtype=float)

@@ -250,7 +250,7 @@ def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
 # nodes are rejected as belonging to a different coupling.  A raw residual
 # bound would misfire at roots that hug a pole with a tiny weight: there F'
 # is huge and cancellation inflates |1 + h F| even for a correctly placed
-# node, while the root distance |1 + h F| / (|h| |F'|) stays tiny.
+# node, while the root distance |delta_j| (see _Nodes) stays tiny.
 _NODE_DISTANCE_TOL = 1e-7
 # Far from 0 (a large |h|, or eigenvalues offset far from 0) a node is only
 # known to a few rounding errors of the largest magnitude in play, |x_j| or
@@ -258,65 +258,41 @@ _NODE_DISTANCE_TOL = 1e-7
 # nodes stay within 4 eps of it.  A fraction of max(scale, |x_j|) instead
 # would accept the nodes of another coupling once the offset dwarfs the gaps.
 _NODE_ROUNDING_TOL = 64 * np.finfo(float).eps
-# A node whose ulp exceeds this fraction of its distance to the nearest
-# eigenvalue has lost digits of that distance to rounding (see _Nodes).
-_POLE_LOCAL_TOL = 1e-12
 
 
-def _nearest_poles(model: SpectralModel,
-                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest_poles(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     """Index of the eigenvalue nearest each real point (the lower one on a
-    tie), and whether the point is pole-local: on that eigenvalue, or so
-    near it that one ulp of the point exceeds _POLE_LOCAL_TOL of the
-    distance."""
+    tie)."""
     lam = model.eigenvalues
     k = np.clip(np.searchsorted(lam, x), 1, lam.size - 1)
     k -= np.abs(lam[k - 1] - x) <= np.abs(lam[k] - x)
-    return k, np.spacing(np.abs(x)) > _POLE_LOCAL_TOL * np.abs(x - lam[k])
-
-
-def _pole_local_masses(model: SpectralModel, h: float, x: np.ndarray,
-                       k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of nodes x next to their eigenvalues lam_k, and each node's
-    Newton step to its root.
-
-    With R, R' the sums of F, F' over the other poles, and a = 1 + h R, the
-    root's offset tau from lam_k solves G(tau) = a tau - h w_k = 0, which is
-    smooth at the pole.  One Newton step on G from the node finds the root
-    to a small fraction of the node's rounding error, and at the root the
-    mass is w_k / (a^2 + h^2 w_k R') exactly; R and R' are summed again
-    there.
-    """
-    lam, w = model.eigenvalues, model.weights
-    wk, tau = w[k], x - lam[k]
-    both = np.stack((w, w))
-    r, rp = cauchy_rows(lam, both, x, (1, 2), skip=k)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        step = h * (wk + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
-        r, rp = cauchy_rows(lam, both, x, (1, 2), skip=k, shift=step)
-        a = 1.0 + h * r
-        return np.abs(step), wk / (a * a + h * h * wk * rp)
+    return k
 
 
 class _Nodes:
     """Nodes of the h-coupled spectrum, their masses, and image values there.
 
-    At a secular root F(x_j) = -1/h exactly, so the mass 1/||xi(x_j)||^2 is
-    1/(h^2 F'(x_j)).  The mass belongs to the exact root: at a pole-local
-    node the rounding of x_j moves lam_k - x_j, and with it 1/(h^2 F'), by
-    more than 1e-12, so the mass is taken at the root instead
-    (_pole_local_masses).  An image value belongs to the node it is
-    returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j/(lam_j - x),
-    is well defined at any double off the poles, and on a pole lam_k it is
-    the limit psi_k/sqrt(w_k).  Nodes farther than a Newton step of
-    _NODE_DISTANCE_TOL times the scale (or a few rounding errors) from
-    their root raise InconsistentNodes.
+    Every node's mass is 1/||xi||^2 = 1/(h^2 F') at its exact secular root,
+    by one rule.  With lam_k the nearest eigenvalue, tau = x - lam_k and R,
+    R' the sums of F, F' over the other poles, the root solves the
+    pole-free (1 + h R) tau - h w_k = 0.  A Newton step from the node gives
+    delta_j, and R' is summed again at x_j + delta_j; a second step, with R
+    by the trapezoid rule and R' along its secant, reaches the root tau*.
+    The mass tau*^2 / (h^2 (w_k + tau*^2 R')) is evaluated as
+    t (t / (w_k + tau*^2 R')), t = tau*/h from the second step's quotient,
+    so that it neither overflows nor underflows.  An image value belongs
+    to the node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j)
+    psi_j/(lam_j - x), and on a pole lam_k the limit psi_k/sqrt(w_k).
+    Nodes with |delta_j| above _NODE_DISTANCE_TOL times the scale (or a few
+    rounding errors) raise InconsistentNodes.
 
-    F, F' and the numerators N of the states given as coords (one row of
-    coordinates per state) are summed in one stacked cauchy_rows pass,
-    each row certified correctly rounded or else a math.fsum, so they
-    equal the per-node sums bit for bit; sampled holds those states' image
-    values at the nodes.
+    F, F' and the numerators N of the states given as coords (one row per
+    state) are summed in one stacked cauchy_rows pass, without the term of
+    lam_k for a node on lam_k, each row certified correctly rounded or else
+    a math.fsum, so they equal the per-node sums bit for bit; sampled holds
+    those states' image values.  R and R' are F and F' less the term of
+    lam_k, or summed without it where that term of F' overflows or its
+    (lam_k - x)^2 is subnormal.
     """
 
     def __init__(self, model: SpectralModel, h: float, nodes,
@@ -324,7 +300,8 @@ class _Nodes:
         self.model = model
         self.nodes = x = np.asarray(nodes, dtype=float)
         lam, w = model.eigenvalues, model.weights
-        self.k, local = _nearest_poles(model, x)
+        self.k = k = _nearest_poles(model, x)
+        self.on = x == lam[k]
         if h == 0.0 and (x.size != model.dim or np.max(
             np.abs(x - lam)
         ) > 1e-9 * model.scale):
@@ -334,7 +311,8 @@ class _Nodes:
         num = model.sqrt_weights * coords
         head = (w,) if h == 0.0 else (w, w)
         sums = cauchy_rows(lam, np.vstack((*head, num.real, num.imag)), x,
-                           (1, 2)[:len(head)] + (1,) * (2 * len(num)))
+                           (1, 2)[:len(head)] + (1,) * (2 * len(num)),
+                           skip=np.where(self.on, k, -1))
         self.f = sums[0]
         re, im = len(head), len(head) + len(coords)
         self.sampled = self._quotients(
@@ -342,21 +320,32 @@ class _Nodes:
         if h == 0.0:
             self.masses = w.copy()
             return
-        fp = sums[1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            distance = np.abs(1.0 + h * self.f) / (abs(h) * fp)
-            self.masses = 1.0 / (h * h * fp)
-        j = np.flatnonzero(local)
-        if j.size:
-            distance[j], self.masses[j] = _pole_local_masses(model, h, x[j],
-                                                             self.k[j])
+        fp, wk, tau = sums[1], w[k], x - lam[k]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pole = np.where(self.on, 0.0, wk / (lam[k] - x))
+            r, rp = self.f - pole, fp - pole * (pole / wk)
+            j = np.flatnonzero(~self.on & ~(np.isfinite(fp) & (
+                tau * tau >= np.finfo(float).tiny)))
+            if j.size:
+                r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
+                                          (1, 2), skip=k[j])
+            step = h * (wk + rp * tau * tau) / (
+                1.0 + h * r + h * rp * tau) - tau
+            near = tau + step
+            rq = cauchy_rows(lam, w, x, 2, skip=k, shift=step)
+            r += step * (0.5 * (rp + rq))
+            t = (wk + rq * near * near) / (1.0 + h * r + h * rq * near)
+            root = h * t
+            rp = rq + (rq - rp) * np.where(step != 0.0, (root - near) / step,
+                                           0.0)
+            self.masses = t * (t / (wk + root * (root * rp)))
         big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
-        bad = ~(distance <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
-                                       _NODE_ROUNDING_TOL * big))
+        bad = ~(np.abs(step) <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
+                                           _NODE_ROUNDING_TOL * big))
         if bad.any():
             j = int(bad.argmax())
             raise InconsistentNodes(
-                f"node {float(x[j])!r} is about {distance[j]:.3e} off its "
+                f"node {float(x[j])!r} is about {abs(step[j]):.3e} off its "
                 f"secular root at h={h}"
             )
 
@@ -372,9 +361,8 @@ class _Nodes:
         """N/F at the nodes, from the numerators n, and the limit on a
         pole."""
         m, k = self.model, self.k
-        on = self.nodes == m.eigenvalues[k]
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(on, coords[:, k] / m.sqrt_weights[k],
+            return np.where(self.on, coords[:, k] / m.sqrt_weights[k],
                             _real_quotient(n, self.f))
 
 
@@ -382,8 +370,10 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     """Point masses m_h({x_j}) = 1/||xi(x_j)||^2 at the perturbed spectrum.
 
     At a secular root F(x_j) = -1/h exactly, so the mass reduces to
-    1/(h^2 F'(x_j)); a node next to an eigenvalue takes it at the exact
-    root (see _Nodes), so it stays accurate for roots that hug a pole.
+    1/(h^2 F'(x_j)).  Every node takes it at its exact root by one rule,
+    tau*^2 / (h^2 (w_k + tau*^2 R')), tau* the root's offset from the
+    nearest eigenvalue lam_k and R' the sum of F' over the others (see
+    _Nodes), so it stays accurate for roots that hug a pole.
     """
     return _Nodes(model, float(h), nodes).masses
 
@@ -399,8 +389,8 @@ def compression_spectrum(model: SpectralModel) -> np.ndarray:
 
     A Householder reflection maps the first coordinate axis onto mu's
     direction; the remaining reflected axes give a deterministic
-    orthonormal basis of the complement.  Cross-validates the zero set
-    of F computed by perturbed_spectrum at infinite coupling.
+    orthonormal basis of the complement.  Cross-validates, independently of
+    the solver, the zeros of F from perturbed_spectrum at infinite coupling.
     """
     u = model.sqrt_weights / math.sqrt(model.mu_norm_sq)
     v = u.copy()

@@ -39,7 +39,7 @@ from .model import (
     StateVector,
     check_dims,
 )
-from .perturbation import _Nodes, compression_spectrum, perturbed_spectrum
+from .perturbation import _Nodes, perturbed_spectrum
 
 
 def mu_state(model: SpectralModel) -> StateVector:
@@ -159,7 +159,7 @@ def to_partial_fractions(model: SpectralModel,
         raise NormalizationRequired(
             f"total weight {model.mu_norm_sq!r} != 1; normalize the model first"
         )
-    poles = compression_spectrum(model)
+    poles = perturbed_spectrum(model, Coupling.infinite())
     c = mu_inner(model, phi)
     # Against omega_n = sqrt(w)/(lam - x_n), ||omega_n||^2 = F'(x_n) at a
     # zero of F.
@@ -174,16 +174,16 @@ def to_partial_fractions(model: SpectralModel,
 def from_partial_fractions(model: SpectralModel,
                            rep: MeromorphicRep) -> StateVector:
     """Preimage of a partial-fraction function under the transform."""
-    poles = compression_spectrum(model)
+    poles = perturbed_spectrum(model, Coupling.infinite())
     if rep.poles.size != poles.size or (
         rep.poles.size
         and np.max(np.abs(rep.poles - poles)) > 1e-9 * model.scale
     ):
         raise PoleMismatch("rep poles do not match the model's pole set")
-    coords = rep.constant * model.sqrt_weights.astype(complex)
-    for x, c in zip(rep.poles, rep.coefficients):
-        coords = coords + c * model.sqrt_weights / (model.eigenvalues - x)
-    return StateVector(coords)
+    # Coordinate j is sqrt(w_j) (c + sum_n c_n / (lam_j - x_n)).
+    return StateVector(model.sqrt_weights * (
+        rep.constant
+        - cauchy_rows(rep.poles, rep.coefficients, model.eigenvalues)))
 
 
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:

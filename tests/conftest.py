@@ -24,3 +24,39 @@ def random_model(rng: np.random.Generator, n: int, spread: float = 10.0,
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:
     return StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def mp_root_masses(m: SpectralModel, h: float, nodes) -> np.ndarray:
+    """The masses 1/(h^2 F') at the exact secular roots next to the nodes,
+    at 60 digits.  From each node's offset tau from its nearest eigenvalue
+    lam_k, Newton steps on the pole-free (1 + h R) tau - h w_k (R, R' the
+    sums of F, F' over the other poles) until a step is below 1e-30 of the
+    root, which leaves it good to about 60 digits; the mass is
+    tau^2 / (h^2 (w_k + tau^2 R')), with R' from the last step."""
+    mp = pytest.importorskip("mpmath")
+    lam = m.eigenvalues
+    out = []
+    with mp.workdps(60):
+        lm = [mp.mpf(float(v)) for v in lam]
+        wm = [mp.mpf(float(v)) for v in m.weights]
+        hm, tol = mp.mpf(h), mp.mpf(1e-30)
+        for x in nodes:
+            k = int(np.argmin(np.abs(lam - x)))
+            others = [(lj - lm[k], wj) for j, (lj, wj) in enumerate(zip(lm, wm))
+                      if j != k]
+            tau = mp.mpf(float(x)) - lm[k]
+            for _ in range(20):
+                inv = [1 / (d - tau) for d, _ in others]
+                q = [wj * v for (_, wj), v in zip(others, inv)]
+                r = mp.fsum(q)
+                rp = mp.fsum(a * v for a, v in zip(q, inv))
+                new = hm * (wm[k] + rp * tau ** 2) / (1 + hm * r
+                                                      + hm * rp * tau)
+                done = abs(new - tau) <= tol * abs(new)
+                tau = new
+                if done:
+                    break
+            else:
+                raise AssertionError(f"the oracle did not converge at {x!r}")
+            out.append(float(tau ** 2 / (hm ** 2 * (wm[k] + tau ** 2 * rp))))
+    return np.array(out)

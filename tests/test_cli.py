@@ -102,6 +102,19 @@ def test_sample_e1_h0(files, capsys):
     assert out["values"][1][0] == pytest.approx(0.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("coupling", ["1", "1e-8"])
+def test_sample_beside_a_weight_at_the_floor(files, capsys, coupling):
+    # The root beside the weight of 1e-299 at 0 keeps a positive mass.
+    model = {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
+             "weights": [1e-299, 1.0, 1.0]}
+    state = {"coords": [[1.0, 0.0], [0.0, 1.0], [2.0, 0.0]]}
+    assert main(["sample", "--model", files("m.json", model),
+                 "--state", files("s.json", state),
+                 "--coupling", coupling]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert all(m > 0.0 for m in out["weights"])
+
+
 def test_sample_infinite_rejected(files):
     assert main(["sample", "--model", files("m.json", M2),
                  "--state", files("s.json", MU), "--coupling", "inf"]) == 4

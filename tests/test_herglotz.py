@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -194,25 +195,38 @@ def test_cauchy_rows_match_per_node_fsum(n, h):
 
 
 def _per_node_masses(lam, w, h, nodes):
-    """node_weights one node at a time: 1/(h^2 F'), or, within 1e12 ulps
-    of the nearest eigenvalue lam_k, the mass at the root one Newton step
-    on (1 + h R) tau - h w_k away, R, R' summed over the other poles."""
+    """node_weights one node at a time.  R, R': F, F' at the node less the
+    term of the nearest eigenvalue lam_k (summed without it on lam_k, or
+    where that term of F' overflows or its square is subnormal); one
+    Newton step on (1 + h R) tau - h w_k from tau = x - lam_k to near, where
+    R' is summed again; a second step with R by the trapezoid rule, and R'
+    along its secant, to the root; mass tau*^2 / (h^2 (w_k + tau*^2 R'))."""
     out = []
     for x in nodes:
         k = int(np.argmin(np.abs(lam - x)))
-        if np.spacing(abs(x)) <= 1e-12 * abs(x - lam[k]):
-            out.append(1.0 / (h * h * math.fsum(w / (lam - x) ** 2)))
-            continue
         rest = np.arange(lam.size) != k
-
-        def sums(step):
-            d = (lam[rest] - x) - step
-            return math.fsum(w[rest] / d), math.fsum(w[rest] / (d * d))
-
+        d = lam - x
+        on = x == lam[k]
+        if on:
+            pole = 0.0
+            f = math.fsum(w[rest] / d[rest])
+            fp = math.fsum(w[rest] / (d[rest] * d[rest]))
+        else:
+            pole = w[k] / (lam[k] - x)
+            f, fp = math.fsum(w / d), math.fsum(w / (d * d))
+        r, rp = f - pole, fp - pole * (pole / w[k])
         tau = x - lam[k]
-        r, rp = sums(0.0)
+        if not on and not (math.isfinite(fp)
+                           and tau * tau >= sys.float_info.min):
+            r = math.fsum(w[rest] / d[rest])
+            rp = math.fsum(w[rest] / (d[rest] * d[rest]))
         step = h * (w[k] + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
-        r, rp = sums(step)
-        a = 1.0 + h * r
-        out.append(w[k] / (a * a + h * h * w[k] * rp))
+        near = tau + step
+        e = d[rest] - step
+        rq = math.fsum(w[rest] / (e * e))
+        r += step * (0.5 * (rp + rq))
+        t = (w[k] + rq * near * near) / (1.0 + h * r + h * rq * near)
+        root = h * t
+        rp = rq + (rq - rp) * ((root - near) / step if step != 0.0 else 0.0)
+        out.append(t * (t / (w[k] + root * (root * rp))))
     return np.array(out)

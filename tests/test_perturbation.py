@@ -14,10 +14,10 @@ from specsample import (
     perturbed_spectrum,
     weyl,
 )
-from specsample.herglotz import _weyl_raw
+from specsample.herglotz import _weyl_raw, cauchy_rows
 from specsample.perturbation import _secular_roots
 
-from conftest import random_model
+from conftest import mp_root_masses, random_model
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -301,6 +301,37 @@ def test_roots_next_to_a_pole_match_the_oracle(data, h):
     got = node_weights(m, h, nodes)
     for g, want in zip(got, masses):
         assert abs(g - float(want)) <= 1e-12 * float(want)
+
+
+# A weight of 1e-299 on the pole at 0 puts its root within ~1e-299 of it,
+# where w_0 / x^2 overflows at the node; a weight of 1e-40 at h = 1e8 leaves
+# 1 + h R to cancel at the roots beside it.
+@pytest.mark.parametrize("weights,h", [([1e-299, 1.0, 1.0], 1.0),
+                                       ([1e-299, 1.0, 1.0], 1e-8),
+                                       ([1.0, 1e-40, 1.0], 1e8),
+                                       ([1.0, 1e-40, 2.0], 1e8)],
+                         ids=["1e-299-h1", "1e-299-h1e-8", "1e-40-h1e8",
+                              "1e-40-2-h1e8"])
+def test_masses_of_roots_hugging_a_pole_match_the_oracle(weights, h):
+    m = new_model([0.0, 1.0, 2.0], weights)
+    nodes = perturbed_spectrum(m, Coupling.finite(h))
+    if weights[0] == 1e-299:
+        assert np.isinf(cauchy_rows(m.eigenvalues, m.weights, nodes, 2)[0])
+    got = node_weights(m, h, nodes)
+    assert np.all(got > 0.0)
+    np.testing.assert_allclose(got, mp_root_masses(m, h, nodes),
+                               rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [50, 200])
+@pytest.mark.parametrize("h", [1.3, -0.7])
+def test_masses_of_random_models_match_the_oracle(n, h):
+    rng = np.random.default_rng(n)
+    m = new_model(np.sort(rng.uniform(-10, 10, n)), rng.uniform(0.1, 1, n))
+    nodes = perturbed_spectrum(m, Coupling.finite(h))
+    np.testing.assert_allclose(node_weights(m, h, nodes),
+                               mp_root_masses(m, h, nodes),
+                               rtol=1e-14, atol=0.0)
 
 
 def _hard_models():

@@ -1,16 +1,24 @@
 """Property tests over the hard regimes, with a fixed example sequence
 (derandomize) so the suite stays deterministic."""
+import math
+
 import numpy as np
 import pytest
 
 from specsample import (
+    Coupling,
     JacobiParams,
     NumericalError,
+    new_model,
+    node_weights,
+    perturbed_spectrum,
     sturm_count,
     truncate,
     weyl,
     weyl_approx,
 )
+
+from conftest import mp_root_masses
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -44,3 +52,46 @@ def test_jacobi_truncation_is_exact_or_refused(n, spread, ramp, seed):
     except NumericalError:
         return
     assert abs(weyl(m, z)[0] - want) <= 1e-13 * abs(want)
+
+
+@hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+@hypothesis.given(n=st.integers(2, 30),
+                  layout=st.sampled_from(["random", "pole-at-0", "clusters",
+                                          "offset-1e8", "spread-1e12"]),
+                  tiny=st.booleans(), log_h=st.floats(-8.0, 8.0),
+                  sign=st.sampled_from([1.0, -1.0]),
+                  seed=st.integers(0, 2**32 - 1))
+# Roots next to the pole at 0 where F' at the node cannot give R' by
+# subtracting the pole's term: 1e-157 away, (lam_k - x)^2 is subnormal and
+# F' inexact; 6.7e-154 away, the rounding of F' = 1.4e156 swamps R' = 2e-10,
+# and R' along its secant must not divide that by the first step, 1e-169.
+@hypothesis.example(n=19, layout="pole-at-0", tiny=True, log_h=0.0,
+                    sign=-1.0, seed=129)
+@hypothesis.example(n=23, layout="pole-at-0", tiny=True, log_h=-2.984375,
+                    sign=1.0, seed=23)
+def test_node_masses_are_the_root_masses(n, layout, tiny, log_h, sign, seed):
+    # The aim-3 regimes, one eigenvalue layout at a time: an eigenvalue at
+    # 0, clusters 1e-6 wide, an offset of 1e8, a spread of 1e12; weights
+    # U(0.1, 1) or 10^U(-299, 0); |h| from 1e-8 to 1e8.  The masses sum to
+    # ||mu||^2 and match the 60-digit root masses; a mass below the
+    # smallest normal double can only be matched to that double.
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-10, 10, n))
+    if layout == "pole-at-0":
+        lam -= lam[n // 2]
+    elif layout == "clusters":
+        lam = np.sort(np.round(lam / 4) * 4 + rng.uniform(0, 1e-6, n))
+    elif layout == "offset-1e8":
+        lam += 1e8
+    elif layout == "spread-1e12":
+        lam = np.sort(np.concatenate([rng.uniform(0, 1, n // 2),
+                                      rng.uniform(2, 1e12, n - n // 2)]))
+    w = 10.0 ** rng.uniform(-299, 0, n) if tiny else rng.uniform(0.1, 1, n)
+    m = new_model(lam, w)
+    h = sign * 10.0 ** log_h
+    nodes = perturbed_spectrum(m, Coupling.finite(h))
+    masses = node_weights(m, h, nodes)
+    assert np.all(np.isfinite(masses)) and np.all(masses >= 0.0)
+    assert abs(math.fsum(masses) - m.mu_norm_sq) <= 1e-13 * m.mu_norm_sq
+    np.testing.assert_allclose(masses, mp_root_masses(m, h, nodes),
+                               rtol=1e-13, atol=np.finfo(float).tiny)

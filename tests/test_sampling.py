@@ -287,6 +287,15 @@ def test_node_on_an_eigenvalue_takes_the_limit_value():
                                                       rel=1e-12)
 
 
+def test_parseval_holds_beside_a_negligible_weight_at_a_large_coupling():
+    # At h = 1e8 the root just below the weight of 1e-40 carries a mass of
+    # 5e-17, where 1 + h R over the other poles cancels.
+    m = new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0])
+    phi = StateVector([1.0, 2.0 - 1.0j, 3.0])
+    got = inner_h(m, 1e8, phi, phi)
+    assert abs(got - phi.norm() ** 2) <= 1e-8 * phi.norm() ** 2
+
+
 def test_node_beside_an_eigenvalue_takes_its_own_value_and_root_mass():
     # The root next to the pole at 1 is ~6 ulps away: the image function
     # changes by O(1) within that distance, so the value is the one at the
