@@ -118,7 +118,6 @@ def cmd_demo(args) -> int:
     n_max = 10
     params = JacobiParams(np.arange(1.0, n_max + 3.0), np.ones(n_max + 2))
     model = truncate(params, n_max)
-    rng = np.random.default_rng(args.seed)
     phi = state_from_dict(
         {"coords": [[v, 0.0] for v in (model.sqrt_weights
                                        / (1.0 + model.eigenvalues ** 2))]}
@@ -184,9 +183,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

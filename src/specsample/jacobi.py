@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import _check_finite, _guard, _near_zero, _radius
-from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, new_model
+from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, _frozen, new_model
 
 
 @dataclass(frozen=True)
@@ -31,16 +31,14 @@ class JacobiParams:
     b: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        b = np.asarray(self.b, dtype=float)
+        q = _frozen(self.q, float)
+        b = _frozen(self.b, float)
         if q.ndim != 1 or b.ndim != 1:
             raise ValidationError("q and b must be 1-d sequences")
         if not np.all(np.isfinite(q)) or not np.all(np.isfinite(b)):
             raise ValidationError("Jacobi coefficients must be finite")
         if np.any(b <= 0.0):
             raise ValidationError("off-diagonal entries must be positive")
-        q.flags.writeable = False
-        b.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "b", b)
 

@@ -23,6 +23,14 @@ from .errors import (
 _WEIGHT_FLOOR = 1e-300
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    """A read-only copy of values as an array of dtype, so a data type
+    neither changes with nor freezes the caller's array."""
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralModel:
     """Eigenvalues and cyclic-vector weights of a finite self-adjoint model."""
@@ -32,8 +40,8 @@ class SpectralModel:
     mu_norm_sq: float = field(init=False)
 
     def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
+        lam = _frozen(self.eigenvalues, float)
+        w = _frozen(self.weights, float)
         if lam.ndim != 1 or w.ndim != 1 or lam.size != w.size:
             raise DimensionMismatch(
                 f"eigenvalues ({lam.size}) and weights ({w.size}) must be "
@@ -53,8 +61,6 @@ class SpectralModel:
             raise ValidationError(
                 "the weights sum past the largest double"
             ) from None
-        lam.flags.writeable = False
-        w.flags.writeable = False
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu_norm_sq", total)
@@ -75,14 +81,12 @@ class SpectralModel:
 
 def new_model(eigenvalues, weights) -> SpectralModel:
     """Validate and build a spectral model from raw sequences."""
-    return SpectralModel(np.array(eigenvalues, dtype=float),
-                        np.array(weights, dtype=float))
+    return SpectralModel(eigenvalues, weights)
 
 
 def normalize(model: SpectralModel) -> SpectralModel:
     """Rescale weights so the total weight is exactly one."""
-    return SpectralModel(model.eigenvalues.copy(),
-                        model.weights / model.mu_norm_sq)
+    return SpectralModel(model.eigenvalues, model.weights / model.mu_norm_sq)
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,11 @@ class StateVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=complex)
+        c = _frozen(self.coords, complex)
         if c.ndim != 1:
             raise DimensionMismatch("state coordinates must be a 1-d sequence")
         if not np.all(np.isfinite(c)):
             raise ValidationError("state coordinates must be finite")
-        c.flags.writeable = False
         object.__setattr__(self, "coords", c)
 
     @property
@@ -154,9 +157,9 @@ class SampleSet:
         h = float(self.h)
         if not math.isfinite(h):
             raise ValidationError("sample sets require a finite coupling")
-        x = np.asarray(self.nodes, dtype=float)
-        m = np.asarray(self.node_weights, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
+        x = _frozen(self.nodes, float)
+        m = _frozen(self.node_weights, float)
+        v = _frozen(self.values, complex)
         if x.ndim != 1 or x.size != m.size or x.size != v.size:
             raise DimensionMismatch(
                 "nodes, node_weights and values must have equal length"
@@ -167,8 +170,6 @@ class SampleSet:
             raise UnsortedEigenvalues("nodes must be strictly increasing")
         if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
             raise NonPositiveWeight("node weights must be strictly positive")
-        for a in (x, m, v):
-            a.flags.writeable = False
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", x)
         object.__setattr__(self, "node_weights", m)
@@ -188,14 +189,12 @@ class MeromorphicRep:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.poles, dtype=float)
-        c = np.asarray(self.coefficients, dtype=complex)
+        x = _frozen(self.poles, float)
+        c = _frozen(self.coefficients, complex)
         if x.ndim != 1 or x.size != c.size:
             raise DimensionMismatch("poles and coefficients must have equal length")
         if np.any(np.diff(x) <= 0.0):
             raise UnsortedEigenvalues("poles must be strictly increasing")
-        x.flags.writeable = False
-        c.flags.writeable = False
         object.__setattr__(self, "constant", complex(self.constant))
         object.__setattr__(self, "poles", x)
         object.__setattr__(self, "coefficients", c)

@@ -12,8 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PoleProximity, QuadratureNonConvergence, ValidationError
-from .herglotz import _check_finite, _guard
+from .errors import QuadratureNonConvergence, ValidationError
+from .herglotz import _check_finite, _guard, weyl
 from .model import SpectralModel, new_model
 
 _PI4 = math.pi ** -0.25
@@ -47,17 +47,9 @@ def oscillator_model(levels: int, normalized: bool = False) -> SpectralModel:
 
 
 def osc_F_series(z: complex, terms: int) -> complex:
-    """Partial sum of F(z) = sum 1/(n! (2n+1-z))."""
-    z = complex(z)
-    _guard(2.0 * np.arange(terms) + 1.0, z, "oscillator level")
-    parts = []
-    inv_fact = 1.0
-    for n in range(terms):
-        if n > 0:
-            inv_fact /= n
-        parts.append(inv_fact / (2.0 * n + 1.0 - z))
-    return complex(math.fsum(p.real for p in parts),
-                   math.fsum(p.imag for p in parts))
+    """Partial sum of F(z) = sum 1/(n! (2n+1-z)): F of the terms-level
+    model."""
+    return weyl(oscillator_model(terms), z)[0]
 
 
 def osc_F_tail_bound(z: complex, terms: int) -> float:
@@ -83,23 +75,34 @@ def _integral_value(z: complex, points: int) -> complex:
     return acc / (4.0 * np.cos(math.pi * z / 2.0))
 
 
+def _refined(value, points: int, tol: float, what: str):
+    """value(points), once value at half as many points (at least 8)
+    agrees with it within tol relative."""
+    coarse = value(max(8, points // 2))
+    fine = value(points)
+    if abs(fine - coarse) > tol * (1.0 + abs(fine)):
+        raise QuadratureNonConvergence(
+            f"refinement changed the {what} by {abs(fine - coarse):.3e}"
+        )
+    return fine
+
+
 def osc_F_integral(z: complex, quad_points: int) -> complex:
     """Contour-integral representation of F, by Gauss-Legendre quadrature.
 
     F(z) = (1/(4 cos(pi z/2))) * integral over [-pi, pi] of
     exp(-cos t - i sin t) exp(i (1-z) t / 2) dt.
+
+    cos(pi z/2) vanishes at every odd integer, so z is guarded against the
+    nearest one at the one-pole radius EXCLUSION_RADIUS: the integral sums
+    no finite set of levels whose spread would scale it.
     """
     z = complex(z)
     _check_finite(z)
-    if abs(np.cos(math.pi * z / 2.0)) < 1e-8:
-        raise PoleProximity(f"z={z} is too close to an oscillator level")
-    coarse = _integral_value(z, max(8, quad_points // 2))
-    fine = _integral_value(z, quad_points)
-    if abs(fine - coarse) > 1e-8 * (1.0 + abs(fine)):
-        raise QuadratureNonConvergence(
-            f"refinement changed the integral by {abs(fine - coarse):.3e}"
-        )
-    return fine
+    _guard(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), z,
+           "oscillator level")
+    return _refined(lambda points: _integral_value(z, points), quad_points,
+                    1e-8, "integral")
 
 
 def mu_pointwise(x: float) -> float:
@@ -142,10 +145,4 @@ def hermite_overlap(n: int, quad_points: int) -> float:
         )
         return math.fsum(w * g)
 
-    coarse = value(max(8, quad_points // 2))
-    fine = value(quad_points)
-    if abs(fine - coarse) > 1e-9 * (1.0 + abs(fine)):
-        raise QuadratureNonConvergence(
-            f"refinement changed the overlap by {abs(fine - coarse):.3e}"
-        )
-    return fine
+    return _refined(value, quad_points, 1e-9, "overlap")

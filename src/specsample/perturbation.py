@@ -280,7 +280,8 @@ class _Nodes:
     by the trapezoid rule and R' along its secant, reaches the root tau*.
     The mass tau*^2 / (h^2 (w_k + tau*^2 R')) is evaluated as
     t (t / (w_k + tau*^2 R')), t = tau*/h from the second step's quotient,
-    so that it neither overflows nor underflows.  An image value belongs
+    so that it neither overflows nor underflows.  At h = 0 the same rule
+    gives w_k exactly (delta_j = -tau, t = w_k).  An image value belongs
     to the node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j)
     psi_j/(lam_j - x), and on a pole lam_k the limit psi_k/sqrt(w_k).
     Nodes with |delta_j| above _NODE_DISTANCE_TOL times the scale (or a few
@@ -297,11 +298,10 @@ class _Nodes:
 
     def __init__(self, model: SpectralModel, h: float, nodes,
                  coords: np.ndarray | None = None) -> None:
-        self.model = model
         self.nodes = x = np.asarray(nodes, dtype=float)
         lam, w = model.eigenvalues, model.weights
-        self.k = k = _nearest_poles(model, x)
-        self.on = x == lam[k]
+        k = _nearest_poles(model, x)
+        on = x == lam[k]
         if h == 0.0 and (x.size != model.dim or np.max(
             np.abs(x - lam)
         ) > 1e-9 * model.scale):
@@ -309,22 +309,18 @@ class _Nodes:
                 "nodes do not match the unperturbed spectrum")
         coords = np.empty((0, model.dim)) if coords is None else coords
         num = model.sqrt_weights * coords
-        head = (w,) if h == 0.0 else (w, w)
-        sums = cauchy_rows(lam, np.vstack((*head, num.real, num.imag)), x,
-                           (1, 2)[:len(head)] + (1,) * (2 * len(num)),
-                           skip=np.where(self.on, k, -1))
-        self.f = sums[0]
-        re, im = len(head), len(head) + len(coords)
-        self.sampled = self._quotients(
-            coords, _complex(sums[re:im], sums[im:]))
-        if h == 0.0:
-            self.masses = w.copy()
-            return
-        fp, wk, tau = sums[1], w[k], x - lam[k]
+        sums = cauchy_rows(lam, np.vstack((w, w, num.real, num.imag)), x,
+                           (1, 2) + (1,) * (2 * len(num)),
+                           skip=np.where(on, k, -1))
+        f, fp, wk, tau = sums[0], sums[1], w[k], x - lam[k]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pole = np.where(self.on, 0.0, wk / (lam[k] - x))
-            r, rp = self.f - pole, fp - pole * (pole / wk)
-            j = np.flatnonzero(~self.on & ~(np.isfinite(fp) & (
+            self.sampled = np.where(
+                on, coords[:, k] / model.sqrt_weights[k],
+                _real_quotient(_complex(sums[2:2 + len(num)],
+                                        sums[2 + len(num):]), f))
+            pole = np.where(on, 0.0, wk / (lam[k] - x))
+            r, rp = f - pole, fp - pole * (pole / wk)
+            j = np.flatnonzero(~on & ~(np.isfinite(fp) & (
                 tau * tau >= np.finfo(float).tiny)))
             if j.size:
                 r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
@@ -348,22 +344,6 @@ class _Nodes:
                 f"node {float(x[j])!r} is about {abs(step[j]):.3e} off its "
                 f"secular root at h={h}"
             )
-
-    def values(self, coords: np.ndarray) -> np.ndarray:
-        """The image functions at each node of the states with these
-        coordinates, one row per state."""
-        m = self.model
-        return self._quotients(
-            coords, cauchy_rows(m.eigenvalues, m.sqrt_weights * coords,
-                                self.nodes))
-
-    def _quotients(self, coords: np.ndarray, n: np.ndarray) -> np.ndarray:
-        """N/F at the nodes, from the numerators n, and the limit on a
-        pole."""
-        m, k = self.model, self.k
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(self.on, coords[:, k] / m.sqrt_weights[k],
-                            _real_quotient(n, self.f))
 
 
 def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:

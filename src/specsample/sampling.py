@@ -16,6 +16,7 @@ import numpy as np
 from .errors import (
     NormalizationRequired,
     NotAZero,
+    NumericalError,
     PoleMismatch,
     PoleProximity,
     RealPoint,
@@ -73,6 +74,13 @@ def _sample(model: SpectralModel, h: float, *states: StateVector):
         raise ValidationError("sampling requires a finite coupling")
     nodes = _Nodes(model, h, perturbed_spectrum(model, Coupling.finite(h)),
                    np.array([phi.coords for phi in states]))
+    # An exact mass below the smallest subnormal rounds to 0.
+    lost = ~(nodes.masses > 0.0)
+    if lost.any():
+        j = int(lost.argmax())
+        raise NumericalError(
+            f"node {float(nodes.nodes[j])!r} has no positive mass in double "
+            f"precision (got {float(nodes.masses[j])!r})")
     return nodes.nodes, nodes.masses, list(nodes.sampled)
 
 
@@ -115,24 +123,26 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     <xi(z), xi(x)> is the image of the state conj(xi(z)) at x, and
     1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
     samples' nodes.  z is a point (the result is a complex) or an array of
-    points (an array of the same shape); F, F' and the masses at the nodes
-    do not depend on z and are computed once, and the images of conj(xi(z))
-    at the nodes are summed for the whole grid in one stacked pass (per
-    slab of _KRAMER_TERMS coordinates).  Raises InconsistentNodes when the
-    nodes are not the spectrum at the samples' coupling.
+    points (an array of the same shape); the images of conj(xi(z)) at the
+    nodes are summed for a whole slab of the grid (_KRAMER_TERMS
+    coordinates) in one stacked pass, which also takes F, F' and the
+    masses, so the masses are taken once per slab.  Raises
+    InconsistentNodes when the nodes are not the spectrum at the samples'
+    coupling, also for an empty grid.
     """
-    nodes = _Nodes(model, float(samples.h), samples.nodes)
     points = np.asarray(z, dtype=complex).ravel()
     out = np.empty(points.size, dtype=complex)
     # conj(xi(z)) at every point of a slab first, each through xi and its
-    # guards, then their images at every node in one stacked pass.
+    # guards, then their images, F, F' and the masses at every node in one
+    # stacked pass; an empty grid still checks the nodes.
     slab = max(1, _KRAMER_TERMS // max(model.dim, samples.nodes.size))
-    for start in range(0, points.size, slab):
+    for start in range(0, max(1, points.size), slab):
         coords = np.array([np.conj(xi(model, point).coords)
                            for point in points[start:start + slab]])
-        ratio = nodes.masses * nodes.values(coords)
+        nodes = _Nodes(model, float(samples.h), samples.nodes,
+                       coords.reshape(-1, model.dim))
         out[start:start + slab] = [_csum(row * samples.values)
-                                   for row in ratio]
+                                   for row in nodes.masses * nodes.sampled]
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

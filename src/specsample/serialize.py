@@ -1,4 +1,4 @@
-"""JSON encodings of models, states, samples, representations, and grids.
+"""JSON encodings of models, states, samples, and grids.
 
 Complex scalars are encoded everywhere as two-element arrays [re, im].
 """
@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .jacobi import JacobiParams, truncate
-from .model import MeromorphicRep, SampleSet, SpectralModel, StateVector, new_model
+from .model import SampleSet, SpectralModel, StateVector, new_model
 from .oscillator import oscillator_model
 
 
@@ -90,22 +90,6 @@ def samples_to_dict(samples: SampleSet) -> dict:
         "nodes": samples.nodes.tolist(),
         "weights": samples.node_weights.tolist(),
         "values": [_complex_to(v) for v in samples.values],
-    }
-
-
-def rep_from_dict(data: dict) -> MeromorphicRep:
-    return MeromorphicRep(
-        constant=_field(data, "c", _complex_from),
-        poles=_field(data, "poles", _floats),
-        coefficients=_field(data, "coeffs", _complexes),
-    )
-
-
-def rep_to_dict(rep: MeromorphicRep) -> dict:
-    return {
-        "c": _complex_to(rep.constant),
-        "poles": rep.poles.tolist(),
-        "coeffs": [_complex_to(c) for c in rep.coefficients],
     }
 
 

@@ -22,6 +22,29 @@ def random_model(rng: np.random.Generator, n: int, spread: float = 10.0,
     return new_model(lam, w)
 
 
+# The hard regimes of the property tests: an eigenvalue at 0, clusters
+# 1e-6 wide, an offset of 1e8, a spread of 1e12.
+LAYOUTS = ["random", "pole-at-0", "clusters", "offset-1e8", "spread-1e12"]
+
+
+def layout_model(n: int, layout: str, tiny: bool, seed: int) -> SpectralModel:
+    """n eigenvalues U(-10, 10) arranged by layout (one of LAYOUTS), with
+    weights U(0.1, 1), or 10^U(-299, 0) if tiny, from numpy seed seed."""
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-10, 10, n))
+    if layout == "pole-at-0":
+        lam -= lam[n // 2]
+    elif layout == "clusters":
+        lam = np.sort(np.round(lam / 4) * 4 + rng.uniform(0, 1e-6, n))
+    elif layout == "offset-1e8":
+        lam += 1e8
+    elif layout == "spread-1e12":
+        lam = np.sort(np.concatenate([rng.uniform(0, 1, n // 2),
+                                      rng.uniform(2, 1e12, n - n // 2)]))
+    w = 10.0 ** rng.uniform(-299, 0, n) if tiny else rng.uniform(0.1, 1, n)
+    return new_model(lam, w)
+
+
 def random_state(rng: np.random.Generator, n: int) -> StateVector:
     return StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
 

@@ -4,6 +4,8 @@ import pytest
 
 from specsample.cli import main
 
+from conftest import layout_model
+
 M2 = {"kind": "explicit", "eigenvalues": [0.0, 2.0], "weights": [0.5, 0.5]}
 MU = {"coords": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}
 E1 = {"coords": [[1.0, 0.0], [0.0, 0.0]]}
@@ -113,6 +115,17 @@ def test_sample_beside_a_weight_at_the_floor(files, capsys, coupling):
                  "--coupling", coupling]) == 0
     out = json.loads(capsys.readouterr().out)
     assert all(m > 0.0 for m in out["weights"])
+
+
+def test_sample_with_an_underflowed_node_mass_is_a_numerical_failure(
+        files, capsys):
+    m = layout_model(26, "clusters", True, 116987)
+    model = {"kind": "explicit", "eigenvalues": m.eigenvalues.tolist(),
+             "weights": m.weights.tolist()}
+    state = {"coords": [[1.0, 0.0]] * 26}
+    assert main(["sample", "--model", files("m.json", model), "--state",
+                 files("phi.json", state), "--coupling", "1e8"]) == 3
+    assert "has no positive mass" in capsys.readouterr().err
 
 
 def test_sample_infinite_rejected(files):

@@ -87,6 +87,9 @@ CASES = [
     ("weyl_approx", "zero-of-P_n", JAC_EIG, EXCLUSION_RADIUS * JAC.scale(6),
      PoleProximity),
     ("osc_F_series", "level", 7.0, EXCLUSION_RADIUS * 2 * 19, PoleProximity),
+    # The integral's only poles are the zeros of cos(pi z/2); it sums no
+    # finite set of levels, so it takes the one-pole radius.
+    ("osc_F_integral", "level", 7.0, EXCLUSION_RADIUS, PoleProximity),
 ]
 
 

@@ -4,9 +4,11 @@ import pytest
 from specsample import (
     Coupling,
     DimensionMismatch,
+    JacobiParams,
     MeromorphicRep,
     NonPositiveWeight,
     SampleSet,
+    SpectralModel,
     StateVector,
     UnsortedEigenvalues,
     ValidationError,
@@ -122,3 +124,27 @@ def test_meromorphic_rep_validation():
     with pytest.raises(UnsortedEigenvalues):
         MeromorphicRep(constant=1.0, poles=[2.0, 1.0],
                        coefficients=[1.0, 1.0])
+
+
+def test_data_types_hold_read_only_copies():
+    # Each type stores its own frozen copy: the caller's arrays stay
+    # writable, and writing to them leaves the stored data unchanged.
+    lam, w = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    c = np.zeros(2, complex)
+    held = [
+        (SpectralModel(lam, w), ("eigenvalues", "weights")),
+        (new_model(lam, w), ("eigenvalues", "weights")),
+        (StateVector(c), ("coords",)),
+        (SampleSet(h=1.0, nodes=lam, node_weights=w, values=c),
+         ("nodes", "node_weights", "values")),
+        (MeromorphicRep(constant=0.0, poles=lam, coefficients=c),
+         ("poles", "coefficients")),
+        (JacobiParams(lam, w), ("q", "b")),
+    ]
+    for a in (lam, w, c):
+        a[0] = 7.0
+    for obj, names in held:
+        for name in names:
+            stored = getattr(obj, name)
+            assert not stored.flags.writeable
+            assert stored[0] != 7.0

@@ -125,3 +125,24 @@ def test_raw_model_sampling_round_trip():
         z = complex(rng.uniform(-2, 25), rng.uniform(0.4, 3))
         direct = transform(m, phi, z)
         assert abs(reconstruct(s, z) - direct) <= 1e-8 * max(1.0, abs(direct))
+
+
+def test_series_is_the_model_transform():
+    # The series is F of the model with as many levels, bit for bit, and
+    # needs two levels like the model.
+    for z in (0.5j, 2.0 + 0.25j, 6.5 - 1j):
+        assert osc_F_series(z, 30) == weyl(oscillator_model(30), z)[0]
+    with pytest.raises(ValidationError):
+        osc_F_series(0.5j, 1)
+
+
+def test_integral_just_outside_its_radius_is_the_series():
+    # 3e-7 from level 7 is outside the integral's radius 1e-8: it returns
+    # F there, within 1e-9 of the 40-digit sum.
+    mp = pytest.importorskip("mpmath")
+    z = 7.0 + 3e-7
+    with mp.workdps(40):
+        zm = mp.mpf(z)
+        want = float(mp.fsum(1 / (mp.factorial(n) * (2 * n + 1 - zm))
+                             for n in range(80)))
+    assert abs(osc_F_integral(z, 1024) - want) <= 1e-9 * abs(want)

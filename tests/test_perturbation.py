@@ -17,7 +17,7 @@ from specsample import (
 from specsample.herglotz import _weyl_raw, cauchy_rows
 from specsample.perturbation import _secular_roots
 
-from conftest import mp_root_masses, random_model
+from conftest import LAYOUTS, layout_model, mp_root_masses, random_model
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -87,6 +87,17 @@ def test_node_weights_m2(m2):
 def test_node_weights_h0(m2):
     np.testing.assert_array_equal(node_weights(m2, 0.0, [0.0, 2.0]),
                                   [0.5, 0.5])
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("tiny", [False, True], ids=["w", "tiny-w"])
+def test_node_weights_h0_are_the_weights_bit_for_bit(layout, tiny):
+    # At h = 0 the one mass rule steps from each eigenvalue by -tau = 0 and
+    # gives t = w_k, so the masses are the weights exactly.
+    for seed in range(4):
+        m = layout_model(30, layout, tiny, seed)
+        assert node_weights(m, 0.0, m.eigenvalues).tobytes() == (
+            m.weights.tobytes())
 
 
 def test_node_weights_rejects_foreign_nodes(m2):

@@ -9,7 +9,6 @@ from specsample import (
     Coupling,
     JacobiParams,
     NumericalError,
-    new_model,
     node_weights,
     perturbed_spectrum,
     sturm_count,
@@ -18,7 +17,7 @@ from specsample import (
     weyl_approx,
 )
 
-from conftest import mp_root_masses
+from conftest import LAYOUTS, layout_model, mp_root_masses
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -56,8 +55,7 @@ def test_jacobi_truncation_is_exact_or_refused(n, spread, ramp, seed):
 
 @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
 @hypothesis.given(n=st.integers(2, 30),
-                  layout=st.sampled_from(["random", "pole-at-0", "clusters",
-                                          "offset-1e8", "spread-1e12"]),
+                  layout=st.sampled_from(LAYOUTS),
                   tiny=st.booleans(), log_h=st.floats(-8.0, 8.0),
                   sign=st.sampled_from([1.0, -1.0]),
                   seed=st.integers(0, 2**32 - 1))
@@ -75,19 +73,7 @@ def test_node_masses_are_the_root_masses(n, layout, tiny, log_h, sign, seed):
     # U(0.1, 1) or 10^U(-299, 0); |h| from 1e-8 to 1e8.  The masses sum to
     # ||mu||^2 and match the 60-digit root masses; a mass below the
     # smallest normal double can only be matched to that double.
-    rng = np.random.default_rng(seed)
-    lam = np.sort(rng.uniform(-10, 10, n))
-    if layout == "pole-at-0":
-        lam -= lam[n // 2]
-    elif layout == "clusters":
-        lam = np.sort(np.round(lam / 4) * 4 + rng.uniform(0, 1e-6, n))
-    elif layout == "offset-1e8":
-        lam += 1e8
-    elif layout == "spread-1e12":
-        lam = np.sort(np.concatenate([rng.uniform(0, 1, n // 2),
-                                      rng.uniform(2, 1e12, n - n // 2)]))
-    w = 10.0 ** rng.uniform(-299, 0, n) if tiny else rng.uniform(0.1, 1, n)
-    m = new_model(lam, w)
+    m = layout_model(n, layout, tiny, seed)
     h = sign * 10.0 ** log_h
     nodes = perturbed_spectrum(m, Coupling.finite(h))
     masses = node_weights(m, h, nodes)

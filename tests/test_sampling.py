@@ -1,13 +1,16 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from specsample import (
+    Coupling,
     InconsistentNodes,
     MeromorphicRep,
     NormalizationRequired,
     NotAZero,
+    NumericalError,
     PoleMismatch,
     PoleProximity,
     RealPoint,
@@ -26,6 +29,7 @@ from specsample import (
     node_weights,
     new_model,
     omega_state,
+    perturbed_spectrum,
     reconstruct,
     sample,
     to_partial_fractions,
@@ -34,7 +38,7 @@ from specsample import (
 )
 from specsample.herglotz import _weyl_raw
 
-from conftest import random_model, random_state
+from conftest import layout_model, random_model, random_state
 
 SQ2 = math.sqrt(2.0)
 
@@ -340,6 +344,21 @@ def test_kramer_rejects_samples_of_another_coupling():
                       values=s.values)
     with pytest.raises(InconsistentNodes):
         kramer_reconstruct(m, other, 0.5 + 1.0j)
+    # An empty grid has no slab to sum, and still checks the nodes.
+    assert kramer_reconstruct(m, s, np.empty((0, 3))).shape == (0, 3)
+    with pytest.raises(InconsistentNodes):
+        kramer_reconstruct(m, other, [])
+
+
+def test_an_underflowed_node_mass_is_a_numerical_failure():
+    # Tiny weights in 1e-6 clusters at h = 1e8: one node's exact mass is
+    # below the smallest subnormal, so it has no mass to sample with.
+    m = layout_model(26, "clusters", True, 116987)
+    nodes = perturbed_spectrum(m, Coupling.finite(1e8))
+    lost = nodes[node_weights(m, 1e8, nodes) == 0.0]
+    assert lost.size == 1
+    with pytest.raises(NumericalError, match=re.escape(f"{float(lost[0])!r}")):
+        sample(m, random_state(np.random.default_rng(3), 26), 1e8)
 
 
 def _cross_check_models():
