@@ -183,7 +183,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
+        # OverflowError: a correctly rounded sum past the largest double.
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except SpectralError as exc:

@@ -79,7 +79,8 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     sum.  A row that cancels heavily is certified by a second extraction,
     of its exact remainder [tau, low].  Every other row (a zero sum, a tie,
     a sum past the largest double, a non-finite term) takes math.fsum,
-    which raises its OverflowError where its partial sums overflow.
+    which raises its OverflowError where its partial sums overflow; a row
+    holding both infinities is NaN.
     """
     r, certified, tau, low = _extract(t)
     if not certified.all():
@@ -87,7 +88,10 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
         rest = np.concatenate((tau[rows, None], low[rows]), axis=1)
         r[rows], certified = _extract(rest)[:2]
         for i in rows[~certified]:
-            r[i] = math.fsum(t[i].tolist())
+            try:
+                r[i] = math.fsum(t[i].tolist())
+            except ValueError:  # -inf + inf: NaN, as numpy sums it
+                r[i] = math.nan
     return r
 
 
@@ -154,12 +158,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
     return out
-
-
-def _real_quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den for complex num and real den, each part rounded once
-    (numpy's complex division multiplies by a rounded reciprocal)."""
-    return _complex(num.real / den, num.imag / den)
 
 
 def _check_finite(z: complex) -> None:

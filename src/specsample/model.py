@@ -166,6 +166,8 @@ class SampleSet:
             )
         if x.size == 0:
             raise ValidationError("a sample set needs at least one node")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ValidationError("nodes and values must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise UnsortedEigenvalues("nodes must be strictly increasing")
         if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
@@ -193,6 +195,8 @@ class MeromorphicRep:
         c = _frozen(self.coefficients, complex)
         if x.ndim != 1 or x.size != c.size:
             raise DimensionMismatch("poles and coefficients must have equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(c))):
+            raise ValidationError("poles and coefficients must be finite")
         if np.any(np.diff(x) <= 0.0):
             raise UnsortedEigenvalues("poles must be strictly increasing")
         object.__setattr__(self, "constant", complex(self.constant))

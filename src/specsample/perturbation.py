@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
-from .herglotz import _complex, _real_quotient, cauchy_rows
+from .herglotz import _complex, cauchy_rows
 from .model import Coupling, SpectralModel, new_model
 
 # Steps a root may take before its bracket must keep up with bisection.
@@ -250,7 +250,7 @@ def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
 # nodes are rejected as belonging to a different coupling.  A raw residual
 # bound would misfire at roots that hug a pole with a tiny weight: there F'
 # is huge and cancellation inflates |1 + h F| even for a correctly placed
-# node, while the root distance |delta_j| (see _Nodes) stays tiny.
+# node, while the root distance |delta_j| (see _node_data) stays tiny.
 _NODE_DISTANCE_TOL = 1e-7
 # Far from 0 (a large |h|, or eigenvalues offset far from 0) a node is only
 # known to a few rounding errors of the largest magnitude in play, |x_j| or
@@ -269,8 +269,11 @@ def _nearest_poles(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     return k
 
 
-class _Nodes:
-    """Nodes of the h-coupled spectrum, their masses, and image values there.
+def _node_data(model: SpectralModel, h: float, nodes,
+               coords: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of the h-coupled nodes and image values there: the one rule
+    that accepts or rejects node data.
 
     Every node's mass is 1/||xi||^2 = 1/(h^2 F') at its exact secular root,
     by one rule.  With lam_k the nearest eigenvalue, tau = x - lam_k and R,
@@ -283,67 +286,72 @@ class _Nodes:
     so that it neither overflows nor underflows.  At h = 0 the same rule
     gives w_k exactly (delta_j = -tau, t = w_k).  An image value belongs
     to the node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j)
-    psi_j/(lam_j - x), and on a pole lam_k the limit psi_k/sqrt(w_k).
-    Nodes with |delta_j| above _NODE_DISTANCE_TOL times the scale (or a few
-    rounding errors) raise InconsistentNodes.
+    psi_j/(lam_j - x), and where w_k/(lam_k - x_j) is not a finite double
+    (on lam_k, or where the term overflows) the limit psi_k/sqrt(w_k).
+    InconsistentNodes: a node count other than model.dim, nodes more than
+    1e-9 times the scale off the eigenvalues at h = 0, or |delta_j| above
+    _NODE_DISTANCE_TOL times the scale (or a few rounding errors).
+    NumericalError names a node whose mass rounds to 0.
 
     F, F' and the numerators N of the states given as coords (one row per
     state) are summed in one stacked cauchy_rows pass, without the term of
     lam_k for a node on lam_k, each row certified correctly rounded or else
-    a math.fsum, so they equal the per-node sums bit for bit; sampled holds
-    those states' image values.  R and R' are F and F' less the term of
-    lam_k, or summed without it where that term of F' overflows or its
-    (lam_k - x)^2 is subnormal.
+    a math.fsum, so they equal the per-node sums bit for bit.  R and R' are
+    F and F' less the term of lam_k, or summed without it where that term
+    of F' overflows or its (lam_k - x)^2 is subnormal.
     """
-
-    def __init__(self, model: SpectralModel, h: float, nodes,
-                 coords: np.ndarray | None = None) -> None:
-        self.nodes = x = np.asarray(nodes, dtype=float)
-        lam, w = model.eigenvalues, model.weights
-        k = _nearest_poles(model, x)
-        on = x == lam[k]
-        if h == 0.0 and (x.size != model.dim or np.max(
-            np.abs(x - lam)
-        ) > 1e-9 * model.scale):
-            raise InconsistentNodes(
-                "nodes do not match the unperturbed spectrum")
-        coords = np.empty((0, model.dim)) if coords is None else coords
-        num = model.sqrt_weights * coords
-        sums = cauchy_rows(lam, np.vstack((w, w, num.real, num.imag)), x,
-                           (1, 2) + (1,) * (2 * len(num)),
-                           skip=np.where(on, k, -1))
-        f, fp, wk, tau = sums[0], sums[1], w[k], x - lam[k]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            self.sampled = np.where(
-                on, coords[:, k] / model.sqrt_weights[k],
-                _real_quotient(_complex(sums[2:2 + len(num)],
-                                        sums[2 + len(num):]), f))
-            pole = np.where(on, 0.0, wk / (lam[k] - x))
-            r, rp = f - pole, fp - pole * (pole / wk)
-            j = np.flatnonzero(~on & ~(np.isfinite(fp) & (
-                tau * tau >= np.finfo(float).tiny)))
-            if j.size:
-                r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
-                                          (1, 2), skip=k[j])
-            step = h * (wk + rp * tau * tau) / (
-                1.0 + h * r + h * rp * tau) - tau
-            near = tau + step
-            rq = cauchy_rows(lam, w, x, 2, skip=k, shift=step)
-            r += step * (0.5 * (rp + rq))
-            t = (wk + rq * near * near) / (1.0 + h * r + h * rq * near)
-            root = h * t
-            rp = rq + (rq - rp) * np.where(step != 0.0, (root - near) / step,
-                                           0.0)
-            self.masses = t * (t / (wk + root * (root * rp)))
-        big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
-        bad = ~(np.abs(step) <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
-                                           _NODE_ROUNDING_TOL * big))
-        if bad.any():
-            j = int(bad.argmax())
-            raise InconsistentNodes(
-                f"node {float(x[j])!r} is about {abs(step[j]):.3e} off its "
-                f"secular root at h={h}"
-            )
+    x = np.asarray(nodes, dtype=float)
+    lam, w = model.eigenvalues, model.weights
+    if x.size != model.dim or h == 0.0 and np.max(
+            np.abs(x - lam)) > 1e-9 * model.scale:
+        raise InconsistentNodes(
+            f"{x.size} nodes do not match the spectrum at h={h}")
+    k = _nearest_poles(model, x)
+    on = x == lam[k]
+    coords = np.empty((0, model.dim)) if coords is None else coords
+    num = model.sqrt_weights * coords
+    sums = cauchy_rows(lam, np.vstack((w, w, num.real, num.imag)), x,
+                       (1, 2) + (1,) * (2 * len(num)),
+                       skip=np.where(on, k, -1))
+    f, fp, wk, tau = sums[0], sums[1], w[k], x - lam[k]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pole = wk / (lam[k] - x)
+        # numpy's complex division multiplies by a rounded reciprocal.
+        values = np.where(np.isfinite(pole), _complex(
+            sums[2:2 + len(num)] / f, sums[2 + len(num):] / f),
+            coords[:, k] / model.sqrt_weights[k])
+        pole[on] = 0.0
+        r, rp = f - pole, fp - pole * (pole / wk)
+        j = np.flatnonzero(~on & ~(np.isfinite(fp) & (
+            tau * tau >= np.finfo(float).tiny)))
+        if j.size:
+            r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
+                                      (1, 2), skip=k[j])
+        step = h * (wk + rp * tau * tau) / (
+            1.0 + h * r + h * rp * tau) - tau
+        near = tau + step
+        rq = cauchy_rows(lam, w, x, 2, skip=k, shift=step)
+        r += step * (0.5 * (rp + rq))
+        t = (wk + rq * near * near) / (1.0 + h * r + h * rq * near)
+        root = h * t
+        rp = rq + (rq - rp) * np.where(step != 0.0, (root - near) / step,
+                                       0.0)
+        masses = t * (t / (wk + root * (root * rp)))
+    big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
+    bad = ~(np.abs(step) <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
+                                       _NODE_ROUNDING_TOL * big))
+    if bad.any():
+        j = int(bad.argmax())
+        raise InconsistentNodes(
+            f"node {float(x[j])!r} is about {abs(step[j]):.3e} off its "
+            f"secular root at h={h}"
+        )
+    lost = ~(masses > 0.0)  # an exact mass below the smallest subnormal
+    if lost.any():
+        j = int(lost.argmax())
+        raise NumericalError(f"node {float(x[j])!r} has no positive mass in "
+                             f"double precision (got {float(masses[j])!r})")
+    return masses, values
 
 
 def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
@@ -353,9 +361,11 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     1/(h^2 F'(x_j)).  Every node takes it at its exact root by one rule,
     tau*^2 / (h^2 (w_k + tau*^2 R')), tau* the root's offset from the
     nearest eigenvalue lam_k and R' the sum of F' over the others (see
-    _Nodes), so it stays accurate for roots that hug a pole.
+    _node_data), so it stays accurate for roots that hug a pole.  Raises
+    InconsistentNodes for nodes that are not the spectrum at h, and
+    NumericalError naming a node whose mass rounds to 0.
     """
-    return _Nodes(model, float(h), nodes).masses
+    return _node_data(model, float(h), nodes)[0]
 
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:

@@ -20,14 +20,12 @@ from .errors import (
     PoleMismatch,
     PoleProximity,
     RealPoint,
-    ValidationError,
 )
 from .herglotz import (
     _complex,
     _csum,
     _guard,
     _near_zero,
-    _real_quotient,
     _regular,
     cauchy_rows,
     xi,
@@ -40,7 +38,7 @@ from .model import (
     StateVector,
     check_dims,
 )
-from .perturbation import _Nodes, perturbed_spectrum
+from .perturbation import _node_data, perturbed_spectrum
 
 
 def mu_state(model: SpectralModel) -> StateVector:
@@ -62,26 +60,12 @@ def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
 
 def _sample(model: SpectralModel, h: float, *states: StateVector):
     """Nodes and masses at coupling h, and each state's image function on
-    the nodes, from one solve and one F(x_j).
-
-    Nodes are regular points of the image functions even when they hug an
-    eigenvalue; on one the value is its limit there (see _Nodes).
-    """
+    the nodes, from one solve and one F(x_j) (see _node_data)."""
     for phi in states:
         check_dims(model, phi)
-    h = float(h)
-    if not math.isfinite(h):
-        raise ValidationError("sampling requires a finite coupling")
-    nodes = _Nodes(model, h, perturbed_spectrum(model, Coupling.finite(h)),
-                   np.array([phi.coords for phi in states]))
-    # An exact mass below the smallest subnormal rounds to 0.
-    lost = ~(nodes.masses > 0.0)
-    if lost.any():
-        j = int(lost.argmax())
-        raise NumericalError(
-            f"node {float(nodes.nodes[j])!r} has no positive mass in double "
-            f"precision (got {float(nodes.masses[j])!r})")
-    return nodes.nodes, nodes.masses, list(nodes.sampled)
+    nodes = perturbed_spectrum(model, Coupling.finite(h))
+    return (nodes, *_node_data(model, float(h), nodes,
+                               np.array([phi.coords for phi in states])))
 
 
 def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
@@ -139,10 +123,10 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     for start in range(0, max(1, points.size), slab):
         coords = np.array([np.conj(xi(model, point).coords)
                            for point in points[start:start + slab]])
-        nodes = _Nodes(model, float(samples.h), samples.nodes,
-                       coords.reshape(-1, model.dim))
+        masses, values = _node_data(model, float(samples.h), samples.nodes,
+                                    coords.reshape(-1, model.dim))
         out[start:start + slab] = [_csum(row * samples.values)
-                                   for row in nodes.masses * nodes.sampled]
+                                   for row in masses * values]
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -177,7 +161,13 @@ def to_partial_fractions(model: SpectralModel,
     re, im, fp = cauchy_rows(model.eigenvalues,
                              np.stack((num.real, num.imag, model.weights)),
                              poles, (1, 1, 2))
-    coeffs = _real_quotient(_complex(re, im), fp)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coeffs = _complex(re / fp, im / fp)
+    bad = ~np.isfinite(coeffs)
+    if bad.any():
+        j = int(bad.argmax())
+        raise NumericalError(f"the coefficient at pole {float(poles[j])!r} "
+                             "is not a finite double")
     return MeromorphicRep(constant=c, poles=poles, coefficients=coeffs)
 
 
@@ -209,7 +199,7 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""
     _, weights, (f, g) = _sample(model, h, phi, psi)
-    return _csum(np.conj(f) * g * weights)
+    return _csum(weights * np.conj(f) * g)
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

@@ -11,6 +11,11 @@ MU = {"coords": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}
 E1 = {"coords": [[1.0, 0.0], [0.0, 0.0]]}
 
 
+def _explicit(m):
+    return {"kind": "explicit", "eigenvalues": m.eigenvalues.tolist(),
+            "weights": m.weights.tolist()}
+
+
 @pytest.fixture
 def files(tmp_path):
     def write(name, payload):
@@ -128,6 +133,67 @@ def test_sample_with_an_underflowed_node_mass_is_a_numerical_failure(
     assert "has no positive mass" in capsys.readouterr().err
 
 
+def test_spectrum_with_an_underflowed_node_mass_is_a_numerical_failure(
+        files, capsys):
+    model = _explicit(layout_model(26, "clusters", True, 116987))
+    assert main(["spectrum", "--model", files("m.json", model),
+                 "--coupling", "1e8"]) == 3
+    assert "has no positive mass" in capsys.readouterr().err
+
+
+# Eigenvalues 0 and 1e-310 around a node at 5e-324: the terms of F there
+# are -inf and +inf.
+TINY_GAP = {"kind": "explicit", "eigenvalues": [0.0, 1e-310, 1.0],
+            "weights": [1.0, 1.0, 1.0]}
+
+
+@pytest.mark.parametrize("coupling", ["1.3", "-1.3", "1e8"])
+def test_spectrum_on_poles_closer_than_the_overflow_is_a_numerical_failure(
+        files, capsys, coupling):
+    assert main(["spectrum", "--model", files("m.json", TINY_GAP),
+                 "--coupling", coupling]) == 3
+    assert "off its secular root" in capsys.readouterr().err
+
+
+def test_verify_with_a_pole_on_an_eigenvalue_is_a_numerical_failure(
+        files, capsys):
+    model = _explicit(layout_model(20, "pole-at-0", True, 5))
+    assert main(["verify", "--model", files("m.json", model)]) == 3
+    assert "coefficient at pole" in capsys.readouterr().err
+
+
+# Extreme model files for the exit-code sweep: the reproducers of past
+# faults (poles closer than the overflow, node masses that underflow,
+# nodes within the overflow of a pole, zeros of F on an eigenvalue).
+SWEEP_MODELS = {
+    "tiny-gap": TINY_GAP,
+    "weight-1e-40": {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
+                     "weights": [1.0, 1e-40, 1.0]},
+    "weight-1e-299": {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
+                      "weights": [1e-299, 1.0, 1.0]},
+    "pole-at-0": _explicit(layout_model(20, "pole-at-0", False, 5)),
+    "pole-at-0-tiny": _explicit(layout_model(20, "pole-at-0", True, 5)),
+    "clusters-tiny": _explicit(layout_model(26, "clusters", True, 116987)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_MODELS))
+def test_extreme_models_exit_within_the_contract(files, name):
+    # Every command on every coupling ends in a documented exit code, and
+    # main raises nothing.
+    model = SWEEP_MODELS[name]
+    mfile = files("m.json", model)
+    state = files("s.json", {"coords": [[1.0, 0.5]] * len(
+        model["eigenvalues"])})
+    runs = [["verify", "--model", mfile]]
+    for coupling in ("1.3", "-1.3", "0", "1e8", "5e-324", "inf"):
+        runs += [["spectrum", "--model", mfile, "--coupling", coupling],
+                 ["sample", "--model", mfile, "--state", state,
+                  "--coupling", coupling]]
+    for argv in runs:
+        assert main(argv) in {0, 1, 2, 3, 4}, argv
+
+
 def test_sample_infinite_rejected(files):
     assert main(["sample", "--model", files("m.json", M2),
                  "--state", files("s.json", MU), "--coupling", "inf"]) == 4
@@ -171,8 +237,10 @@ def test_reconstruct_grid_at_node(files, capsys):
     (None, '{"points": [[NaN, 0]]}'),
     ('{"h": 1, "nodes": [], "weights": [], "values": []}',
      '{"points": [[0, 1]]}'),
+    ('{"h": 1.0, "nodes": [NaN, 2.0], "weights": [0.5, 0.5], '
+     '"values": [[1, 0], [NaN, 0]]}', '{"points": [[0, 1]]}'),
 ], ids=["infinite-point", "infinite-imaginary-part", "nan-point",
-        "empty-samples"])
+        "empty-samples", "nan-samples"])
 def test_reconstruct_malformed_input(tmp_path, files, capsys, samples, grid):
     if samples is None:
         assert main(["sample", "--model", files("m.json", M2),

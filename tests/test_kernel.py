@@ -164,6 +164,16 @@ def test_exact_ties_and_zeros_round_like_fsum():
         cauchy_rows(np.zeros(2), np.array([1e308, 1e308]), np.array([-1.0]))
 
 
+def test_a_row_holding_both_infinities_is_nan():
+    # Two poles closer than 1/1.8e308 around the point: the terms 1/d are
+    # -inf and +inf, on which math.fsum raises ValueError.  The row is NaN,
+    # as numpy sums it.
+    got = cauchy_rows(np.array([0.0, 1e-310, 1.0]), np.ones(3),
+                      np.array([5e-324, 0.5]))
+    assert np.isnan(got[0]) and got[1] == math.fsum([-2.0, 1.0 / (
+        1e-310 - 0.5), 2.0])
+
+
 @pytest.mark.parametrize("n", [300, 700])
 def test_rows_do_not_depend_on_the_order_of_the_poles(n):
     # Permuting the poles with their coefficients (and the skipped index)

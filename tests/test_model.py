@@ -126,6 +126,20 @@ def test_meromorphic_rep_validation():
                        coefficients=[1.0, 1.0])
 
 
+def test_sample_and_partial_fraction_data_must_be_finite():
+    # np.diff(x) <= 0 is false for NaN, so order alone lets NaN through.
+    nan, inf = float("nan"), float("inf")
+    for nodes, values in (([nan, 2.0], [1.0, nan]), ([0.0, inf], [1.0, 2.0]),
+                          ([0.0, 2.0], [1.0, nan]), ([nan], [1.0])):
+        with pytest.raises(ValidationError, match="must be finite"):
+            SampleSet(h=1.0, nodes=nodes, node_weights=[0.5] * len(nodes),
+                      values=values)
+    for poles, coeffs in (([nan, 1.0], [1.0, 1.0]), ([0.0, 1.0], [nan, 1.0]),
+                          ([0.0, inf], [1.0, 1.0])):
+        with pytest.raises(ValidationError, match="must be finite"):
+            MeromorphicRep(constant=0.0, poles=poles, coefficients=coeffs)
+
+
 def test_data_types_hold_read_only_copies():
     # Each type stores its own frozen copy: the caller's arrays stay
     # writable, and writing to them leaves the stored data unchanged.

@@ -114,6 +114,22 @@ def test_node_weights_rejects_foreign_nodes(m2):
         node_weights(m, 0.37, nodes)
 
 
+def test_node_weights_reject_a_partial_node_set_at_every_coupling():
+    m = random_model(np.random.default_rng(3), 12)
+    for h in (1.3, -0.7, 1e-8, 1e8, 0.0):
+        nodes = perturbed_spectrum(m, Coupling.finite(h))
+        with pytest.raises(InconsistentNodes):
+            node_weights(m, h, np.delete(nodes, [2, 5, 9]))
+
+
+def test_perturbed_model_with_an_underflowed_mass_is_a_numerical_failure():
+    # One exact node mass of this model at h = 1e8 is below the smallest
+    # subnormal (see test_sampling): a numerical failure, not bad input.
+    m = layout_model(26, "clusters", True, 116987)
+    with pytest.raises(NumericalError, match="has no positive mass"):
+        perturbed_model(m, 1e8)
+
+
 def test_node_weight_sum_matches_total():
     rng = np.random.default_rng(41)
     for _ in range(30):

@@ -28,6 +28,7 @@ from specsample import (
     mu_state,
     node_weights,
     new_model,
+    normalize,
     omega_state,
     perturbed_spectrum,
     reconstruct,
@@ -38,7 +39,7 @@ from specsample import (
 )
 from specsample.herglotz import _weyl_raw
 
-from conftest import layout_model, random_model, random_state
+from conftest import layout_model, mp_root_masses, random_model, random_state
 
 SQ2 = math.sqrt(2.0)
 
@@ -157,7 +158,7 @@ def test_inner_h_solves_once_and_matches_two_samples(monkeypatch):
     m = random_model(rng, 7)
     phi, psi = random_state(rng, m.dim), random_state(rng, m.dim)
     fs, gs = sample(m, phi, 1.3), sample(m, psi, 1.3)
-    expected = sampling._csum(np.conj(fs.values) * gs.values * fs.node_weights)
+    expected = sampling._csum(fs.node_weights * np.conj(fs.values) * gs.values)
     solves = []
     solve = sampling.perturbed_spectrum
     monkeypatch.setattr(sampling, "perturbed_spectrum",
@@ -353,12 +354,67 @@ def test_kramer_rejects_samples_of_another_coupling():
 def test_an_underflowed_node_mass_is_a_numerical_failure():
     # Tiny weights in 1e-6 clusters at h = 1e8: one node's exact mass is
     # below the smallest subnormal, so it has no mass to sample with.
+    # The node rule names it, the 60-digit root masses show that it is the
+    # only one, and sample names it too.
     m = layout_model(26, "clusters", True, 116987)
     nodes = perturbed_spectrum(m, Coupling.finite(1e8))
-    lost = nodes[node_weights(m, 1e8, nodes) == 0.0]
-    assert lost.size == 1
-    with pytest.raises(NumericalError, match=re.escape(f"{float(lost[0])!r}")):
+    with pytest.raises(NumericalError, match="has no positive mass") as err:
+        node_weights(m, 1e8, nodes)
+    named = [x for x in nodes if f"node {float(x)!r} " in str(err.value)]
+    assert named == list(nodes[mp_root_masses(m, 1e8, nodes) == 0.0])
+    assert len(named) == 1
+    with pytest.raises(NumericalError, match=re.escape(f"{float(named[0])!r}")):
         sample(m, random_state(np.random.default_rng(3), 26), 1e8)
+
+
+def test_kramer_rejects_a_partial_node_set():
+    # Three of twelve nodes left out: no longer the spectrum at h.
+    rng = np.random.default_rng(3)
+    m = random_model(rng, 12)
+    s = sample(m, random_state(rng, 12), 1.3)
+    keep = np.delete(np.arange(12), [2, 5, 9])
+    part = SampleSet(h=1.3, nodes=s.nodes[keep],
+                     node_weights=s.node_weights[keep], values=s.values[keep])
+    with pytest.raises(InconsistentNodes):
+        kramer_reconstruct(m, part, 0.3 + 1.0j)
+
+
+PHI3 = StateVector([1.0, 2.0 - 1.0j, 3.0])
+
+
+def test_a_node_whose_pole_term_overflows_takes_the_limit_value():
+    # At h = 5e-324 the first node is 5e-324, where w_0/(0 - x) overflows
+    # although x != 0: its value is the limit phi_0/sqrt(w_0) = 1, and
+    # Parseval holds.
+    m = new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0])
+    s = sample(m, PHI3, 5e-324)
+    assert s.nodes[0] != 0.0 and s.values[0] == 1.0
+    assert inner_h(m, 5e-324, PHI3, PHI3) == pytest.approx(15.0, rel=1e-15)
+    m = layout_model(20, "pole-at-0", False, 5)
+    s = sample(m, random_state(np.random.default_rng(5), 20), 5e-324)
+    assert np.all(np.isfinite(s.values))
+
+
+def test_inner_h_takes_the_mass_first():
+    # A mass of 4.4e-316 against values of 4.7e157: the product of the
+    # values alone overflows.  The result is 1e-8 below 15 = ||phi||^2
+    # because the value next to 1 is taken at the rounded node, 8e-8 off
+    # its value at the root (ROADMAP, direction 2).
+    m = new_model([0.0, 1.0, 2.0], [1e-299, 1.0, 1.0])
+    assert inner_h(m, 1e8, PHI3, PHI3) == pytest.approx(15.0, rel=1e-7)
+
+
+def test_a_pole_on_an_eigenvalue_is_a_numerical_failure():
+    # With weights down to 1e-40 or 1e-299 zeros of F round onto an
+    # eigenvalue, where the coefficient N/F' is inf/inf.
+    models = [layout_model(20, layout, True, 5)
+              for layout in ("pole-at-0", "clusters", "offset-1e8",
+                             "spread-1e12")]
+    models.append(new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0]))
+    for m in map(normalize, models):
+        phi = random_state(np.random.default_rng(5), m.dim)
+        with pytest.raises(NumericalError, match="coefficient at pole"):
+            to_partial_fractions(m, phi)
 
 
 def _cross_check_models():
