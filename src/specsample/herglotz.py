@@ -12,7 +12,11 @@ r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
 PoleProximity, and where the Newton step |f/f'| puts a zero of its
 denominator f within r it raises ZeroOfF (for F; PoleProximity for F_h and
 P_n, whose zeros are poles of the evaluated function).  A non-finite point
-is a ValidationError.
+is a ValidationError.  For F and F_h, sums of c_j/(x_j - z) with c_j >= 0,
+f' is summed only where a certificate, |f| >= r sum c_j/|x_j - z|^2 with
+a margin for rounding (_clear_of_zero), cannot rule the zero guard out;
+elsewhere it is summed and the guard decides exactly as without the
+certificate.  weyl, weyl_h and xi_norm_sq always sum F', which they return.
 """
 from __future__ import annotations
 
@@ -33,9 +37,11 @@ _BLOCK_TERMS = 1 << 15
 
 
 def _csum(terms: np.ndarray) -> complex:
-    """Correctly rounded sum of a complex array (per part)."""
-    return complex(math.fsum(terms.real.tolist()),
-                   math.fsum(terms.imag.tolist()))
+    """Correctly rounded sum of a complex array (per part); fsum reads the
+    parts through a memoryview, the same doubles in the same order as a
+    list of them, without copying them out first."""
+    return complex(math.fsum(memoryview(terms.real)),
+                   math.fsum(memoryview(terms.imag)))
 
 
 def _extract(t: np.ndarray):
@@ -170,18 +176,20 @@ def _radius(spread: float) -> float:
     return EXCLUSION_RADIUS * max(1.0, spread)
 
 
-def _guard(poles: np.ndarray, z: complex, what: str) -> float:
-    """The exclusion radius r of the sorted poles; PoleProximity (naming
-    the pole) when z is within r of one, ValidationError when z is not
-    finite."""
+def _guard(poles: np.ndarray, z: complex,
+           what: str) -> tuple[float, np.ndarray, np.ndarray]:
+    """The exclusion radius r of the sorted poles, d = poles - z and |d|;
+    PoleProximity (naming the pole) when z is within r of one,
+    ValidationError when z is not finite."""
     _check_finite(z)
     r = _radius(float(poles[-1] - poles[0]) if poles.size else 0.0)
-    d = np.abs(poles - z)
-    if d.size and d.min() < r:
+    d = poles - z
+    dist = np.abs(d)
+    if dist.size and dist.min() < r:
         raise PoleProximity(
-            f"z={z} is within {r:.3e} of {what} {poles[int(d.argmin())]}"
+            f"z={z} is within {r:.3e} of {what} {poles[int(dist.argmin())]}"
         )
-    return r
+    return r, d, dist
 
 
 def _near_zero(f: complex, fp: complex, r: float) -> bool:
@@ -190,37 +198,69 @@ def _near_zero(f: complex, fp: complex, r: float) -> bool:
     return f == 0 or abs(f) < r * abs(fp)
 
 
-def _weyl_raw(model: SpectralModel, z: complex) -> tuple[complex, complex]:
-    """F and F' without exclusion checks.  Callers guard the poles."""
-    d = model.eigenvalues - z
-    f = _csum(model.weights / d)
-    fp = _csum(model.weights / (d * d))
-    return f, fp
+def _derivative(c: np.ndarray, d: np.ndarray) -> complex:
+    """sum c_j / d_j^2, overflow held: d_j^2 overflows (to inf, or NaN from
+    inf - inf) only where |d_j| > 1.3e154, and there c_j / d_j^2 is far
+    below the smallest double anyway."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _csum(c / (d * d))
 
 
-def _regular(model: SpectralModel,
-             z: complex) -> tuple[complex, complex, complex]:
-    """complex(z), F(z) and F'(z), once z is guarded against the
-    eigenvalues and the zeros of F."""
+def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
+                   r: float) -> bool:
+    """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
+    and f' = _derivative(c, d), decided without summing f'.
+
+    B = sum c_j/|d_j|^2 bounds |f'|, so the rule cannot fire once
+    |f| >= r B (1 + delta) + slack.  r B is summed as sum c_j q_j^2 / r,
+    q_j = r/|d_j| <= 1, so no term overflows at any |z|, and the sum only
+    where the c_j sum past the largest double (an infinite bound clears
+    nothing).  delta = (n + 64) 2^-52 covers the rounding of each term of
+    f' (the complex square and Smith's division, about 10 u normwise,
+    u = 2^-53), of its correctly rounded sum, of |f'| and of r |f'|, and
+    of r B: a few u per term and at most (n - 1) u for a sum of terms of
+    one sign, in any order.  slack = n (1 + r) 2^-1020 covers what
+    rounding to a subnormal loses, which no relative bound does: a few
+    2^-1075 per term of f' (r times that in r |f'|), 2^-1075/|d_j|^2 where
+    c_j times the division's ratio underflows (times r, below 2^-1047 as
+    |d_j| >= r >= 1e-8), and below 2^-1072 per term c_j q_j^2, so below
+    2^-1045 once divided by r.
+    """
+    if f == 0:
+        return False
+    n = dist.size
+    q = r / dist
+    bound = float(np.dot(c * q, q)) / r
+    return abs(f) >= (bound * (1.0 + (n + 64) * 2.0 ** -52)
+                      + n * (1.0 + r) * 2.0 ** -1020)
+
+
+def _regular(model: SpectralModel, z: complex, derivative: bool = False
+             ) -> tuple[complex, np.ndarray, complex, complex | None]:
+    """complex(z), lam - z, F(z) and F'(z), once z is guarded against the
+    eigenvalues and the zeros of F.  F' is summed where it is asked for or
+    where _clear_of_zero cannot clear z without it, else it is None."""
     z = complex(z)
-    r = _guard(model.eigenvalues, z, "eigenvalue")
-    f, fp = _weyl_raw(model, z)
-    if _near_zero(f, fp, r):
-        raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
-    return z, f, fp
+    r, d, dist = _guard(model.eigenvalues, z, "eigenvalue")
+    w = model.weights
+    f, fp = _csum(w / d), None
+    if derivative or not _clear_of_zero(f, w, dist, r):
+        fp = _derivative(w, d)
+        if _near_zero(f, fp, r):
+            raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
+    return z, d, f, fp
 
 
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    z = complex(z)
-    _guard(model.eigenvalues, z, "eigenvalue")
-    return _weyl_raw(model, z)
+    _, d, _ = _guard(model.eigenvalues, complex(z), "eigenvalue")
+    return _csum(model.weights / d), _derivative(model.weights, d)
 
 
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'."""
-    _, f, fp = _regular(model, z)
+    _, _, f, fp = _regular(model, z, derivative=True)
     f_h = f / (1.0 + h * f)
     g_h = h + 1.0 / f
     g_h_prime = -fp / (f * f)
@@ -244,7 +284,7 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
     Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
-    z, f, _ = _regular(model, z)
+    z, _, f, _ = _regular(model, z)
     zb = z.conjugate()
     coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
     return XiVector(at=z, coords=coords)
@@ -252,5 +292,5 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
     """Squared norm of xi at a real point, via F'(x)/F(x)^2."""
-    _, f, fp = _regular(model, x)
+    _, _, f, fp = _regular(model, x, derivative=True)
     return float((fp / (f * f)).real)

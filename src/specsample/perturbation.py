@@ -93,7 +93,10 @@ def _secular_roots(model: SpectralModel, a: float,
         (offset other), each fitted to the value and slope of the sum over
         its side.  Newton on v where that is not finite (always at the
         exterior root, whose other is NaN) or points away from the root
-        (toward: +1 away from the origin, -1 towards it)."""
+        (toward: +1 away from the origin, -1 towards it), and Newton on
+        v / tau = a' + b' F where that points away too: v' can be <= 0
+        between the origin and an exterior root, while a' + b' F increases
+        across every gap, so its step always points at the root."""
         # The model's quadratic for the step eta, cq eta^2 - qa eta - pb = 0,
         # divided by |v'| (v' = nd, the slope of v) so that its
         # coefficients neither underflow nor overflow when squared.
@@ -107,8 +110,14 @@ def _secular_roots(model: SpectralModel, a: float,
         root = np.sqrt(np.abs(qa * qa + 4.0 * pb * cq))
         eta = np.where(qa <= 0.0, (qa - root) / (2.0 * cq),
                        -2.0 * pb / (qa + root))
-        fine = np.isfinite(eta) & (eta * tau * toward >= 0.0)
-        return tau + np.where(fine, eta, newton * slope)
+        ahead = tau * toward
+        fine = np.isfinite(eta) & (eta * ahead >= 0.0)
+        step = newton * slope
+        away = step * ahead < 0.0
+        if away.any():
+            direct = v / (v / tau - nd)
+            step = np.where(away & np.isfinite(direct), direct, step)
+        return tau + np.where(fine, eta, step)
 
     # One row per gap, first seen from its left pole at its midpoint
     # (halving before subtracting keeps gaps near the largest double

@@ -22,8 +22,10 @@ from .errors import (
     RealPoint,
 )
 from .herglotz import (
+    _clear_of_zero,
     _complex,
     _csum,
+    _derivative,
     _guard,
     _near_zero,
     _regular,
@@ -54,8 +56,8 @@ def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
     check_dims(model, phi)
-    z, f, _ = _regular(model, z)
-    return _csum(model.sqrt_weights * phi.coords / (model.eigenvalues - z)) / f
+    z, d, f, _ = _regular(model, z)
+    return _csum(model.sqrt_weights * phi.coords / d) / f
 
 
 def _sample(model: SpectralModel, h: float, *states: StateVector):
@@ -81,17 +83,17 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     G_h = 1/F_h and G_h'(x_j) = -1/m_j; no model is needed.
     """
     z = complex(z)
-    r = _guard(samples.nodes, z, "sampling node")
-    d = samples.nodes - z
-    f_h = _csum(samples.node_weights / d)
-    fp_h = _csum(samples.node_weights / d ** 2)
-    if _near_zero(f_h, fp_h, r):
+    r, d, dist = _guard(samples.nodes, z, "sampling node")
+    masses = samples.node_weights
+    f_h = _csum(masses / d)
+    if not _clear_of_zero(f_h, masses, dist, r) and _near_zero(
+            f_h, _derivative(masses, d), r):
         raise PoleProximity(
             f"z={z} is too close to a pole of the reconstructed function"
         )
     g_h = 1.0 / f_h
     # G_h'(x_j) = -1/m_j turns the Lagrange weight into m_j G_h(z)/(x_j - z).
-    return _csum(samples.node_weights * samples.values * (g_h / d))
+    return _csum(masses * samples.values * (g_h / d))
 
 
 # Grid points whose xi coordinates and node values Kramer holds at once:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from specsample import SpectralModel, StateVector, new_model
+from specsample.herglotz import _csum, _derivative
 
 
 @pytest.fixture
@@ -43,6 +44,12 @@ def layout_model(n: int, layout: str, tiny: bool, seed: int) -> SpectralModel:
                                       rng.uniform(2, 1e12, n - n // 2)]))
     w = 10.0 ** rng.uniform(-299, 0, n) if tiny else rng.uniform(0.1, 1, n)
     return new_model(lam, w)
+
+
+def weyl_raw(m: SpectralModel, x) -> tuple[complex, complex]:
+    """F and F' at x as weyl sums them, without its pole guard."""
+    d = m.eigenvalues - x
+    return _csum(m.weights / d), _derivative(m.weights, d)
 
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:

@@ -36,9 +36,8 @@ from specsample import (
     weyl_h,
     xi_norm_sq,
 )
-from specsample.herglotz import _weyl_raw
 
-from conftest import random_model, random_state
+from conftest import random_model, random_state, weyl_raw
 
 
 def _report(capsys, num, name, ok, detail):
@@ -81,10 +80,10 @@ def test_criterion_02_secular_residuals(capsys):
         if abs(h) < 1e-2:
             h = 1.0
         for x in perturbed_spectrum(m, Coupling.finite(h)):
-            f, _ = _weyl_raw(m, x)
+            f, _ = weyl_raw(m, x)
             worst_fin = max(worst_fin, abs(1.0 + h * f.real))
         for x in perturbed_spectrum(m, Coupling.infinite()):
-            f, fp = _weyl_raw(m, x)
+            f, fp = weyl_raw(m, x)
             worst_inf = max(worst_inf, abs(f.real) / fp.real / m.scale)
     ok = worst_fin <= 1e-10 and worst_inf <= 1e-12
     _report(capsys, 2, "secular-residuals", ok,
@@ -168,7 +167,7 @@ def test_criterion_06_partial_fractions(capsys):
         worst = max(worst, float(np.max(np.abs(back.coords - phi.coords))))
         norm_id = abs(rep.constant) ** 2
         for x, c in zip(rep.poles, rep.coefficients):
-            _, fp = _weyl_raw(m, x)
+            _, fp = weyl_raw(m, x)
             norm_id += abs(c) ** 2 * fp.real
         worst = max(worst, abs(norm_id - phi.norm() ** 2) / phi.norm() ** 2)
     m = random_model(rng, 6)

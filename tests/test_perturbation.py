@@ -14,10 +14,16 @@ from specsample import (
     perturbed_spectrum,
     weyl,
 )
-from specsample.herglotz import _weyl_raw, cauchy_rows
+from specsample.herglotz import cauchy_rows
 from specsample.perturbation import _secular_roots
 
-from conftest import LAYOUTS, layout_model, mp_root_masses, random_model
+from conftest import (
+    LAYOUTS,
+    layout_model,
+    mp_root_masses,
+    random_model,
+    weyl_raw,
+)
 
 GOLDEN_LO = (3.0 - math.sqrt(5.0)) / 2.0
 GOLDEN_HI = (3.0 + math.sqrt(5.0)) / 2.0
@@ -47,7 +53,7 @@ def test_secular_residuals():
         if abs(h) < 1e-2:
             h = 1.0
         for x in perturbed_spectrum(m, Coupling.finite(h)):
-            f, _ = _weyl_raw(m, x)
+            f, _ = weyl_raw(m, x)
             assert abs(1.0 + h * f.real) <= 1e-10
 
 
@@ -58,7 +64,7 @@ def test_zero_residuals_infinite():
         gaps = np.diff(m.eigenvalues)
         tol = 1e-12 * m.weights.max() / gaps.min()
         for x in perturbed_spectrum(m, Coupling.infinite()):
-            f, _ = _weyl_raw(m, x)
+            f, _ = weyl_raw(m, x)
             assert abs(f.real) <= tol
 
 
@@ -209,7 +215,7 @@ def test_infinite_eigenvector_witness():
         compressed = proj @ np.diag(m.eigenvalues) @ proj
         for x in compression_spectrum(m):
             omega = m.sqrt_weights / (m.eigenvalues - x)
-            f, _ = _weyl_raw(m, x)
+            f, _ = weyl_raw(m, x)
             assert abs(np.dot(m.sqrt_weights, omega)) == pytest.approx(
                 abs(f.real), abs=1e-9
             )
@@ -459,7 +465,20 @@ _REFERENCE_MODELS = _reference_models()
 @pytest.mark.parametrize("name", sorted(_REFERENCE_MODELS))
 @pytest.mark.parametrize("h", [1.3, -1.3, 1e-8, -1e-8, 1e8, -1e8, None])
 def test_roots_equal_the_bit_bisection(name, h):
-    m = _REFERENCE_MODELS[name]
+    _check_against_bisection(_REFERENCE_MODELS[name], h)
+
+
+@pytest.mark.parametrize("seed,h", [(0, -3.0), (0, 3.0), (0, -2.0),
+                                    (1, 2.0), (2, -2.0)])
+def test_exterior_root_where_newton_on_v_points_away(seed, h):
+    # Normalized weights: between the edge eigenvalue and the exterior root
+    # v' <= 0 at these couplings, so Newton on v pointed away from the root
+    # and the bracket crept to it in 74 to 80 evaluations.
+    _check_against_bisection(random_model(np.random.default_rng(seed), 200),
+                             h)
+
+
+def _check_against_bisection(m, h):
     a, b = (0.0, 1.0) if h is None else (1.0, h)
     got, steps = _secular_roots(m, a, b)
     want = _bisection_roots(m, a, b)

@@ -37,9 +37,14 @@ from specsample import (
     transform,
     xi,
 )
-from specsample.herglotz import _weyl_raw
 
-from conftest import layout_model, mp_root_masses, random_model, random_state
+from conftest import (
+    layout_model,
+    mp_root_masses,
+    random_model,
+    random_state,
+    weyl_raw,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -204,7 +209,7 @@ def test_partial_fractions_norm_identity():
         rep = to_partial_fractions(m, phi)
         total = abs(rep.constant) ** 2
         for x, c in zip(rep.poles, rep.coefficients):
-            _, fp = _weyl_raw(m, x)
+            _, fp = weyl_raw(m, x)
             total += abs(c) ** 2 * fp.real
         assert total == pytest.approx(phi.norm() ** 2, rel=1e-10)
 
