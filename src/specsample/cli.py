@@ -174,7 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("demo", help="convergence studies, CSV output")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_demo)
     return parser
 

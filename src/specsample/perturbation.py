@@ -278,45 +278,50 @@ def _nearest_poles(model: SpectralModel, x: np.ndarray) -> np.ndarray:
     return k
 
 
-def _node_data(model: SpectralModel, h: float, nodes,
+def _node_data(model: SpectralModel, a: float, b: float, nodes,
                coords: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of the h-coupled nodes and image values there: the one rule
-    that accepts or rejects node data.
+    """Masses of the roots of a + b F given as nodes, (a, b) = (1, h) at
+    coupling h and (0, 1) at the zeros of F, and image values there: the
+    one rule that accepts or rejects node data.
 
-    Every node's mass is 1/||xi||^2 = 1/(h^2 F') at its exact secular root,
-    by one rule.  With lam_k the nearest eigenvalue, tau = x - lam_k and R,
-    R' the sums of F, F' over the other poles, the root solves the
-    pole-free (1 + h R) tau - h w_k = 0.  A Newton step from the node gives
-    delta_j, and R' is summed again at x_j + delta_j; a second step, with R
-    by the trapezoid rule and R' along its secant, reaches the root tau*.
-    The mass tau*^2 / (h^2 (w_k + tau*^2 R')) is evaluated as
-    t (t / (w_k + tau*^2 R')), t = tau*/h from the second step's quotient,
-    so that it neither overflows nor underflows.  At h = 0 the same rule
-    gives w_k exactly (delta_j = -tau, t = w_k).  An image value belongs
-    to the node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j)
-    psi_j/(lam_j - x), and where w_k/(lam_k - x_j) is not a finite double
-    (on lam_k, or where the term overflows) the limit psi_k/sqrt(w_k).
-    InconsistentNodes: a node count other than model.dim, nodes more than
-    1e-9 times the scale off the eigenvalues at h = 0, or |delta_j| above
-    _NODE_DISTANCE_TOL times the scale (or a few rounding errors).
-    NumericalError names a node whose mass rounds to 0.
+    Every node's mass is 1/(b^2 F') at its exact root (1/||xi||^2 at a
+    secular root), by one rule.  With lam_k the nearest eigenvalue,
+    tau = x - lam_k and R, R' the sums of F, F' over the other poles, the
+    root solves the pole-free (a + b R) tau - b w_k = 0.  A Newton step
+    from the node gives delta_j, and R' is summed again at x_j + delta_j;
+    a second step, with R by the trapezoid rule and R' along its secant,
+    reaches the root tau*.  The mass tau*^2 / (b^2 (w_k + tau*^2 R')) is
+    evaluated as t (t / (w_k + tau*^2 R')), t = tau*/b from the second
+    step's quotient, so that it neither overflows nor underflows.  At h = 0
+    the same rule gives w_k exactly (delta_j = -tau, t = w_k).  An image
+    value belongs to the node it is returned with: N(x_j)/F(x_j), N(x) =
+    sum sqrt(w_j) psi_j/(lam_j - x), and where w_k/(lam_k - x_j) is not a
+    finite double (on lam_k, or where the term overflows) the limit
+    psi_k/sqrt(w_k); at a zero of F, the residue N/F' = mass (N_R -
+    sqrt(w_k) psi_k / tau*), N_R summed over the other poles next to the
+    root.  InconsistentNodes: a node count other than the number of roots,
+    nodes more than 1e-9 times the scale off the eigenvalues at h = 0, or
+    |delta_j| above _NODE_DISTANCE_TOL times the scale (or a few rounding
+    errors).  NumericalError names a node whose mass rounds to 0.
 
     F, F' and the numerators N of the states given as coords (one row per
     state) are summed in one stacked cauchy_rows pass, without the term of
-    lam_k for a node on lam_k, each row certified correctly rounded or else
-    a math.fsum, so they equal the per-node sums bit for bit.  R and R' are
-    F and F' less the term of lam_k, or summed without it where that term
-    of F' overflows or its (lam_k - x)^2 is subnormal.
+    lam_k for a node on lam_k or at a zero of F, each row certified
+    correctly rounded or else a math.fsum, so they equal the per-node sums
+    bit for bit.  R and R' are F and F' less the term of lam_k, or summed
+    without it where that term of F' overflows or its (lam_k - x)^2 is
+    subnormal.
     """
     x = np.asarray(nodes, dtype=float)
     lam, w = model.eigenvalues, model.weights
-    if x.size != model.dim or h == 0.0 and np.max(
+    h = b / a if a else math.inf
+    if x.size != model.dim - (a == 0.0) or b == 0.0 and np.max(
             np.abs(x - lam)) > 1e-9 * model.scale:
         raise InconsistentNodes(
             f"{x.size} nodes do not match the spectrum at h={h}")
     k = _nearest_poles(model, x)
-    on = x == lam[k]
+    on = (x == lam[k]) | (a == 0.0)
     coords = np.empty((0, model.dim)) if coords is None else coords
     num = model.sqrt_weights * coords
     sums = cauchy_rows(lam, np.vstack((w, w, num.real, num.imag)), x,
@@ -336,16 +341,23 @@ def _node_data(model: SpectralModel, h: float, nodes,
         if j.size:
             r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
                                       (1, 2), skip=k[j])
-        step = h * (wk + rp * tau * tau) / (
-            1.0 + h * r + h * rp * tau) - tau
+        step = b * (wk + rp * tau * tau) / (
+            a + b * r + b * rp * tau) - tau
         near = tau + step
-        rq = cauchy_rows(lam, w, x, 2, skip=k, shift=step)
+        late = np.vstack((w, num.real, num.imag)) if a == 0.0 else w[None]
+        rq, *rows = cauchy_rows(lam, late, x, (2,) + (1,) * (len(late) - 1),
+                                skip=k, shift=step)
         r += step * (0.5 * (rp + rq))
-        t = (wk + rq * near * near) / (1.0 + h * r + h * rq * near)
-        root = h * t
+        t = (wk + rq * near * near) / (a + b * r + b * rq * near)
+        root = b * t
         rp = rq + (rq - rp) * np.where(step != 0.0, (root - near) / step,
                                        0.0)
         masses = t * (t / (wk + root * (root * rp)))
+        if a == 0.0:
+            # sqrt(w_k) psi_k / tau*: tau* sqrt(w_k) psi_k can underflow.
+            re, im = np.array(rows).reshape(2, len(num), x.size)
+            values = _complex(masses * (re - num.real[:, k] / root),
+                              masses * (im - num.imag[:, k] / root))
     big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
     bad = ~(np.abs(step) <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
                                        _NODE_ROUNDING_TOL * big))
@@ -374,7 +386,7 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     InconsistentNodes for nodes that are not the spectrum at h, and
     NumericalError naming a node whose mass rounds to 0.
     """
-    return _node_data(model, float(h), nodes)[0]
+    return _node_data(model, 1.0, float(h), nodes)[0]
 
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:

@@ -23,7 +23,6 @@ from .errors import (
 )
 from .herglotz import (
     _clear_of_zero,
-    _complex,
     _csum,
     _derivative,
     _guard,
@@ -66,7 +65,7 @@ def _sample(model: SpectralModel, h: float, *states: StateVector):
     for phi in states:
         check_dims(model, phi)
     nodes = perturbed_spectrum(model, Coupling.finite(h))
-    return (nodes, *_node_data(model, float(h), nodes,
+    return (nodes, *_node_data(model, 1.0, float(h), nodes,
                                np.array([phi.coords for phi in states])))
 
 
@@ -125,8 +124,8 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     for start in range(0, max(1, points.size), slab):
         coords = np.array([np.conj(xi(model, point).coords)
                            for point in points[start:start + slab]])
-        masses, values = _node_data(model, float(samples.h), samples.nodes,
-                                    coords.reshape(-1, model.dim))
+        masses, values = _node_data(model, 1.0, float(samples.h),
+                                    samples.nodes, coords.reshape(-1, model.dim))
         out[start:start + slab] = [_csum(row * samples.values)
                                    for row in masses * values]
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
@@ -148,7 +147,8 @@ def to_partial_fractions(model: SpectralModel,
     """Expand the image of phi as constant + simple poles.
 
     Requires unit total weight so that mu and the normalized omega vectors
-    form an orthonormal basis.
+    form an orthonormal basis.  Each coefficient is the residue N/F' at
+    the exact zero of F, by the node rule (see _node_data).
     """
     check_dims(model, phi)
     if abs(model.mu_norm_sq - 1.0) > _UNIT_WEIGHT_TOL:
@@ -156,32 +156,24 @@ def to_partial_fractions(model: SpectralModel,
             f"total weight {model.mu_norm_sq!r} != 1; normalize the model first"
         )
     poles = perturbed_spectrum(model, Coupling.infinite())
-    c = mu_inner(model, phi)
-    # Against omega_n = sqrt(w)/(lam - x_n), ||omega_n||^2 = F'(x_n) at a
-    # zero of F.
-    num = model.sqrt_weights * phi.coords
-    re, im, fp = cauchy_rows(model.eigenvalues,
-                             np.stack((num.real, num.imag, model.weights)),
-                             poles, (1, 1, 2))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coeffs = _complex(re / fp, im / fp)
-    bad = ~np.isfinite(coeffs)
-    if bad.any():
-        j = int(bad.argmax())
-        raise NumericalError(f"the coefficient at pole {float(poles[j])!r} "
-                             "is not a finite double")
-    return MeromorphicRep(constant=c, poles=poles, coefficients=coeffs)
+    coeffs = _node_data(model, 0.0, 1.0, poles, phi.coords[None])[1][0]
+    return MeromorphicRep(constant=mu_inner(model, phi), poles=poles,
+                          coefficients=coeffs)
 
 
 def from_partial_fractions(model: SpectralModel,
                            rep: MeromorphicRep) -> StateVector:
-    """Preimage of a partial-fraction function under the transform."""
+    """Preimage of a partial-fraction function under the transform; a pole
+    on an eigenvalue, where it would divide by zero, is a NumericalError."""
     poles = perturbed_spectrum(model, Coupling.infinite())
     if rep.poles.size != poles.size or (
         rep.poles.size
         and np.max(np.abs(rep.poles - poles)) > 1e-9 * model.scale
     ):
         raise PoleMismatch("rep poles do not match the model's pole set")
+    on = rep.poles[np.isin(rep.poles, model.eigenvalues)]
+    if on.size:
+        raise NumericalError(f"pole {float(on[0])!r} lies on an eigenvalue")
     # Coordinate j is sqrt(w_j) (c + sum_n c_n / (lam_j - x_n)).
     return StateVector(model.sqrt_weights * (
         rep.constant

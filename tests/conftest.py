@@ -56,20 +56,20 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
     return StateVector(rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
-def mp_root_masses(m: SpectralModel, h: float, nodes) -> np.ndarray:
-    """The masses 1/(h^2 F') at the exact secular roots next to the nodes,
-    at 60 digits.  From each node's offset tau from its nearest eigenvalue
-    lam_k, Newton steps on the pole-free (1 + h R) tau - h w_k (R, R' the
-    sums of F, F' over the other poles) until a step is below 1e-30 of the
-    root, which leaves it good to about 60 digits; the mass is
-    tau^2 / (h^2 (w_k + tau^2 R')), with R' from the last step."""
+def _mp_roots(m: SpectralModel, a, b, nodes) -> list:
+    """For each node, its nearest eigenvalue's index k, and the exact root
+    of a + b F next to it as its offset tau from lam_k with R' there, at 60
+    digits (mpmath numbers; use them inside mpmath.workdps(60)).  Newton
+    steps on the pole-free (a + b R) tau - b w_k (R, R' the sums of F, F'
+    over the other poles) run until a step is below 1e-30 of the root,
+    which leaves it good to about 60 digits."""
     mp = pytest.importorskip("mpmath")
     lam = m.eigenvalues
     out = []
     with mp.workdps(60):
         lm = [mp.mpf(float(v)) for v in lam]
         wm = [mp.mpf(float(v)) for v in m.weights]
-        hm, tol = mp.mpf(h), mp.mpf(1e-30)
+        am, bm, tol = mp.mpf(a), mp.mpf(b), mp.mpf(1e-30)
         for x in nodes:
             k = int(np.argmin(np.abs(lam - x)))
             others = [(lj - lm[k], wj) for j, (lj, wj) in enumerate(zip(lm, wm))
@@ -79,14 +79,46 @@ def mp_root_masses(m: SpectralModel, h: float, nodes) -> np.ndarray:
                 inv = [1 / (d - tau) for d, _ in others]
                 q = [wj * v for (_, wj), v in zip(others, inv)]
                 r = mp.fsum(q)
-                rp = mp.fsum(a * v for a, v in zip(q, inv))
-                new = hm * (wm[k] + rp * tau ** 2) / (1 + hm * r
-                                                      + hm * rp * tau)
+                rp = mp.fsum(qj * v for qj, v in zip(q, inv))
+                new = bm * (wm[k] + rp * tau ** 2) / (am + bm * r
+                                                      + bm * rp * tau)
                 done = abs(new - tau) <= tol * abs(new)
                 tau = new
                 if done:
                     break
             else:
                 raise AssertionError(f"the oracle did not converge at {x!r}")
-            out.append(float(tau ** 2 / (hm ** 2 * (wm[k] + tau ** 2 * rp))))
+            out.append((k, tau, rp))
+    return out
+
+
+def mp_root_masses(m: SpectralModel, h: float, nodes) -> np.ndarray:
+    """The masses 1/(h^2 F') at the exact secular roots next to the nodes,
+    at 60 digits: tau^2 / (h^2 (w_k + tau^2 R')) at the roots of
+    _mp_roots."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        hm = mp.mpf(h)
+        return np.array([
+            float(tau ** 2 / (hm ** 2 * (mp.mpf(float(m.weights[k]))
+                                         + tau ** 2 * rp)))
+            for k, tau, rp in _mp_roots(m, 1, h, nodes)])
+
+
+def mp_residues(m: SpectralModel, poles, phi: StateVector) -> np.ndarray:
+    """The residues N/F' of the image of phi at the exact zeros of F next
+    to the poles, at 60 digits, N(x) = sum sqrt(w_j) phi_j/(lam_j - x) and
+    F' = w_k/tau^2 + R' at the roots of _mp_roots."""
+    mp = pytest.importorskip("mpmath")
+    out = []
+    with mp.workdps(60):
+        lm = [mp.mpf(float(v)) for v in m.eigenvalues]
+        wm = [mp.mpf(float(v)) for v in m.weights]
+        num = [mp.sqrt(wj) * mp.mpc(complex(c))
+               for wj, c in zip(wm, phi.coords)]
+        for k, tau, rp in _mp_roots(m, 0, 1, poles):
+            n = mp.fsum(c / ((lj - lm[k]) - tau)
+                        for j, (c, lj) in enumerate(zip(num, lm))
+                        if j != k) - num[k] / tau
+            out.append(complex(n / (wm[k] / tau ** 2 + rp)))
     return np.array(out)

@@ -159,7 +159,7 @@ def test_verify_with_a_pole_on_an_eigenvalue_is_a_numerical_failure(
         files, capsys):
     model = _explicit(layout_model(20, "pole-at-0", True, 5))
     assert main(["verify", "--model", files("m.json", model)]) == 3
-    assert "coefficient at pole" in capsys.readouterr().err
+    assert "on an eigenvalue" in capsys.readouterr().err
 
 
 # Extreme model files for the exit-code sweep: the reproducers of past
@@ -288,10 +288,18 @@ def test_determinism(files, capsys):
     first = capsys.readouterr().out
     assert main(["verify", "--model", model, "--seed", "11"]) == 0
     assert capsys.readouterr().out == first
-    assert main(["demo", "--seed", "1"]) == 0
+    assert main(["demo"]) == 0
     demo1 = capsys.readouterr().out
-    assert main(["demo", "--seed", "1"]) == 0
+    assert main(["demo"]) == 0
     assert capsys.readouterr().out == demo1
+
+
+def test_demo_takes_no_seed(capsys):
+    # demo draws nothing at random, so a seed is a usage error.
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_demo_output_shape(capsys):

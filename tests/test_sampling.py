@@ -39,7 +39,9 @@ from specsample import (
 )
 
 from conftest import (
+    LAYOUTS,
     layout_model,
+    mp_residues,
     mp_root_masses,
     random_model,
     random_state,
@@ -409,17 +411,38 @@ def test_inner_h_takes_the_mass_first():
     assert inner_h(m, 1e8, PHI3, PHI3) == pytest.approx(15.0, rel=1e-7)
 
 
-def test_a_pole_on_an_eigenvalue_is_a_numerical_failure():
-    # With weights down to 1e-40 or 1e-299 zeros of F round onto an
-    # eigenvalue, where the coefficient N/F' is inf/inf.
-    models = [layout_model(20, layout, True, 5)
-              for layout in ("pole-at-0", "clusters", "offset-1e8",
-                             "spread-1e12")]
-    models.append(new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0]))
-    for m in map(normalize, models):
+def test_a_pole_on_an_eigenvalue_has_a_residue_but_no_preimage():
+    # With weights down to 1e-299 zeros of F round onto an eigenvalue.  The
+    # node rule still takes their residues at the exact zeros, so the
+    # expansion evaluates the image, but the preimage would divide by
+    # lam_j - x_n = 0 there.
+    for layout in LAYOUTS:
+        m = normalize(layout_model(20, layout, True, 5))
         phi = random_state(np.random.default_rng(5), m.dim)
-        with pytest.raises(NumericalError, match="coefficient at pole"):
-            to_partial_fractions(m, phi)
+        rep = to_partial_fractions(m, phi)
+        assert np.isin(rep.poles, m.eigenvalues).any()
+        rng = np.random.default_rng(6)
+        lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
+        for _ in range(10):
+            z = complex(rng.uniform(lo, hi), (hi - lo) * rng.uniform(0.3, 3))
+            assert evaluate_rep(rep, z) == pytest.approx(transform(m, phi, z),
+                                                         rel=1e-12)
+        with pytest.raises(NumericalError, match="on an eigenvalue"):
+            from_partial_fractions(m, rep)
+    # Both zeros of F round onto the eigenvalue 1, where R = 0, so no Newton
+    # step from there is finite.
+    m = normalize(new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0]))
+    with pytest.raises(NumericalError):
+        to_partial_fractions(m, PHI3)
+
+
+def test_partial_fractions_where_f_prime_overflows():
+    # The zero of F at 6.7e-300 has (lam_k - x)^2 = 0 in doubles, so F' is
+    # inf there while its residue is about -3e-150.
+    m = normalize(new_model([0.0, 1.0, 2.0], [1e-299, 1.0, 1.0]))
+    back = from_partial_fractions(m, to_partial_fractions(m, PHI3))
+    assert abs(back.coords[0] - 1.0) <= 1e-12
+    np.testing.assert_allclose(back.coords, PHI3.coords, rtol=1e-12)
 
 
 def _cross_check_models():
@@ -503,19 +526,29 @@ def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
             assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
-def test_partial_fraction_coefficients_match_the_pole_by_pole_sums():
-    # N and F' at the poles come from one stacked pass; each coefficient
-    # is N/F' from one math.fsum per pole and part.
+# Eigenvalues offset to 1e8 with weights U(0.1, 1) are left out: a zero
+# of F there can lie 1e-3 from its eigenvalue and a few 1e-3 from the next,
+# so the double zero is 4e-6 of tau off the root and N_R, summed one
+# Newton step from it, is up to 4e-12 off (ROADMAP, direction 2).
+@pytest.mark.parametrize("case", [f"N={n}" for n in (2, 9, 60, 200)] + [
+    f"{layout}-{weights}" for layout in LAYOUTS
+    for weights in ("tiny", "gentle") if layout != "offset-1e8"
+    or weights == "tiny"] + ["weight-1e-299"])
+def test_partial_fraction_coefficients_are_the_residues_at_the_exact_zeros(
+        case):
+    # Each coefficient is N/F' at the exact zero next to its pole, within
+    # 1e-13 of the 60-digit residue, also where the pole is on an
+    # eigenvalue or F' overflows there.
     rng = np.random.default_rng(99)
-    for n in (2, 9, 60):
-        m = random_model(rng, n)
-        phi = random_state(rng, n)
-        rep = to_partial_fractions(m, phi)
-        c = m.sqrt_weights * phi.coords
-        want = []
-        for x in rep.poles:
-            d = m.eigenvalues - x
-            fp = math.fsum(m.weights / (d * d))
-            want.append(complex(math.fsum(c.real / d) / fp,
-                                math.fsum(c.imag / d) / fp))
-        assert rep.coefficients.tobytes() == np.array(want).tobytes()
+    if case.startswith("N="):
+        n = int(case[2:])
+        m, phi = random_model(rng, n), random_state(rng, n)
+    elif case == "weight-1e-299":
+        m, phi = normalize(new_model([0.0, 1.0, 2.0], [1e-299, 1.0, 1.0])), PHI3
+    else:
+        layout, weights = case.rsplit("-", 1)
+        m = normalize(layout_model(20, layout, weights == "tiny", 5))
+        phi = random_state(rng, m.dim)
+    rep = to_partial_fractions(m, phi)
+    np.testing.assert_allclose(rep.coefficients,
+                               mp_residues(m, rep.poles, phi), rtol=1e-13)
