@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximity, ValidationError, ZeroOfF
+from .errors import NumericalError, PoleProximity, ValidationError, ZeroOfF
 from .model import SpectralModel
 
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
@@ -115,8 +115,8 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     math.fsum bit for bit on every machine (see _row_sums); complex
     coefficients are divided part by part.  A point on a pole gives an
     infinite or NaN row.  Optional per-point arrays: skip, the index of one
-    pole whose term is left out (-1 for none); shift, an offset below the
-    point's rounding, taken as d_j = (poles_j - x) - shift.
+    pole whose term is left out (-1 for none); shift, an offset from the
+    point, taken as d_j = (poles_j - x) - shift.
     """
     n = poles.size
     sets = coeffs.reshape(-1, n)
@@ -259,8 +259,11 @@ def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
 
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
-    """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'."""
-    _, _, f, fp = _regular(model, z, derivative=True)
+    """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
+    NumericalError where F^2 underflows (|z| past about 1e154)."""
+    z, _, f, fp = _regular(model, z, derivative=True)
+    if f * f == 0:
+        raise NumericalError(f"F(z)^2 underflows at z={z}")
     f_h = f / (1.0 + h * f)
     g_h = h + 1.0 / f
     g_h_prime = -fp / (f * f)

@@ -18,8 +18,8 @@ to seven evaluations.  The safeguard doubles steps that stop shrinking and
 takes the bracket's bit midpoint for a point outside the bracket or one
 that would leave it behind a bisection schedule, so no root takes more
 than 65 + _FREE_STEPS evaluations.  A root is done when its bracket is two
-adjacent doubles or both ends give the same node, and the end with the
-smaller |a + b F| is returned.
+adjacent doubles, and the end with the smaller |a + b F| is returned, as
+the double x = lam_k + tau with its origin k and offset tau.
 """
 from __future__ import annotations
 
@@ -35,10 +35,12 @@ from .model import Coupling, SpectralModel, new_model
 _FREE_STEPS = 16
 
 
-def _secular_roots(model: SpectralModel, a: float,
-                   b: float) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of a + b F(x), one per gap, in increasing order, and the
-    number of evaluations of a + b F each took.
+def _secular_roots(model: SpectralModel, a: float, b: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Roots of a + b F(x), one per gap, in increasing order: each as a
+    double x, the index k of its origin and its offset tau from lam_k (x is
+    lam_k + tau rounded), and the number of evaluations of a + b F each
+    took.
 
     With a != 0 the exterior root in (lam_N, lam_N + b ||mu||^2] (b > 0) or
     [lam_1 + b ||mu||^2, lam_1) (b < 0) is included; there |F| <= 1/|b| at
@@ -163,14 +165,10 @@ def _secular_roots(model: SpectralModel, a: float,
         up = np.zeros(rows, dtype=bool)
         proposed = np.full(rows, 1 << 62)
         taken = np.zeros(rows, dtype=np.int64)
-        base = lam[origin]
         step = 0
         while True:
-            # Roots whose bracket is two adjacent doubles, or whose bracket
-            # ends give the same node, are done.
-            x_lo = base + np.copysign(lo.view(np.float64), sign)
-            done = (hi - lo <= 1) | (
-                x_lo == base + np.copysign(hi.view(np.float64), sign))
+            # Roots whose bracket is two adjacent doubles are done.
+            done = hi - lo <= 1
             if done.any():
                 k = live[done]
                 ends[:, k] = (lo[done].view(np.float64),
@@ -178,11 +176,10 @@ def _secular_roots(model: SpectralModel, a: float,
                               v_hi[done])
                 steps[k] += step
                 keep = ~done
-                (live, origin, base, cut, sign, other, lo, hi, v_lo, v_hi,
-                 up, proposed, taken, guess) = (
-                    v[keep] for v in (live, origin, base, cut, sign, other,
-                                      lo, hi, v_lo, v_hi, up, proposed, taken,
-                                      guess))
+                (live, origin, cut, sign, other, lo, hi, v_lo, v_hi, up,
+                 proposed, taken, guess) = (
+                    v[keep] for v in (live, origin, cut, sign, other, lo, hi,
+                                      v_lo, v_hi, up, proposed, taken, guess))
                 if not live.size:
                     break
             # The guess's step from the last point towards the root, in
@@ -230,13 +227,34 @@ def _secular_roots(model: SpectralModel, a: float,
             )
         # Past its gap's midpoint by less than one bit, a root has no value
         # at hi yet.
-        k = np.flatnonzero(np.isnan(ends[3]) & (x_lo != x_hi))
+        k = np.flatnonzero(np.isnan(ends[3]))
         if k.size:
             ends[3, k] = evaluate(final_origin[k], final_cut[k],
                                   tau_hi[k])[0]
             steps[k] += 1
         nearer = np.abs(ends[2]) < np.abs(ends[3])
-    return np.where(nearer, x_lo, x_hi), steps
+    return (np.where(nearer, x_lo, x_hi), final_origin,
+            np.where(nearer, tau_lo, tau_hi), steps)
+
+
+# The last solve, as (model, a, b, roots), so that the node rule takes the
+# offsets of the nodes perturbed_spectrum has just handed out from the same
+# solve: sample, perturbed_model and to_partial_fractions solve once.
+_last_solve = None
+
+
+def _roots(model: SpectralModel, a: float,
+           b: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The roots of a + b F as (x, k, tau), x = lam_k + tau rounded (see
+    _secular_roots); at b = 0 the eigenvalues, each its own origin."""
+    global _last_solve
+    last = _last_solve
+    if last is not None and last[0] is model and last[1:3] == (a, b):
+        return last[3]
+    roots = ((model.eigenvalues, np.arange(model.dim), np.zeros(model.dim))
+             if b == 0.0 else _secular_roots(model, a, b)[:3])
+    _last_solve = model, a, b, roots
+    return roots
 
 
 def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
@@ -247,19 +265,15 @@ def perturbed_spectrum(model: SpectralModel, coupling: Coupling) -> np.ndarray:
     infinite coupling yields the N-1 zeros of F.  Raises NumericalError
     when the exterior root is beyond the largest double.
     """
-    if coupling.is_infinite:
-        return _secular_roots(model, 0.0, 1.0)[0]
-    h = float(coupling.value)
-    if h == 0.0:
-        return model.eigenvalues.copy()
-    return _secular_roots(model, 1.0, h)[0]
+    a, b = (0.0, 1.0) if coupling.is_infinite else (1.0, coupling.value)
+    return _roots(model, a, float(b))[0].copy()
 
 
-# Newton-step distance, relative to the model scale, above which supplied
-# nodes are rejected as belonging to a different coupling.  A raw residual
-# bound would misfire at roots that hug a pole with a tiny weight: there F'
-# is huge and cancellation inflates |1 + h F| even for a correctly placed
-# node, while the root distance |delta_j| (see _node_data) stays tiny.
+# Distance to the solver's root, relative to the model scale, above which
+# supplied nodes are rejected as belonging to a different coupling.  A raw
+# residual bound would misfire at roots that hug a pole with a tiny weight:
+# there F' is huge and cancellation inflates |1 + h F| even for a correctly
+# placed node, while its distance to the root stays tiny.
 _NODE_DISTANCE_TOL = 1e-7
 # Far from 0 (a large |h|, or eigenvalues offset far from 0) a node is only
 # known to a few rounding errors of the largest magnitude in play, |x_j| or
@@ -269,15 +283,6 @@ _NODE_DISTANCE_TOL = 1e-7
 _NODE_ROUNDING_TOL = 64 * np.finfo(float).eps
 
 
-def _nearest_poles(model: SpectralModel, x: np.ndarray) -> np.ndarray:
-    """Index of the eigenvalue nearest each real point (the lower one on a
-    tie)."""
-    lam = model.eigenvalues
-    k = np.clip(np.searchsorted(lam, x), 1, lam.size - 1)
-    k -= np.abs(lam[k - 1] - x) <= np.abs(lam[k] - x)
-    return k
-
-
 def _node_data(model: SpectralModel, a: float, b: float, nodes,
                coords: np.ndarray | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,93 +290,79 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     coupling h and (0, 1) at the zeros of F, and image values there: the
     one rule that accepts or rejects node data.
 
-    Every node's mass is 1/(b^2 F') at its exact root (1/||xi||^2 at a
-    secular root), by one rule.  With lam_k the nearest eigenvalue,
-    tau = x - lam_k and R, R' the sums of F, F' over the other poles, the
-    root solves the pole-free (a + b R) tau - b w_k = 0.  A Newton step
-    from the node gives delta_j, and R' is summed again at x_j + delta_j;
-    a second step, with R by the trapezoid rule and R' along its secant,
-    reaches the root tau*.  The mass tau*^2 / (b^2 (w_k + tau*^2 R')) is
-    evaluated as t (t / (w_k + tau*^2 R')), t = tau*/b from the second
-    step's quotient, so that it neither overflows nor underflows.  At h = 0
-    the same rule gives w_k exactly (delta_j = -tau, t = w_k).  An image
-    value belongs to the node it is returned with: N(x_j)/F(x_j), N(x) =
-    sum sqrt(w_j) psi_j/(lam_j - x), and where w_k/(lam_k - x_j) is not a
-    finite double (on lam_k, or where the term overflows) the limit
-    psi_k/sqrt(w_k); at a zero of F, the residue N/F' = mass (N_R -
-    sqrt(w_k) psi_k / tau*), N_R summed over the other poles next to the
-    root.  InconsistentNodes: a node count other than the number of roots,
-    nodes more than 1e-9 times the scale off the eigenvalues at h = 0, or
-    |delta_j| above _NODE_DISTANCE_TOL times the scale (or a few rounding
-    errors).  NumericalError names a node whose mass rounds to 0.
+    Each node is matched to its root in the solve at (a, b), held as the
+    offset tau from its origin lam_k (_roots), and its mass is 1/(b^2 F')
+    there (1/||xi||^2 at a secular root).  One cauchy_rows pass at the root
+    sums R and R', F and F' over the other poles; the root solves
+    (a + b R) tau = b w_k, so t = tau/b is (w_k + R' tau^2) /
+    (a + b R + b R' tau), finite at a subnormal tau and w_k at h = 0, and
+    the mass tau^2 / (b^2 (w_k + tau^2 R')) is t (t / (w_k + (b t)^2 R')),
+    which neither overflows nor underflows.  An image value belongs to the
+    node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j /
+    (lam_j - x), from a second pass, and where w_k/(lam_k - x_j) is not a
+    finite double the limit psi_k/sqrt(w_k); at a zero of F, the residue
+    N/F' = mass (N_R - sqrt(w_k) psi_k / (b t)), N_R summed over the other
+    poles in the pass at the root.  Every row is certified correctly
+    rounded or else a math.fsum, so it equals the per-node sum bit for bit.
 
-    F, F' and the numerators N of the states given as coords (one row per
-    state) are summed in one stacked cauchy_rows pass, without the term of
-    lam_k for a node on lam_k or at a zero of F, each row certified
-    correctly rounded or else a math.fsum, so they equal the per-node sums
-    bit for bit.  R and R' are F and F' less the term of lam_k, or summed
-    without it where that term of F' overflows or its (lam_k - x)^2 is
-    subnormal.
+    InconsistentNodes: a node count other than the number of roots, or a
+    node farther from its root than 1e-9 times the scale at h = 0, else
+    _NODE_DISTANCE_TOL times the scale (or a few rounding errors).
+    NumericalError: two roots on one double, or a mass that rounds to 0
+    (naming an overflow of R').
     """
     x = np.asarray(nodes, dtype=float)
     lam, w = model.eigenvalues, model.weights
     h = b / a if a else math.inf
-    if x.size != model.dim - (a == 0.0) or b == 0.0 and np.max(
-            np.abs(x - lam)) > 1e-9 * model.scale:
+    root, k, tau = _roots(model, a, b)
+    if x.size != root.size:
         raise InconsistentNodes(
             f"{x.size} nodes do not match the spectrum at h={h}")
-    k = _nearest_poles(model, x)
-    on = (x == lam[k]) | (a == 0.0)
-    coords = np.empty((0, model.dim)) if coords is None else coords
-    num = model.sqrt_weights * coords
-    sums = cauchy_rows(lam, np.vstack((w, w, num.real, num.imag)), x,
-                       (1, 2) + (1,) * (2 * len(num)),
-                       skip=np.where(on, k, -1))
-    f, fp, wk, tau = sums[0], sums[1], w[k], x - lam[k]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        pole = wk / (lam[k] - x)
-        # numpy's complex division multiplies by a rounded reciprocal.
-        values = np.where(np.isfinite(pole), _complex(
-            sums[2:2 + len(num)] / f, sums[2 + len(num):] / f),
-            coords[:, k] / model.sqrt_weights[k])
-        pole[on] = 0.0
-        r, rp = f - pole, fp - pole * (pole / wk)
-        j = np.flatnonzero(~on & ~(np.isfinite(fp) & (
-            tau * tau >= np.finfo(float).tiny)))
-        if j.size:
-            r[j], rp[j] = cauchy_rows(lam, np.stack((w, w)), x[j],
-                                      (1, 2), skip=k[j])
-        step = b * (wk + rp * tau * tau) / (
-            a + b * r + b * rp * tau) - tau
-        near = tau + step
-        late = np.vstack((w, num.real, num.imag)) if a == 0.0 else w[None]
-        rq, *rows = cauchy_rows(lam, late, x, (2,) + (1,) * (len(late) - 1),
-                                skip=k, shift=step)
-        r += step * (0.5 * (rp + rq))
-        t = (wk + rq * near * near) / (a + b * r + b * rq * near)
-        root = b * t
-        rp = rq + (rq - rp) * np.where(step != 0.0, (root - near) / step,
-                                       0.0)
-        masses = t * (t / (wk + root * (root * rp)))
-        if a == 0.0:
-            # sqrt(w_k) psi_k / tau*: tau* sqrt(w_k) psi_k can underflow.
-            re, im = np.array(rows).reshape(2, len(num), x.size)
-            values = _complex(masses * (re - num.real[:, k] / root),
-                              masses * (im - num.imag[:, k] / root))
+    off = np.abs(x - root)
     big = np.maximum(np.abs(x), max(abs(lam[0]), abs(lam[-1])))
-    bad = ~(np.abs(step) <= np.maximum(_NODE_DISTANCE_TOL * model.scale,
-                                       _NODE_ROUNDING_TOL * big))
+    bad = ~(off <= (1e-9 * model.scale if b == 0.0 else np.maximum(
+        _NODE_DISTANCE_TOL * model.scale, _NODE_ROUNDING_TOL * big)))
     if bad.any():
         j = int(bad.argmax())
         raise InconsistentNodes(
-            f"node {float(x[j])!r} is about {abs(step[j]):.3e} off its "
-            f"secular root at h={h}"
+            f"node {float(x[j])!r} is about {off[j]:.3e} off its secular "
+            f"root at h={h}"
         )
+    same = np.flatnonzero(root[1:] == root[:-1])
+    if same.size:
+        raise NumericalError(f"two roots round to {float(root[same[0]])!r} "
+                             f"at h={h}")
+    coords = np.empty((0, model.dim)) if coords is None else coords
+    num = model.sqrt_weights * coords
+    wk = w[k]
+    sets = (w, w) + ((num.real, num.imag) if a == 0.0 else ())
+    r, rp, *rows = cauchy_rows(lam, np.vstack(sets), lam[k],
+                               (1, 2) + (1,) * (len(sets) - 2), skip=k,
+                               shift=tau)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t = (wk + rp * tau * tau) / (a + b * r + b * rp * tau)
+        bt = b * t
+        masses = t * (t / (wk + bt * (bt * rp)))
+        if a == 0.0:
+            # sqrt(w_k) psi_k / tau: tau sqrt(w_k) psi_k can underflow.
+            re, im = np.array(rows).reshape(2, len(num), x.size)
+            values = _complex(masses * (re - num.real[:, k] / bt),
+                              masses * (im - num.imag[:, k] / bt))
+        else:
+            f, *rows = cauchy_rows(lam, np.vstack((w, num.real, num.imag)),
+                                   x, skip=np.where(x == lam[k], k, -1))
+            re, im = np.array(rows).reshape(2, len(num), x.size)
+            # numpy's complex division multiplies by a rounded reciprocal.
+            values = np.where(np.isfinite(wk / (lam[k] - x)),
+                              _complex(re / f, im / f),
+                              coords[:, k] / model.sqrt_weights[k])
     lost = ~(masses > 0.0)  # an exact mass below the smallest subnormal
     if lost.any():
         j = int(lost.argmax())
+        why = ("F' over the other poles overflows there"
+               if np.isinf(rp[j]) else f"got {float(masses[j])!r}")
         raise NumericalError(f"node {float(x[j])!r} has no positive mass in "
-                             f"double precision (got {float(masses[j])!r})")
+                             f"double precision ({why})")
     return masses, values
 
 
@@ -379,10 +370,11 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     """Point masses m_h({x_j}) = 1/||xi(x_j)||^2 at the perturbed spectrum.
 
     At a secular root F(x_j) = -1/h exactly, so the mass reduces to
-    1/(h^2 F'(x_j)).  Every node takes it at its exact root by one rule,
-    tau*^2 / (h^2 (w_k + tau*^2 R')), tau* the root's offset from the
-    nearest eigenvalue lam_k and R' the sum of F' over the others (see
-    _node_data), so it stays accurate for roots that hug a pole.  Raises
+    1/(h^2 F'(x_j)).  Every node takes it at its exact root, matched to the
+    solve at h: tau^2 / (h^2 (w_k + tau^2 R')), tau the solver's offset of
+    the root from its origin lam_k and R' the sum of F' over the other
+    poles there (see _node_data), so it stays accurate for roots that hug
+    a pole or lie closer together than the rounding of x_j.  Raises
     InconsistentNodes for nodes that are not the spectrum at h, and
     NumericalError naming a node whose mass rounds to 0.
     """

@@ -9,6 +9,7 @@ Kramer form (an independent cross-check that uses the model).
 """
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -91,6 +92,8 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
             f"z={z} is too close to a pole of the reconstructed function"
         )
     g_h = 1.0 / f_h
+    if not cmath.isfinite(g_h):
+        raise NumericalError(f"G_h = 1/F_h overflows at z={z}")
     # G_h'(x_j) = -1/m_j turns the Lagrange weight into m_j G_h(z)/(x_j - z).
     return _csum(masses * samples.values * (g_h / d))
 
@@ -110,16 +113,16 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     samples' nodes.  z is a point (the result is a complex) or an array of
     points (an array of the same shape); the images of conj(xi(z)) at the
     nodes are summed for a whole slab of the grid (_KRAMER_TERMS
-    coordinates) in one stacked pass, which also takes F, F' and the
-    masses, so the masses are taken once per slab.  Raises
-    InconsistentNodes when the nodes are not the spectrum at the samples'
-    coupling, also for an empty grid.
+    coordinates) in one stacked pass, which also takes F, and the masses
+    at the roots of the solve the nodes are matched to, once per slab.
+    Raises InconsistentNodes when the nodes are not the spectrum at the
+    samples' coupling, also for an empty grid.
     """
     points = np.asarray(z, dtype=complex).ravel()
     out = np.empty(points.size, dtype=complex)
     # conj(xi(z)) at every point of a slab first, each through xi and its
-    # guards, then their images, F, F' and the masses at every node in one
-    # stacked pass; an empty grid still checks the nodes.
+    # guards, then their images and F at every node in one stacked pass,
+    # and the masses; an empty grid still checks the nodes.
     slab = max(1, _KRAMER_TERMS // max(model.dim, samples.nodes.size))
     for start in range(0, max(1, points.size), slab):
         coords = np.array([np.conj(xi(model, point).coords)

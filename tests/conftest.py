@@ -29,20 +29,24 @@ LAYOUTS = ["random", "pole-at-0", "clusters", "offset-1e8", "spread-1e12"]
 
 
 def layout_model(n: int, layout: str, tiny: bool, seed: int) -> SpectralModel:
-    """n eigenvalues U(-10, 10) arranged by layout (one of LAYOUTS), with
-    weights U(0.1, 1), or 10^U(-299, 0) if tiny, from numpy seed seed."""
+    """n eigenvalues U(-10, 10) arranged by layout (one of LAYOUTS, or
+    "clusters-offset-1e8", where the cluster gaps are a few ulps), with
+    weights U(0.1, 1), or 10^U(-299, 0) if tiny, from numpy seed seed.
+    Eigenvalues offset to 1e8 that round to one double are kept once, so
+    there may be fewer than n."""
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.uniform(-10, 10, n))
     if layout == "pole-at-0":
         lam -= lam[n // 2]
-    elif layout == "clusters":
+    elif layout.startswith("clusters"):
         lam = np.sort(np.round(lam / 4) * 4 + rng.uniform(0, 1e-6, n))
-    elif layout == "offset-1e8":
-        lam += 1e8
+    if layout.endswith("offset-1e8"):
+        lam = np.unique(lam + 1e8)
     elif layout == "spread-1e12":
         lam = np.sort(np.concatenate([rng.uniform(0, 1, n // 2),
                                       rng.uniform(2, 1e12, n - n // 2)]))
-    w = 10.0 ** rng.uniform(-299, 0, n) if tiny else rng.uniform(0.1, 1, n)
+    w = (10.0 ** rng.uniform(-299, 0, lam.size) if tiny
+         else rng.uniform(0.1, 1, lam.size))
     return new_model(lam, w)
 
 
@@ -57,31 +61,49 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
 
 
 def _mp_roots(m: SpectralModel, a, b, nodes) -> list:
-    """For each node, its nearest eigenvalue's index k, and the exact root
-    of a + b F next to it as its offset tau from lam_k with R' there, at 60
-    digits (mpmath numbers; use them inside mpmath.workdps(60)).  Newton
-    steps on the pole-free (a + b R) tau - b w_k (R, R' the sums of F, F'
-    over the other poles) run until a step is below 1e-30 of the root,
-    which leaves it good to about 60 digits."""
+    """For the roots of a + b F given in full as nodes, in order, each one's
+    gap end lam_k nearer the node, and the exact root in that gap as its
+    offset tau from lam_k with R' there, at 60 digits (mpmath numbers; use
+    them inside mpmath.workdps(60)).  Root i lies above lam_i, or below it
+    at b < 0 and a != 0, and the exterior root within |b| ||mu||^2 of its
+    edge.  Newton steps on the pole-free (a + b R) tau - b w_k (R, R' the
+    sums of F, F' over the other poles) start from the node, and a step
+    that leaves the gap is halved back into it (from lam_k, to half the
+    gap); they run until a step is below 1e-30 of the root, which leaves it
+    good to about 60 digits."""
     mp = pytest.importorskip("mpmath")
     lam = m.eigenvalues
+    n = lam.size
     out = []
     with mp.workdps(60):
         lm = [mp.mpf(float(v)) for v in lam]
         wm = [mp.mpf(float(v)) for v in m.weights]
         am, bm, tol = mp.mpf(a), mp.mpf(b), mp.mpf(1e-30)
-        for x in nodes:
-            k = int(np.argmin(np.abs(lam - x)))
+        edge = 2 * abs(bm) * mp.fsum(wm)
+        for i, x in enumerate(nodes):
+            lo = i - (a != 0 and b < 0)
+            if lo < 0 or lo + 1 < n and (abs(x - lam[lo + 1])
+                                         < abs(x - lam[lo])):
+                k = lo + 1
+                other = lm[lo] - lm[k] if lo >= 0 else -edge
+            else:
+                k = lo
+                other = lm[k + 1] - lm[k] if k + 1 < n else edge
             others = [(lj - lm[k], wj) for j, (lj, wj) in enumerate(zip(lm, wm))
                       if j != k]
             tau = mp.mpf(float(x)) - lm[k]
-            for _ in range(20):
+            if not 0 <= tau / other < 1:
+                tau = other / 2
+            for _ in range(200):
                 inv = [1 / (d - tau) for d, _ in others]
                 q = [wj * v for (_, wj), v in zip(others, inv)]
                 r = mp.fsum(q)
                 rp = mp.fsum(qj * v for qj, v in zip(q, inv))
                 new = bm * (wm[k] + rp * tau ** 2) / (am + bm * r
                                                       + bm * rp * tau)
+                if not 0 < new / other < 1:
+                    new = tau / 2 if new / other <= 0 and tau else (
+                        (tau + other) / 2)
                 done = abs(new - tau) <= tol * abs(new)
                 tau = new
                 if done:

@@ -1,10 +1,13 @@
 import json
 
+import numpy as np
 import pytest
 
+from specsample import sample
 from specsample.cli import main
+from specsample.serialize import samples_to_dict
 
-from conftest import layout_model
+from conftest import layout_model, random_state
 
 M2 = {"kind": "explicit", "eigenvalues": [0.0, 2.0], "weights": [0.5, 0.5]}
 MU = {"coords": [[0.7071067811865476, 0.0], [0.7071067811865476, 0.0]]}
@@ -150,9 +153,11 @@ TINY_GAP = {"kind": "explicit", "eigenvalues": [0.0, 1e-310, 1.0],
 @pytest.mark.parametrize("coupling", ["1.3", "-1.3", "1e8"])
 def test_spectrum_on_poles_closer_than_the_overflow_is_a_numerical_failure(
         files, capsys, coupling):
+    # w/(lam_j - x)^2 overflows for the other pole of the pair, so the mass
+    # at the root is lost: R', the sum of F' over the other poles, is inf.
     assert main(["spectrum", "--model", files("m.json", TINY_GAP),
                  "--coupling", coupling]) == 3
-    assert "off its secular root" in capsys.readouterr().err
+    assert "F' over the other poles overflows" in capsys.readouterr().err
 
 
 def test_verify_with_a_pole_on_an_eigenvalue_is_a_numerical_failure(
@@ -229,6 +234,19 @@ def test_reconstruct_grid_at_node(files, capsys):
     sfile = files("samples.json", samples)
     grid = files("grid.json", {"points": [[samples["nodes"][0], 0.0]]})
     assert main(["reconstruct", "--samples", sfile, "--grid", grid]) == 3
+
+
+@pytest.mark.parametrize("point", [[1e300, 0.0], [0.0, -1e300]])
+def test_reconstruct_where_g_h_overflows_is_a_numerical_failure(files, capsys,
+                                                                 point):
+    # Tiny masses make F_h = sum m_j/(x_j - z) so small at |z| = 1e300 that
+    # G_h = 1/F_h is past the largest double.
+    m = layout_model(40, "random", True, 3)
+    phi = random_state(np.random.default_rng(3), 40)
+    sfile = files("samples.json", samples_to_dict(sample(m, phi, 1.3)))
+    grid = files("grid.json", {"points": [point]})
+    assert main(["reconstruct", "--samples", sfile, "--grid", grid]) == 3
+    assert "G_h = 1/F_h overflows" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples,grid", [

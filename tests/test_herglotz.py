@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -17,7 +16,8 @@ from specsample import (
     xi_norm_sq,
 )
 from specsample.herglotz import cauchy_rows
-from specsample.sampling import apply_perturbed
+from specsample.perturbation import _secular_roots
+from specsample.sampling import apply_perturbed, to_partial_fractions
 
 from conftest import random_model, random_state
 
@@ -184,49 +184,42 @@ def test_cauchy_rows_match_per_node_fsum(n, h):
     for power in (1, 2):
         assert (cauchy_rows(lam, w, nodes, power).tobytes()
                 == _per_node_sums(lam, w, nodes, power).tobytes())
-    c = m.sqrt_weights * random_state(rng, n).coords
+    phi = random_state(rng, n)
+    c = m.sqrt_weights * phi.coords
     assert np.array_equal(cauchy_rows(lam, c, nodes).real,
                           [math.fsum(c.real / (lam - x)) for x in nodes])
     assert np.array_equal(cauchy_rows(lam, c, nodes).imag,
                           [math.fsum(c.imag / (lam - x)) for x in nodes])
-    if h is not None:
-        want = _per_node_masses(lam, w, h, nodes)
-        assert node_weights(m, h, nodes).tobytes() == want.tobytes()
+    # The node rule's masses, and at the zeros of F its residues, equal
+    # their per-root reference bit for bit.
+    masses, residues = _per_root_data(m, *((0.0, 1.0) if h is None
+                                           else (1.0, h)), c)
+    if h is None:
+        assert (to_partial_fractions(m, phi).coefficients.tobytes()
+                == residues.tobytes())
+    else:
+        assert node_weights(m, h, nodes).tobytes() == masses.tobytes()
 
 
-def _per_node_masses(lam, w, h, nodes):
-    """node_weights one node at a time.  R, R': F, F' at the node less the
-    term of the nearest eigenvalue lam_k (summed without it on lam_k, or
-    where that term of F' overflows or its square is subnormal); one
-    Newton step on (1 + h R) tau - h w_k from tau = x - lam_k to near, where
-    R' is summed again; a second step with R by the trapezoid rule, and R'
-    along its secant, to the root; mass tau*^2 / (h^2 (w_k + tau*^2 R'))."""
-    out = []
-    for x in nodes:
-        k = int(np.argmin(np.abs(lam - x)))
+def _per_root_data(m, a, b, c):
+    """The node rule one root at a time, as its reference.  R, R' and, at
+    a = 0, the numerator N_R with coefficients c are math.fsum sums over
+    the poles other than the root's origin lam_k at
+    d_j = (lam_j - lam_k) - tau, (k, tau) the solver's; t = tau/b is the
+    quotient (w_k + R' tau^2) / (a + b R + b R' tau), the mass
+    t (t / (w_k + (b t)^2 R')) and the residue mass (N_R - c_k / (b t))."""
+    lam, w = m.eigenvalues, m.weights
+    _, origin, offset, _ = _secular_roots(m, a, b)
+    masses, residues = [], []
+    for k, tau in zip(origin, offset):
         rest = np.arange(lam.size) != k
-        d = lam - x
-        on = x == lam[k]
-        if on:
-            pole = 0.0
-            f = math.fsum(w[rest] / d[rest])
-            fp = math.fsum(w[rest] / (d[rest] * d[rest]))
-        else:
-            pole = w[k] / (lam[k] - x)
-            f, fp = math.fsum(w / d), math.fsum(w / (d * d))
-        r, rp = f - pole, fp - pole * (pole / w[k])
-        tau = x - lam[k]
-        if not on and not (math.isfinite(fp)
-                           and tau * tau >= sys.float_info.min):
-            r = math.fsum(w[rest] / d[rest])
-            rp = math.fsum(w[rest] / (d[rest] * d[rest]))
-        step = h * (w[k] + rp * tau * tau) / (1.0 + h * r + h * rp * tau) - tau
-        near = tau + step
-        e = d[rest] - step
-        rq = math.fsum(w[rest] / (e * e))
-        r += step * (0.5 * (rp + rq))
-        t = (w[k] + rq * near * near) / (1.0 + h * r + h * rq * near)
-        root = h * t
-        rp = rq + (rq - rp) * ((root - near) / step if step != 0.0 else 0.0)
-        out.append(t * (t / (w[k] + root * (root * rp))))
-    return np.array(out)
+        d = (lam[rest] - lam[k]) - tau
+        r, rp = math.fsum(w[rest] / d), math.fsum(w[rest] / (d * d))
+        t = (w[k] + rp * tau * tau) / (a + b * r + b * rp * tau)
+        bt = b * t
+        mass = t * (t / (w[k] + bt * (bt * rp)))
+        masses.append(mass)
+        residues.append(complex(
+            mass * (math.fsum(c.real[rest] / d) - c.real[k] / bt),
+            mass * (math.fsum(c.imag[rest] / d) - c.imag[k] / bt)))
+    return np.array(masses), np.array(residues)

@@ -118,6 +118,12 @@ def test_node_weights_rejects_foreign_nodes(m2):
     nodes = perturbed_spectrum(m, Coupling.finite(0.55))
     with pytest.raises(InconsistentNodes):
         node_weights(m, 0.37, nodes)
+    # The node rule keeps the solve the nodes came from, not the nodes: a
+    # node moved after the solve is still checked against its root.
+    nodes = perturbed_spectrum(m2, Coupling.finite(1.0))
+    nodes[0] += 0.1
+    with pytest.raises(InconsistentNodes):
+        node_weights(m2, 1.0, nodes)
 
 
 def test_node_weights_reject_a_partial_node_set_at_every_coupling():
@@ -480,7 +486,7 @@ def test_exterior_root_where_newton_on_v_points_away(seed, h):
 
 def _check_against_bisection(m, h):
     a, b = (0.0, 1.0) if h is None else (1.0, h)
-    got, steps = _secular_roots(m, a, b)
+    got, _, _, steps = _secular_roots(m, a, b)
     want = _bisection_roots(m, a, b)
     # 65 + _FREE_STEPS bounds every root; these take far fewer.
     assert steps.min() >= 1 and steps.max() <= 24
@@ -496,7 +502,7 @@ def test_most_roots_take_a_few_evaluations(h):
     rng = np.random.default_rng(73)
     m = new_model(np.sort(rng.uniform(-10, 10, 200)),
                   rng.uniform(0.1, 1.0, 200))
-    _, steps = _secular_roots(m, *((0.0, 1.0) if h is None else (1.0, h)))
+    *_, steps = _secular_roots(m, *((0.0, 1.0) if h is None else (1.0, h)))
     assert np.median(steps) <= 8
 
 

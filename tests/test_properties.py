@@ -55,21 +55,22 @@ def test_jacobi_truncation_is_exact_or_refused(n, spread, ramp, seed):
 
 @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
 @hypothesis.given(n=st.integers(2, 30),
-                  layout=st.sampled_from(LAYOUTS),
+                  layout=st.sampled_from(LAYOUTS + ["clusters-offset-1e8"]),
                   tiny=st.booleans(), log_h=st.floats(-8.0, 8.0),
                   sign=st.sampled_from([1.0, -1.0]),
                   seed=st.integers(0, 2**32 - 1))
-# Roots next to the pole at 0 where F' at the node cannot give R' by
-# subtracting the pole's term: 1e-157 away, (lam_k - x)^2 is subnormal and
-# F' inexact; 6.7e-154 away, the rounding of F' = 1.4e156 swamps R' = 2e-10,
-# and R' along its secant must not divide that by the first step, 1e-169.
+# Roots next to the pole at 0, 1e-157 and 6.7e-154 away, where F' at the
+# node is inexact or 1.4e156 against R' = 2e-10: their masses need R' summed
+# without the pole's term.
 @hypothesis.example(n=19, layout="pole-at-0", tiny=True, log_h=0.0,
                     sign=-1.0, seed=129)
 @hypothesis.example(n=23, layout="pole-at-0", tiny=True, log_h=-2.984375,
                     sign=1.0, seed=23)
 def test_node_masses_are_the_root_masses(n, layout, tiny, log_h, sign, seed):
     # The aim-3 regimes, one eigenvalue layout at a time: an eigenvalue at
-    # 0, clusters 1e-6 wide, an offset of 1e8, a spread of 1e12; weights
+    # 0, clusters 1e-6 wide, an offset of 1e8, a spread of 1e12, clusters
+    # offset to 1e8, where a root's offset from its pole is a few ulps of
+    # the node and only the solver's offset locates the root; weights
     # U(0.1, 1) or 10^U(-299, 0); |h| from 1e-8 to 1e8.  The masses sum to
     # ||mu||^2 and match the 60-digit root masses; a mass below the
     # smallest normal double can only be matched to that double.

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -30,6 +31,7 @@ from specsample import (
     new_model,
     normalize,
     omega_state,
+    perturbed_model,
     perturbed_spectrum,
     reconstruct,
     sample,
@@ -158,8 +160,8 @@ def test_unitarity():
         assert abs(lhs - rhs) <= 1e-10 * phi.norm() * psi.norm()
 
 
-def test_inner_h_solves_once_and_matches_two_samples(monkeypatch):
-    from specsample import sampling
+def test_inner_h_solves_once_and_matches_two_samples(monkeypatch, tmp_path):
+    from specsample import cli, perturbation, sampling
 
     rng = np.random.default_rng(90)
     m = random_model(rng, 7)
@@ -167,11 +169,29 @@ def test_inner_h_solves_once_and_matches_two_samples(monkeypatch):
     fs, gs = sample(m, phi, 1.3), sample(m, psi, 1.3)
     expected = sampling._csum(fs.node_weights * np.conj(fs.values) * gs.values)
     solves = []
-    solve = sampling.perturbed_spectrum
-    monkeypatch.setattr(sampling, "perturbed_spectrum",
+    solve = perturbation._secular_roots
+    monkeypatch.setattr(perturbation, "_secular_roots",
                         lambda *args: solves.append(args) or solve(*args))
-    assert inner_h(m, 1.3, phi, psi) == expected
-    assert len(solves) == 1
+    # The nodes and the offsets the node rule takes at them come from one
+    # solve, on every path that needs both; each path gets a model object
+    # that has not been solved yet.
+    model_file = tmp_path / "m.json"
+    model_file.write_text(json.dumps({"kind": "explicit",
+                                      "eigenvalues": m.eigenvalues.tolist(),
+                                      "weights": m.weights.tolist()}))
+    paths = [
+        lambda fresh: inner_h(fresh, 1.3, phi, psi) == expected,
+        lambda fresh: sample(fresh, phi, 1.3).values.tobytes()
+        == fs.values.tobytes(),
+        lambda fresh: perturbed_model(fresh, 1.3).dim == m.dim,
+        lambda fresh: to_partial_fractions(fresh, phi).poles.size == m.dim - 1,
+        lambda fresh: cli.main(["spectrum", "--model", str(model_file),
+                                "--coupling", "1.3"]) == 0,
+    ]
+    for path in paths:
+        solves.clear()
+        assert path(new_model(m.eigenvalues, m.weights))
+        assert len(solves) == 1
 
 
 def test_partial_fractions_m2(m2):
@@ -429,10 +449,10 @@ def test_a_pole_on_an_eigenvalue_has_a_residue_but_no_preimage():
                                                          rel=1e-12)
         with pytest.raises(NumericalError, match="on an eigenvalue"):
             from_partial_fractions(m, rep)
-    # Both zeros of F round onto the eigenvalue 1, where R = 0, so no Newton
-    # step from there is finite.
+    # Both zeros of F round onto the eigenvalue 1: no two poles may share
+    # a double.
     m = normalize(new_model([0.0, 1.0, 2.0], [1.0, 1e-40, 1.0]))
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match="two roots round to 1.0"):
         to_partial_fractions(m, PHI3)
 
 
@@ -526,14 +546,13 @@ def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
             assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
-# Eigenvalues offset to 1e8 with weights U(0.1, 1) are left out: a zero
-# of F there can lie 1e-3 from its eigenvalue and a few 1e-3 from the next,
-# so the double zero is 4e-6 of tau off the root and N_R, summed one
-# Newton step from it, is up to 4e-12 off (ROADMAP, direction 2).
+# On eigenvalues offset to 1e8 a zero of F can lie 1e-3 from its
+# eigenvalue, where the double zero is millions of tau-relative ulps off
+# the root, and in clusters offset to 1e8 a few ulps from it: the residues
+# are taken at the solver's offset, not at the double.
 @pytest.mark.parametrize("case", [f"N={n}" for n in (2, 9, 60, 200)] + [
-    f"{layout}-{weights}" for layout in LAYOUTS
-    for weights in ("tiny", "gentle") if layout != "offset-1e8"
-    or weights == "tiny"] + ["weight-1e-299"])
+    f"{layout}-{weights}" for layout in LAYOUTS + ["clusters-offset-1e8"]
+    for weights in ("tiny", "gentle")] + ["weight-1e-299"])
 def test_partial_fraction_coefficients_are_the_residues_at_the_exact_zeros(
         case):
     # Each coefficient is N/F' at the exact zero next to its pole, within
