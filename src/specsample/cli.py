@@ -102,6 +102,8 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise ValidationError(f"bad seed {args.seed}: expected one >= 0")
     model = model_from_dict(load_json(args.model))
     results = run_verification(model, args.seed)
     ok = True

@@ -1,11 +1,11 @@
 """Borel transform of the spectral measure and derived Herglotz quantities.
 
 Every sum is the correctly rounded sum of its terms, so results are
-reproducible across platforms.  A sum at one point is a math.fsum; sums at
-many real points (cauchy_rows) are taken a block of rows at a time, at most
-_BLOCK_TERMS terms per array so memory stays bounded at any model size, by
-a vectorized error-free extraction that certifies each row correctly
-rounded, and math.fsum for the few rows it cannot certify (_row_sums).
+reproducible across platforms.  A sum at one point is a math.fsum; real
+sums at many real points or pole offsets (cauchy_rows) are taken a block
+of rows at a time, at most _BLOCK_TERMS terms per array so memory stays
+bounded at any model size, by a vectorized error-free extraction that
+certifies each row correctly rounded, and math.fsum for the rest (_row_sums).
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -103,29 +103,25 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
 
 def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
                 power: int | tuple[int, ...] = 1,
-                skip: np.ndarray | None = None,
-                shift: np.ndarray | None = None) -> np.ndarray:
-    """sum_j c_j / (poles_j - x)^p at each real point x, for one coefficient
-    set c (coeffs of shape (n,), result (points,)) or a stack of them
-    (coeffs of shape (k, n), result (k, points)), summed in one pass.
+                origin: np.ndarray | None = None) -> np.ndarray:
+    """sum_j c_j / (poles_j - x)^p at each real point x, for one real
+    coefficient set c (coeffs of shape (n,), result (points,)) or a stack of
+    them (coeffs of shape (k, n), result (k, points)), summed in one pass.
 
     power p is 1 or 2, for every set or one per set.  Each row is the
     correctly rounded sum of the correctly rounded terms c_j / d_j
     (d_j * d_j for power 2, d_j = poles_j - x), so it equals the per-point
-    math.fsum bit for bit on every machine (see _row_sums); complex
-    coefficients are divided part by part.  A point on a pole gives an
-    infinite or NaN row.  Optional per-point arrays: skip, the index of one
-    pole whose term is left out (-1 for none); shift, an offset from the
-    point, taken as d_j = (poles_j - x) - shift.
+    math.fsum bit for bit on every machine (see _row_sums).  A point on a
+    pole gives an infinite or NaN row.  With origin, an index per point,
+    row i is summed at x = poles_k + points_i, k = origin[i], as
+    d_j = (poles_j - poles_k) - points_i, exact at poles_k, and the term of
+    poles_k is left out.
     """
     n = poles.size
     sets = coeffs.reshape(-1, n)
-    powers = (power,) * len(sets) if isinstance(power, int) else tuple(power)
-    if np.iscomplexobj(sets):
-        sets = np.concatenate((sets.real, sets.imag))
-        powers += powers
-    # Sets of power 1 first: a chunk of sets divides by d, then by d * d.
     k = len(sets)
+    powers = (power,) * k if isinstance(power, int) else tuple(power)
+    # Sets of power 1 first: a chunk of sets divides by d, then by d * d.
     order = sorted(range(k), key=powers.__getitem__)
     sets, split = sets[order, None, :], powers.count(1)
     sums = np.empty((k, points.size))
@@ -137,15 +133,15 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, points.size, rows):
             block = slice(start, start + rows)
-            d = poles - points[block, None]
-            if shift is not None:
-                d -= shift[block, None]
+            if origin is None:
+                d = poles - points[block, None]
+            else:
+                at = origin[block]
+                d = (poles - poles[at, None]) - points[block, None]
+                # c / inf is an exact zero, which leaves the sum unchanged,
+                # and inf * inf is inf: the term drops out of both powers.
+                d[np.arange(at.size), at] = np.inf
             dens = [d, d * d] if split < k else [d]
-            if skip is not None:
-                row = (skip[block] >= 0).nonzero()[0]
-                # c / inf is an exact zero, which leaves the sum unchanged.
-                for den in dens:
-                    den[row, skip[block][row]] = np.inf
             for lo in range(0, k, chunk):
                 hi = min(k, lo + chunk)
                 mid = min(max(split, lo), hi)
@@ -155,8 +151,6 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
                         np.divide(sets[a:b], den, out=t[a - lo:b - lo])
                 sums[order[lo:hi], block] = _row_sums(
                     t.reshape(-1, n)).reshape(hi - lo, -1)
-    if np.iscomplexobj(coeffs):
-        sums = _complex(sums[:k // 2], sums[k // 2:])
     return sums[0] if coeffs.ndim == 1 else sums
 
 
@@ -199,9 +193,9 @@ def _near_zero(f: complex, fp: complex, r: float) -> bool:
 
 
 def _derivative(c: np.ndarray, d: np.ndarray) -> complex:
-    """sum c_j / d_j^2, overflow held: d_j^2 overflows (to inf, or NaN from
-    inf - inf) only where |d_j| > 1.3e154, and there c_j / d_j^2 is far
-    below the smallest double anyway."""
+    """sum c_j / d_j^2, overflow held.  Past |d_j| = 1.3e154, d_j^2 gives a
+    term 0 where d_j is nearly real, but a NaN sum where both its parts
+    overflow (weyl's F' at z = 1e200 (1 + i); a known defect, ROADMAP.md)."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _csum(c / (d * d))
 

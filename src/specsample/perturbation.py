@@ -292,18 +292,18 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
 
     Each node is matched to its root in the solve at (a, b), held as the
     offset tau from its origin lam_k (_roots), and its mass is 1/(b^2 F')
-    there (1/||xi||^2 at a secular root).  One cauchy_rows pass at the root
-    sums R and R', F and F' over the other poles; the root solves
-    (a + b R) tau = b w_k, so t = tau/b is (w_k + R' tau^2) /
+    there (1/||xi||^2 at a secular root).  One cauchy_rows pass from origin
+    k at offset tau sums R and R', F and F' over the other poles; the root
+    solves (a + b R) tau = b w_k, so t = tau/b is (w_k + R' tau^2) /
     (a + b R + b R' tau), finite at a subnormal tau and w_k at h = 0, and
     the mass tau^2 / (b^2 (w_k + tau^2 R')) is t (t / (w_k + (b t)^2 R')),
-    which neither overflows nor underflows.  An image value belongs to the
-    node it is returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j /
-    (lam_j - x), from a second pass, and where w_k/(lam_k - x_j) is not a
-    finite double the limit psi_k/sqrt(w_k); at a zero of F, the residue
-    N/F' = mass (N_R - sqrt(w_k) psi_k / (b t)), N_R summed over the other
-    poles in the pass at the root.  Every row is certified correctly
-    rounded or else a math.fsum, so it equals the per-node sum bit for bit.
+    which neither overflows nor underflows.  Image values, of the rows psi
+    of coords (an empty stack without them), belong to the node they are
+    returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j / (lam_j - x),
+    from a second pass at the nodes, and psi_k/sqrt(w_k) where
+    w_k/(lam_k - x_j) is not finite; at a zero of F, the residue N/F' =
+    mass (N_R - sqrt(w_k) psi_k / (b t)), N_R summed in the pass at the
+    root.  Every row is correctly rounded: it is the per-node math.fsum.
 
     InconsistentNodes: a node count other than the number of roots, or a
     node farther from its root than 1e-9 times the scale at h = 0, else
@@ -336,21 +336,20 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     num = model.sqrt_weights * coords
     wk = w[k]
     sets = (w, w) + ((num.real, num.imag) if a == 0.0 else ())
-    r, rp, *rows = cauchy_rows(lam, np.vstack(sets), lam[k],
-                               (1, 2) + (1,) * (len(sets) - 2), skip=k,
-                               shift=tau)
+    r, rp, *rows = cauchy_rows(lam, np.vstack(sets), tau,
+                               (1, 2) + (1,) * (len(sets) - 2), origin=k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t = (wk + rp * tau * tau) / (a + b * r + b * rp * tau)
         bt = b * t
         masses = t * (t / (wk + bt * (bt * rp)))
-        if a == 0.0:
+        if a == 0.0 or not len(num):
+            # The residues, or an empty stack where no values are asked for.
             # sqrt(w_k) psi_k / tau: tau sqrt(w_k) psi_k can underflow.
             re, im = np.array(rows).reshape(2, len(num), x.size)
             values = _complex(masses * (re - num.real[:, k] / bt),
                               masses * (im - num.imag[:, k] / bt))
         else:
-            f, *rows = cauchy_rows(lam, np.vstack((w, num.real, num.imag)),
-                                   x, skip=np.where(x == lam[k], k, -1))
+            f, *rows = cauchy_rows(lam, np.vstack((w, num.real, num.imag)), x)
             re, im = np.array(rows).reshape(2, len(num), x.size)
             # numpy's complex division multiplies by a rounded reciprocal.
             values = np.where(np.isfinite(wk / (lam[k] - x)),

@@ -24,6 +24,7 @@ from .errors import (
 )
 from .herglotz import (
     _clear_of_zero,
+    _complex,
     _csum,
     _derivative,
     _guard,
@@ -178,9 +179,10 @@ def from_partial_fractions(model: SpectralModel,
     if on.size:
         raise NumericalError(f"pole {float(on[0])!r} lies on an eigenvalue")
     # Coordinate j is sqrt(w_j) (c + sum_n c_n / (lam_j - x_n)).
-    return StateVector(model.sqrt_weights * (
-        rep.constant
-        - cauchy_rows(rep.poles, rep.coefficients, model.eigenvalues)))
+    c = rep.coefficients
+    re, im = cauchy_rows(rep.poles, np.stack((c.real, c.imag)),
+                         model.eigenvalues)
+    return StateVector(model.sqrt_weights * (rep.constant - _complex(re, im)))
 
 
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:

@@ -54,8 +54,11 @@ def model_from_dict(data: dict) -> SpectralModel:
                               _field(data, "b", _floats))
         return truncate(params, _field(data, "truncation", operator.index))
     if kind == "oscillator":
+        normalized = data.get("normalized", False)
+        if not isinstance(normalized, bool):
+            raise ValidationError("bad field 'normalized': not a boolean")
         return oscillator_model(_field(data, "levels", operator.index),
-                                bool(data.get("normalized", False)))
+                                normalized)
     raise ValidationError(f"unknown model kind {kind!r}")
 
 
@@ -101,7 +104,7 @@ def load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")

@@ -337,3 +337,41 @@ def test_demo_output_shape(capsys):
 def test_missing_file():
     assert main(["spectrum", "--model", "/nonexistent.json",
                  "--coupling", "1"]) == 2
+
+
+@pytest.mark.parametrize("payload", [b"\xff\xfe{",
+                                     b"[" * 100_000 + b"]" * 100_000],
+                         ids=["not-utf-8", "nested-1e5-deep"])
+def test_unreadable_json_is_malformed_input(tmp_path, capsys, payload):
+    # A UnicodeDecodeError and a RecursionError in the decoder, which used
+    # to end in a traceback.
+    path = tmp_path / "m.json"
+    path.write_bytes(payload)
+    assert main(["spectrum", "--model", str(path), "--coupling", "1"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_verify_negative_seed_is_malformed_input(files, capsys):
+    assert main(["verify", "--model", files("m.json", M2),
+                 "--seed", "-1"]) == 2
+    assert "bad seed -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["false", 1])
+def test_oscillator_normalized_must_be_a_json_boolean(files, capsys, flag):
+    # bool("false") is True: the string used to give the normalized model.
+    osc = {"kind": "oscillator", "levels": 4, "normalized": flag}
+    assert main(["spectrum", "--model", files("o.json", osc),
+                 "--coupling", "1.3"]) == 2
+    assert "bad field 'normalized'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, total", [(False, 1.0 + 1.0 + 0.5 + 1 / 6),
+                                         (True, 1.0)])
+def test_oscillator_normalized_flag_sets_the_total_weight(files, capsys,
+                                                          flag, total):
+    osc = {"kind": "oscillator", "levels": 4, "normalized": flag}
+    assert main(["spectrum", "--model", files("o.json", osc),
+                 "--coupling", "1.3"]) == 0
+    weights = json.loads(capsys.readouterr().out)["weights"]
+    assert sum(weights) == pytest.approx(total, rel=1e-12)

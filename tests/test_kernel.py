@@ -8,8 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from specsample import Coupling, new_model, perturbed_spectrum
+from specsample import new_model
 from specsample.herglotz import cauchy_rows
+from specsample.perturbation import _secular_roots
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -18,37 +19,34 @@ SETTINGS = hypothesis.settings(derandomize=True, max_examples=60,
                                deadline=None)
 
 
-def _fsum_rows(poles, coeffs, points, powers, skip=None, shift=None):
+def _fsum_rows(poles, coeffs, points, powers, origin=None):
     """cauchy_rows one set, point and fsum at a time: terms c_j / d_j
-    (d_j * d_j for power 2; complex c part by part), d_j = (poles_j - x) -
-    shift, and d = inf at the skipped pole."""
-    out = np.empty((len(coeffs), points.size), dtype=coeffs.dtype)
+    (d_j * d_j for power 2), d_j = poles_j - x, or with origin
+    d_j = (poles_j - poles_k) - x, k = origin of the row, and no term at
+    poles_k."""
+    out = np.empty((len(coeffs), points.size))
     for i, (c, p) in enumerate(zip(coeffs, powers)):
         for j, x in enumerate(points):
-            d = poles - x
-            if shift is not None:
-                d = d - shift[j]
+            if origin is None:
+                d, keep = poles - x, np.arange(poles.size)
+            else:
+                keep = np.arange(poles.size) != origin[j]
+                d = (poles[keep] - poles[origin[j]]) - x
             if p == 2:
                 d = d * d
-            if skip is not None and skip[j] >= 0:
-                d[skip[j]] = np.inf
             with np.errstate(divide="ignore", invalid="ignore"):
-                if np.iscomplexobj(c):
-                    out[i, j] = complex(math.fsum(c.real / d),
-                                        math.fsum(c.imag / d))
-                else:
-                    out[i, j] = math.fsum(c / d)
+                out[i, j] = math.fsum(c[keep] / d)
     return out
 
 
-def _assert_rows_match(poles, coeffs, points, powers, skip=None, shift=None):
+def _assert_rows_match(poles, coeffs, points, powers, origin=None):
     try:
-        want = _fsum_rows(poles, coeffs, points, powers, skip, shift)
+        want = _fsum_rows(poles, coeffs, points, powers, origin)
     except OverflowError:
         with pytest.raises(OverflowError):
-            cauchy_rows(poles, coeffs, points, powers, skip, shift)
+            cauchy_rows(poles, coeffs, points, powers, origin)
         return
-    got = cauchy_rows(poles, coeffs, points, powers, skip, shift)
+    got = cauchy_rows(poles, coeffs, points, powers, origin)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
@@ -80,27 +78,29 @@ def models(draw):
 @SETTINGS
 @hypothesis.given(case=models(),
                   h=st.sampled_from([1.3, -0.7, 1e-8, 1e8, None]),
-                  on_pole=st.booleans(), skipped=st.booleans(),
-                  shifted=st.booleans())
-def test_rows_at_secular_roots_match_fsum(case, h, on_pole, skipped,
-                                          shifted):
+                  on_pole=st.booleans(), at_origin=st.booleans())
+def test_rows_at_secular_roots_match_fsum(case, h, on_pole, at_origin):
     m, rng = case
     lam, n = m.eigenvalues, m.dim
-    coupling = Coupling.infinite() if h is None else Coupling.finite(h)
-    nodes = perturbed_spectrum(m, coupling)
+    a, b = (0.0, 1.0) if h is None else (1.0, h)
+    nodes, origin, offset, _ = _secular_roots(m, a, b)
     if on_pole:
-        # A point on a pole gives an infinite or NaN row, as fsum does.
-        nodes = np.concatenate((nodes, lam[rng.integers(n, size=2)]))
-    k = np.abs(lam - nodes[:, None]).argmin(axis=1)
-    skip = (np.where(rng.random(nodes.size) < 0.7, k, -1) if skipped
-            else None)
-    shift = (nodes * 2.0 ** -53 * rng.uniform(-1.0, 1.0, nodes.size)
-             if shifted else None)
+        # A point on a pole gives an infinite or NaN row, as fsum does;
+        # from the origin, a point on its own pole a finite one, and on the
+        # next pole (offset lam_{k+1} - lam_k, so d = 0 exactly) an
+        # infinite or NaN one.
+        k = rng.integers(n - 1, size=2)
+        nodes = np.concatenate((nodes, lam[k]))
+        origin = np.concatenate((origin, k))
+        offset = np.concatenate((offset, [0.0, lam[k[1] + 1] - lam[k[1]]]))
+    origin, points = (origin, offset) if at_origin else (None, nodes)
     real = np.stack((m.weights, m.weights, m.sqrt_weights))
-    _assert_rows_match(lam, real, nodes, (1, 2, 1), skip, shift)
-    coords = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
-    _assert_rows_match(lam, m.sqrt_weights * coords, nodes, (2, 1), skip,
-                       shift)
+    _assert_rows_match(lam, real, points, (1, 2, 1), origin)
+    # Complex coefficients are summed as their real and imaginary parts.
+    c = m.sqrt_weights * (rng.normal(size=(2, n))
+                          + 1j * rng.normal(size=(2, n)))
+    _assert_rows_match(lam, np.concatenate((c.real, c.imag)), points,
+                       (2, 1, 2, 1), origin)
 
 
 TIE = 2.0 ** -53
@@ -176,20 +176,19 @@ def test_a_row_holding_both_infinities_is_nan():
 
 @pytest.mark.parametrize("n", [300, 700])
 def test_rows_do_not_depend_on_the_order_of_the_poles(n):
-    # Permuting the poles with their coefficients (and the skipped index)
+    # Permuting the poles with their coefficients (and the origins)
     # reorders every row's terms; numpy's sum would change the last bits
     # of many rows, the correctly rounded sum cannot change.
     rng = np.random.default_rng(n)
     lam = np.sort(rng.uniform(-10.0, 10.0, n))
     m = new_model(lam, rng.uniform(0.1, 1.0, n))
-    nodes = perturbed_spectrum(m, Coupling.finite(1.3))
-    skip = np.abs(lam - nodes[:, None]).argmin(axis=1)
+    _, origin, offset, _ = _secular_roots(m, 1.0, 1.3)
     coeffs = np.stack((m.weights, m.weights, m.sqrt_weights
                        * rng.normal(size=n)))
-    want = cauchy_rows(lam, coeffs, nodes, (1, 2, 1), skip)
+    want = cauchy_rows(lam, coeffs, offset, (1, 2, 1), origin)
     for _ in range(3):
         perm = rng.permutation(n)
         back = np.argsort(perm)
-        got = cauchy_rows(lam[perm], coeffs[:, perm], nodes, (1, 2, 1),
-                          back[skip])
+        got = cauchy_rows(lam[perm], coeffs[:, perm], offset, (1, 2, 1),
+                          back[origin])
         assert got.tobytes() == want.tobytes()

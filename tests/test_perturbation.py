@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,16 +13,21 @@ from specsample import (
     node_weights,
     perturbed_model,
     perturbed_spectrum,
+    sample,
     weyl,
 )
+from specsample import perturbation
+from specsample.cli import main
 from specsample.herglotz import cauchy_rows
 from specsample.perturbation import _secular_roots
+from specsample.serialize import model_to_dict
 
 from conftest import (
     LAYOUTS,
     layout_model,
     mp_root_masses,
     random_model,
+    random_state,
     weyl_raw,
 )
 
@@ -152,6 +158,37 @@ def test_node_weight_sum_matches_total():
         nodes = perturbed_spectrum(m, Coupling.finite(h))
         w = node_weights(m, h, nodes)
         assert math.fsum(w) == pytest.approx(m.mu_norm_sq, rel=1e-9)
+
+
+def test_node_data_sums_only_the_rows_it_returns(monkeypatch, tmp_path,
+                                                 capsys):
+    # The masses come from one kernel pass at the roots; the pass at the
+    # nodes runs only for image values, which only sample asks for.
+    calls = []
+    kernel = perturbation.cauchy_rows
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return kernel(*args, **kw)
+
+    monkeypatch.setattr(perturbation, "cauchy_rows", counted)
+
+    def passes(run):
+        calls.clear()
+        run()
+        return len(calls)
+
+    rng = np.random.default_rng(5)
+    m = random_model(rng, 30)
+    nodes = perturbed_spectrum(m, Coupling.finite(1.3))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model_to_dict(m)))
+    assert passes(lambda: node_weights(m, 1.3, nodes)) == 1
+    assert passes(lambda: perturbed_model(m, 1.3)) == 1
+    assert passes(lambda: main(["spectrum", "--model", str(path),
+                                "--coupling", "1.3"])) == 1
+    assert passes(lambda: sample(m, random_state(rng, 30), 1.3)) == 2
+    capsys.readouterr()
 
 
 def test_perturbed_model_identity(m2):
