@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: spectrum, sample, reconstruct, verify, demo.  Exit codes:
-0 success, 1 failed verification, 2 malformed input, 3 numerical failure,
-4 sampling requested at infinite coupling.
+0 success, 1 failed verification, 2 malformed input, 3 numerical failure
+(also running out of memory), 4 sampling requested at infinite coupling.
 """
 from __future__ import annotations
 
@@ -187,6 +187,11 @@ def main(argv=None) -> int:
     except (NumericalError, OverflowError) as exc:
         # OverflowError: a correctly rounded sum past the largest double.
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        # The dense N x N arrays left: the eigvalsh inputs of truncate and
+        # compression_spectrum, jacobi._twisted, and verify's gap matrix.
+        print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except SpectralError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,11 +1,16 @@
 """Borel transform of the spectral measure and derived Herglotz quantities.
 
 Every sum is the correctly rounded sum of its terms, so results are
-reproducible across platforms.  A sum at one point is a math.fsum; real
-sums at many real points or pole offsets (cauchy_rows) are taken a block
-of rows at a time, at most _BLOCK_TERMS terms per array so memory stays
-bounded at any model size, by a vectorized error-free extraction that
-certifies each row correctly rounded, and math.fsum for the rest (_row_sums).
+reproducible across platforms.  Rows of real terms are summed a block at a
+time, at most _BLOCK_TERMS terms per array so memory stays bounded at any
+model size, by a vectorized error-free extraction that certifies each row
+correctly rounded, and math.fsum for the rest (_row_sums).  That serves
+real sums at many real points or pole offsets (cauchy_rows), and the
+complex sums a point evaluator takes at one point (_stacked): below
+_STACK_TERMS real terms per call, or where half of them are known zeros
+(the imaginary parts of F's terms at a real point), each part is one
+math.fsum; from there on they are stacked into one _row_sums call, which
+is faster there.
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -32,16 +37,63 @@ from .model import SpectralModel
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
-# Terms formed at once by cauchy_rows, per array: 2^15 doubles is 256 KiB.
+# Terms formed at once by cauchy_rows and _stacked, per array: 2^15 doubles
+# is 256 KiB.
 _BLOCK_TERMS = 1 << 15
+
+# Real terms per call from which _stacked stacks its sums into one _row_sums
+# call.  math.fsum takes 35-50 ns a term and a stacked call 25-40 us
+# whatever its rows; they break even at about 800 terms (Python 3.11,
+# numpy 2.4, a shared 2-vCPU x86-64 host).
+_STACK_TERMS = 800
 
 
 def _csum(terms: np.ndarray) -> complex:
     """Correctly rounded sum of a complex array (per part); fsum reads the
     parts through a memoryview, the same doubles in the same order as a
-    list of them, without copying them out first."""
-    return complex(math.fsum(memoryview(terms.real)),
-                   math.fsum(memoryview(terms.imag)))
+    list of them, without copying them out first.  A part holding both
+    infinities has no sum: NumericalError."""
+    try:
+        return complex(math.fsum(memoryview(terms.real)),
+                       math.fsum(memoryview(terms.imag)))
+    except ValueError:  # -inf + inf
+        raise NumericalError("a sum holds terms of both infinite signs"
+                             ) from None
+
+
+def _stacked(terms) -> list[complex] | None:
+    """[_csum(t) for t in terms] for equal-length complex arrays (a
+    sequence, or the rows of a 2-D array), bit for bit, from one _row_sums
+    call over their real and imaginary parts; None below _STACK_TERMS real
+    terms, and where a sum overflows or is NaN (a NaN term, or both
+    infinities), which _csum raises or returns.  A caller given None takes
+    each sum with _csum, in the order that decides which error is raised."""
+    k = len(terms)
+    n = len(terms[0]) if k else 0
+    if 2 * k * n < _STACK_TERMS:
+        return None
+    t = np.asarray(terms)
+    step = max(1, _BLOCK_TERMS // (2 * n))
+    sums = []
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, k, step):
+                part = t[lo:lo + step]
+                s = _row_sums(np.concatenate((part.real, part.imag))).tolist()
+                if any(map(math.isnan, s)):
+                    return None
+                sums += map(complex, s[:len(part)], s[len(part):])
+    except OverflowError:
+        return None
+    return sums
+
+
+def _sum(terms: np.ndarray) -> complex:
+    """_csum(terms), taken by one _row_sums call (_stacked) from
+    _STACK_TERMS real terms on."""
+    if 2 * terms.size < _STACK_TERMS:
+        return _csum(terms)
+    return (_stacked([terms]) or [_csum(terms)])[0]
 
 
 def _extract(t: np.ndarray):
@@ -51,9 +103,9 @@ def _extract(t: np.ndarray):
     n = t.shape[1]
     bits = (n + 2).bit_length()
     top = np.maximum.reduce(np.abs(t), axis=1)
-    sigma = np.ldexp(1.0, np.frexp(top)[1] + bits)
-    q = t + sigma[:, None]
-    q -= sigma[:, None]
+    sigma = np.ldexp(float(1 << bits), np.frexp(top)[1])[:, None]
+    q = t + sigma
+    q -= sigma
     tau = np.add.reduce(q, axis=1)
     low = np.subtract(t, q, out=q)
     e = np.add.reduce(low, axis=1)
@@ -63,11 +115,11 @@ def _extract(t: np.ndarray):
     # beta rounded up to a power of two; one below the smallest subnormal
     # rounds to 0, and then e is exact, its error being a multiple of that
     # double.
-    beta = sigma * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
+    beta = sigma[:, 0] * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
+    # No r = 0 is certified (half the gap below the smallest subnormal
+    # rounds to 0), nor an infinite or NaN r (g is NaN).
     gap = np.spacing(np.nextafter(np.abs(r), 0.0))
-    certified = ((np.abs(g) + beta < 0.5 * gap) & np.isfinite(r)
-                 & (r != 0.0))
-    return r, certified, tau, low
+    return r, np.abs(g) + beta < 0.5 * gap, tau, low
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:
@@ -83,19 +135,23 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     TwoSum error g of r = fl(tau + e) and beta together stay below half the
     gap from |r| to the next double towards zero: then r is the rounded
     sum.  A row that cancels heavily is certified by a second extraction,
-    of its exact remainder [tau, low].  Every other row (a zero sum, a tie,
-    a sum past the largest double, a non-finite term) takes math.fsum,
-    which raises its OverflowError where its partial sums overflow; a row
-    holding both infinities is NaN.
+    of its exact remainder [tau, low], unless r = 0 (a row of zeros, say:
+    the imaginary parts at a real point, which sum to 0.0).  Every other
+    row (a zero sum, a tie, a sum past the largest double, a non-finite
+    term) takes math.fsum, which raises its OverflowError where its
+    partial sums overflow; a row holding both infinities is NaN.
     """
     r, certified, tau, low = _extract(t)
-    if not certified.all():
-        rows = (~certified).nonzero()[0]
-        rest = np.concatenate((tau[rows, None], low[rows]), axis=1)
-        r[rows], certified = _extract(rest)[:2]
-        for i in rows[~certified]:
+    if np.count_nonzero(certified) < certified.size:
+        rows = np.flatnonzero(~certified & (r != 0.0))
+        if rows.size:
+            rest = np.concatenate((tau[rows, None], low[rows]), axis=1)
+            r[rows], certified[rows] = _extract(rest)[:2]
+        for i in np.flatnonzero(~certified):
             try:
-                r[i] = math.fsum(t[i].tolist())
+                # math.fsum keeps no zero partial: zeros of either sign sum
+                # to 0.0.
+                r[i] = math.fsum(memoryview(t[i])) if t[i].any() else 0.0
             except ValueError:  # -inf + inf: NaN, as numpy sums it
                 r[i] = math.nan
     return r
@@ -192,18 +248,19 @@ def _near_zero(f: complex, fp: complex, r: float) -> bool:
     return f == 0 or abs(f) < r * abs(fp)
 
 
-def _derivative(c: np.ndarray, d: np.ndarray) -> complex:
-    """sum c_j / d_j^2, overflow held.  Past |d_j| = 1.3e154, d_j^2 gives a
-    term 0 where d_j is nearly real, but a NaN sum where both its parts
-    overflow (weyl's F' at z = 1e200 (1 + i); a known defect, ROADMAP.md)."""
+def _slopes(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The terms c_j / d_j^2 of f', overflow held.  Past |d_j| = 1.3e154,
+    d_j^2 gives a term 0 where d_j is nearly real, but a NaN where both its
+    parts overflow (weyl's F' at z = 1e200 (1 + i); a known defect,
+    ROADMAP.md)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return _csum(c / (d * d))
+        return c / (d * d)
 
 
 def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
                    r: float) -> bool:
     """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
-    and f' = _derivative(c, d), decided without summing f'.
+    and f' = _csum(_slopes(c, d)), decided without summing f'.
 
     B = sum c_j/|d_j|^2 bounds |f'|, so the rule cannot fire once
     |f| >= r B (1 + delta) + slack.  r B is summed as sum c_j q_j^2 / r,
@@ -229,33 +286,51 @@ def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
                       + n * (1.0 + r) * 2.0 ** -1020)
 
 
-def _regular(model: SpectralModel, z: complex, derivative: bool = False
-             ) -> tuple[complex, np.ndarray, complex, complex | None]:
-    """complex(z), lam - z, F(z) and F'(z), once z is guarded against the
-    eigenvalues and the zeros of F.  F' is summed where it is asked for or
-    where _clear_of_zero cannot clear z without it, else it is None."""
+def _regular(model: SpectralModel, z: complex, derivative: bool = False,
+             num: np.ndarray | None = None
+             ) -> tuple[complex, complex, complex | None, complex | None]:
+    """complex(z), F(z), F'(z) and N(z) = sum num_j/(lam_j - z), once z is
+    guarded against the eigenvalues and the zeros of F.  F' is summed where
+    it is asked for or where _clear_of_zero cannot clear z without it, else
+    it is None; N is None without num.  F with F' or with N is one stacked
+    call (_stacked) off the real axis, or else each sum in turn, N after
+    the guard."""
     z = complex(z)
     r, d, dist = _guard(model.eigenvalues, z, "eigenvalue")
     w = model.weights
-    f, fp = _csum(w / d), None
-    if derivative or not _clear_of_zero(f, w, dist, r):
-        fp = _derivative(w, d)
-        if _near_zero(f, fp, r):
-            raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
-    return z, d, f, fp
+    terms = [w / d]
+    if derivative:
+        terms.append(_slopes(w, d))
+    elif num is not None:
+        terms.append(num / d)
+    # At a real point the imaginary parts of F's terms are zeros, so half
+    # the stack would be zeros: the stacked call does not pay there.
+    sums = _stacked(terms) if z.imag else None
+    f, fp = sums[0] if sums else _csum(terms[0]), None
+    if derivative:
+        fp = sums[1] if sums else _csum(terms[1])
+    elif not _clear_of_zero(f, w, dist, r):
+        fp = _csum(_slopes(w, d))
+    if fp is not None and _near_zero(f, fp, r):
+        raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
+    if num is None:
+        return z, f, fp, None
+    return z, f, fp, sums[1] if sums else _csum(terms[1])
 
 
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    _, d, _ = _guard(model.eigenvalues, complex(z), "eigenvalue")
-    return _csum(model.weights / d), _derivative(model.weights, d)
+    z = complex(z)
+    _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
+    terms = [model.weights / d, _slopes(model.weights, d)]
+    return tuple((_stacked(terms) if z.imag else None) or map(_csum, terms))
 
 
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
     NumericalError where F^2 underflows (|z| past about 1e154)."""
-    z, _, f, fp = _regular(model, z, derivative=True)
+    z, f, fp, _ = _regular(model, z, derivative=True)
     if f * f == 0:
         raise NumericalError(f"F(z)^2 underflows at z={z}")
     f_h = f / (1.0 + h * f)
@@ -281,7 +356,7 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
     Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
-    z, _, f, _ = _regular(model, z)
+    z, f, _, _ = _regular(model, z)
     zb = z.conjugate()
     coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
     return XiVector(at=z, coords=coords)
@@ -289,5 +364,5 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
     """Squared norm of xi at a real point, via F'(x)/F(x)^2."""
-    _, _, f, fp = _regular(model, x, derivative=True)
+    _, f, fp, _ = _regular(model, x, derivative=True)
     return float((fp / (f * f)).real)

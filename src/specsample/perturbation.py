@@ -34,6 +34,10 @@ from .model import Coupling, SpectralModel, new_model
 # Steps a root may take before its bracket must keep up with bisection.
 _FREE_STEPS = 16
 
+# Terms a block of rows forms at once per work array: 2^16 doubles is
+# 512 KiB, so memory stays bounded at any model size.
+_SOLVE_TERMS = 1 << 16
+
 
 def _secular_roots(model: SpectralModel, a: float, b: float
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -54,28 +58,46 @@ def _secular_roots(model: SpectralModel, a: float, b: float
     s = 1.0 if b > 0.0 else -1.0
     c = max(abs(a), abs(b))
     a1, b1 = s * a / c, abs(b) / c
-    # Row k of shift holds lam_j - lam_k.
-    shift = np.subtract(lam, lam[:, None])
-    diff, work = np.empty((n, n)), np.empty((n, n))
-    index = np.arange(n)
+    # Rows are taken a block at a time.  Row k starts as lam_j - lam_k: a
+    # row of shift while all of them fit in one block, else subtracted,
+    # which gives the same bits.
+    block = max(1, min(n, _SOLVE_TERMS // n))
+    diff, work = np.empty((block, n)), np.empty((block, n))
+    shift = np.subtract(lam, lam[:, None]) if block >= n else None
+    index = np.arange(block)
     starts = index * n
+
+    def sums(origin, cut, tau):
+        """F, R and R' (see evaluate) for the rows of one block."""
+        m = tau.size
+        if shift is None:
+            d = diff[:m]
+            d[...] = lam
+            d -= lam[origin, None]
+        else:
+            d = np.take(shift, origin, axis=0, out=diff[:m], mode="clip")
+        # lam_j - x as (lam_j - lam_k) - tau is exact at the origin.
+        d -= tau[:, None]
+        q = np.divide(w, d, out=work[:m])
+        total = q.sum(axis=1)
+        q[index[:m], origin] = 0.0
+        cuts = (starts[:m, None] + cut).ravel()
+        return (total, np.add.reduceat(q.ravel(), cuts),
+                np.add.reduceat(np.divide(q, d, out=d).ravel(), cuts))
 
     def evaluate(origin, cut, tau):
         """At x = lam_k + tau, k = origin: a + b F; u = a' + b' R;
         v = tau (a' + b' F) = tau u - b' w_k; and R' summed over the
         columns before cut and from it on.  R and R' sum F and F' over the
         poles other than lam_k."""
-        m = tau.size
-        # lam_j - x as (lam_j - lam_k) - tau is exact at the origin.
-        d = np.take(shift, origin, axis=0, out=diff[:m], mode="clip")
-        d -= tau[:, None]
-        q = np.divide(w, d, out=work[:m])
-        total = q.sum(axis=1)
+        if tau.size <= block:
+            total, r, rp = sums(origin, cut, tau)
+        else:
+            total, r, rp = map(np.concatenate, zip(*(
+                sums(origin[lo:lo + block], cut[lo:lo + block],
+                     tau[lo:lo + block])
+                for lo in range(0, tau.size, block))))
         value = a + b * total
-        q[index[:m], origin] = 0.0
-        cuts = (starts[:m, None] + cut).ravel()
-        r = np.add.reduceat(q.ravel(), cuts)
-        rp = np.add.reduceat(np.divide(q, d, out=d).ravel(), cuts)
         u = a1 + b1 * (r[0::2] + r[1::2])
         v = tau * u - b1 * w[origin]
         # w_k / tau overflows next to a pole at 0 while a + b F is finite:
@@ -300,7 +322,7 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     which neither overflows nor underflows.  Image values, of the rows psi
     of coords (an empty stack without them), belong to the node they are
     returned with: N(x_j)/F(x_j), N(x) = sum sqrt(w_j) psi_j / (lam_j - x),
-    from a second pass at the nodes, and psi_k/sqrt(w_k) where
+    from a second pass at the nodes that keep it, and psi_k/sqrt(w_k) where
     w_k/(lam_k - x_j) is not finite; at a zero of F, the residue N/F' =
     mass (N_R - sqrt(w_k) psi_k / (b t)), N_R summed in the pass at the
     root.  Every row is correctly rounded: it is the per-node math.fsum.
@@ -349,12 +371,13 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
             values = _complex(masses * (re - num.real[:, k] / bt),
                               masses * (im - num.imag[:, k] / bt))
         else:
-            f, *rows = cauchy_rows(lam, np.vstack((w, num.real, num.imag)), x)
-            re, im = np.array(rows).reshape(2, len(num), x.size)
+            values = coords[:, k] / model.sqrt_weights[k]
+            keep = np.flatnonzero(np.isfinite(wk / (lam[k] - x)))
+            f, *rows = cauchy_rows(lam, np.vstack((w, num.real, num.imag)),
+                                   x[keep])
+            re, im = np.array(rows).reshape(2, len(num), keep.size)
             # numpy's complex division multiplies by a rounded reciprocal.
-            values = np.where(np.isfinite(wk / (lam[k] - x)),
-                              _complex(re / f, im / f),
-                              coords[:, k] / model.sqrt_weights[k])
+            values[:, keep] = _complex(re / f, im / f)
     lost = ~(masses > 0.0)  # an exact mass below the smallest subnormal
     if lost.any():
         j = int(lost.argmax())

@@ -26,10 +26,12 @@ from .herglotz import (
     _clear_of_zero,
     _complex,
     _csum,
-    _derivative,
     _guard,
     _near_zero,
     _regular,
+    _slopes,
+    _stacked,
+    _sum,
     cauchy_rows,
     xi,
 )
@@ -51,14 +53,14 @@ def mu_state(model: SpectralModel) -> StateVector:
 
 def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
     """<mu, phi> (inner product anti-linear in the first argument)."""
-    return _csum(model.sqrt_weights * phi.coords)
+    return _sum(model.sqrt_weights * phi.coords)
 
 
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
     check_dims(model, phi)
-    z, d, f, _ = _regular(model, z)
-    return _csum(model.sqrt_weights * phi.coords / d) / f
+    _, f, _, num = _regular(model, z, num=model.sqrt_weights * phi.coords)
+    return num / f
 
 
 def _sample(model: SpectralModel, h: float, *states: StateVector):
@@ -86,9 +88,11 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     z = complex(z)
     r, d, dist = _guard(samples.nodes, z, "sampling node")
     masses = samples.node_weights
-    f_h = _csum(masses / d)
+    # At a real point the imaginary parts of F_h's terms are zeros (see
+    # herglotz._regular).
+    f_h = _sum(masses / d) if z.imag else _csum(masses / d)
     if not _clear_of_zero(f_h, masses, dist, r) and _near_zero(
-            f_h, _derivative(masses, d), r):
+            f_h, _csum(_slopes(masses, d)), r):
         raise PoleProximity(
             f"z={z} is too close to a pole of the reconstructed function"
         )
@@ -96,7 +100,7 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     if not cmath.isfinite(g_h):
         raise NumericalError(f"G_h = 1/F_h overflows at z={z}")
     # G_h'(x_j) = -1/m_j turns the Lagrange weight into m_j G_h(z)/(x_j - z).
-    return _csum(masses * samples.values * (g_h / d))
+    return _sum(masses * samples.values * (g_h / d))
 
 
 # Grid points whose xi coordinates and node values Kramer holds at once:
@@ -114,8 +118,9 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     samples' nodes.  z is a point (the result is a complex) or an array of
     points (an array of the same shape); the images of conj(xi(z)) at the
     nodes are summed for a whole slab of the grid (_KRAMER_TERMS
-    coordinates) in one stacked pass, which also takes F, and the masses
-    at the roots of the solve the nodes are matched to, once per slab.
+    coordinates) in one stacked pass, which also takes F, the masses at
+    the roots of the solve the nodes are matched to, once per slab, and
+    the expansion at every point of the slab in one stacked call (_stacked).
     Raises InconsistentNodes when the nodes are not the spectrum at the
     samples' coupling, also for an empty grid.
     """
@@ -130,8 +135,8 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
                            for point in points[start:start + slab]])
         masses, values = _node_data(model, 1.0, float(samples.h),
                                     samples.nodes, coords.reshape(-1, model.dim))
-        out[start:start + slab] = [_csum(row * samples.values)
-                                   for row in masses * values]
+        terms = masses * values * samples.values
+        out[start:start + slab] = _stacked(terms) or list(map(_csum, terms))
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -190,7 +195,7 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     z = complex(z)
     _guard(rep.poles, z, "pole of the representation")
     if rep.poles.size:
-        return rep.constant + _csum(rep.coefficients / (z - rep.poles))
+        return rep.constant + _sum(rep.coefficients / (z - rep.poles))
     return rep.constant
 
 
@@ -198,7 +203,7 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""
     _, weights, (f, g) = _sample(model, h, phi, psi)
-    return _csum(weights * np.conj(f) * g)
+    return _sum(weights * np.conj(f) * g)
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

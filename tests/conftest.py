@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specsample import SpectralModel, StateVector, new_model
-from specsample.herglotz import _csum, _derivative
+from specsample.herglotz import _csum, _slopes
 
 
 @pytest.fixture
@@ -53,7 +53,7 @@ def layout_model(n: int, layout: str, tiny: bool, seed: int) -> SpectralModel:
 def weyl_raw(m: SpectralModel, x) -> tuple[complex, complex]:
     """F and F' at x as weyl sums them, without its pole guard."""
     d = m.eigenvalues - x
-    return _csum(m.weights / d), _derivative(m.weights, d)
+    return _csum(m.weights / d), _csum(_slopes(m.weights, d))
 
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:

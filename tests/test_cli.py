@@ -375,3 +375,34 @@ def test_oscillator_normalized_flag_sets_the_total_weight(files, capsys,
                  "--coupling", "1.3"]) == 0
     weights = json.loads(capsys.readouterr().out)["weights"]
     assert sum(weights) == pytest.approx(total, rel=1e-12)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command, callee", [
+    ("spectrum", "perturbed_spectrum"), ("sample", "sample"),
+    ("reconstruct", "reconstruct"), ("verify", "run_verification")])
+def test_running_out_of_memory_is_a_numerical_failure(files, capsys,
+                                                      monkeypatch, command,
+                                                      callee):
+    # No array is allocated: the callee raises as an allocation would.
+    from specsample import cli
+    from specsample.serialize import model_from_dict, state_from_dict
+
+    samples = sample(model_from_dict(M2), state_from_dict(MU), 1.0)
+    monkeypatch.setattr(cli, callee, _out_of_memory)
+    model = files("m.json", M2)
+    args = {
+        "spectrum": ["--model", model, "--coupling", "inf"],
+        "sample": ["--model", model, "--state", files("phi.json", MU),
+                   "--coupling", "1"],
+        "reconstruct": ["--samples", files("s.json", samples_to_dict(samples)),
+                        "--grid", files("g.json", {"points": [[0.5, 1.0]]})],
+        "verify": ["--model", model],
+    }[command]
+    assert main([command, *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "numerical failure: out of memory\n"
+    assert captured.out == ""

@@ -534,6 +534,23 @@ def _check_against_bisection(m, h):
             assert abs(got[j] - root) <= abs(want[j] - root)
 
 
+@pytest.mark.parametrize("name", ["random-3", "random-50", "clustered",
+                                  "tiny-weights", "offset-1e8"])
+@pytest.mark.parametrize("h", [1.3, -1e-8, 1e8, None])
+def test_roots_in_blocks_equal_the_unblocked_roots(monkeypatch, name, h):
+    # A block bound of two rows splits every solve into several blocks,
+    # whose rows are subtracted, not taken from the whole shift matrix:
+    # roots, origins, offsets and evaluation counts keep their bits, and
+    # the roots match the bit bisection.
+    m = _REFERENCE_MODELS[name]
+    a, b = (0.0, 1.0) if h is None else (1.0, h)
+    want = _secular_roots(m, a, b)
+    monkeypatch.setattr(perturbation, "_SOLVE_TERMS", 2 * m.dim)
+    got = _secular_roots(m, a, b)
+    assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+    _check_against_bisection(m, h)
+
+
 @pytest.mark.parametrize("h", [1.3, -0.7, None])
 def test_most_roots_take_a_few_evaluations(h):
     rng = np.random.default_rng(73)

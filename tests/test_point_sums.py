@@ -2,9 +2,10 @@
 
 The reference sums F' at every point, applies the zero guard
 f == 0 or |f| < r |f'| to it, and takes each sum as math.fsum over a list
-of the terms.  The evaluators sum f' only where the guard needs it, and
-read the terms without a list; their outputs and the errors they raise
-must equal the reference's bit for bit.
+of the terms.  The evaluators sum f' only where the guard needs it, read
+the terms without a list, and from _STACK_TERMS real terms per call on sum
+them in one stacked extraction; their outputs and the errors they raise
+must equal the reference's bit for bit on both sides of that crossover.
 """
 import cmath
 import math
@@ -19,17 +20,31 @@ from specsample import (
     SampleSet,
     StateVector,
     ZeroOfF,
+    evaluate_rep,
+    inner_h,
+    kramer_reconstruct,
+    mu_inner,
     new_model,
+    normalize,
     perturbed_spectrum,
     reconstruct,
     sample,
+    to_partial_fractions,
     transform,
     weyl,
     weyl_h,
     xi,
+    xi_norm_sq,
 )
+from specsample import herglotz, sampling
 from specsample.errors import NumericalError
-from specsample.herglotz import _clear_of_zero, _guard, _near_zero
+from specsample.herglotz import (
+    _STACK_TERMS,
+    _clear_of_zero,
+    _guard,
+    _near_zero,
+)
+from specsample.perturbation import _node_data
 
 from conftest import LAYOUTS, layout_model, random_model, random_state
 
@@ -66,6 +81,13 @@ def _reference(m, phi, s, z):
                              (f / (1.0 + H * f), H + 1.0 / f, -fp / (f * f)))
             out["transform"] = _fsum(m.sqrt_weights * phi.coords / d) / f
             out["xi"] = m.sqrt_weights / ((lam - z.conjugate()) * f.conjugate())
+            if z.imag == 0:
+                # F^2 underflows at |x| near 1e300: a bare ZeroDivisionError
+                # (ROADMAP.md, known defects).
+                out["xi_norm_sq"] = (ZeroDivisionError if f * f == 0
+                                     else (fp / (f * f)).real)
+        if z.imag == 0 and "xi_norm_sq" not in out:
+            out["xi_norm_sq"] = out["weyl_h"]
     if s is not None:
         r, d, pole = _guarded(s.nodes, z)
         out["reconstruct"] = PoleProximity
@@ -88,8 +110,10 @@ def _evaluate(name, m, phi, s, z):
             return transform(m, phi, z)
         if name == "xi":
             return xi(m, z).coords
+        if name == "xi_norm_sq":
+            return xi_norm_sq(m, z.real)
         return reconstruct(s, z)
-    except NumericalError as e:
+    except (NumericalError, ZeroDivisionError) as e:
         return type(e)
 
 
@@ -114,7 +138,7 @@ def _check(m, phi, s, points):
 
 def _case(layout, tiny, seed, n=40):
     m = layout_model(n, layout, tiny, seed)
-    phi = random_state(np.random.default_rng(seed), n)
+    phi = random_state(np.random.default_rng(seed), m.dim)
     try:
         s = sample(m, phi, H)
     except NumericalError:  # a node mass below the smallest double
@@ -181,8 +205,9 @@ def test_a_point_the_certificate_cannot_clear_is_still_evaluated():
     f, fp = _fsum(m.weights / d), _fsum(m.weights / (d * d))
     assert not _clear_of_zero(f, m.weights, dist, r)
     assert not _near_zero(f, fp, r)
-    # weyl_h's F'/F^2 is out of range: F^2 underflows.
-    assert _check(m, phi, None, [z]) == 1
+    # weyl_h's F'/F^2 is out of range: F^2 underflows, and xi_norm_sq,
+    # which divides by it, raises ZeroDivisionError.
+    assert _check(m, phi, None, [z]) == 2
 
 
 @pytest.mark.parametrize("z", [1e308, -1e308, 1e308j])
@@ -216,3 +241,119 @@ def test_huge_points_evaluate_without_warnings(z):
         values = [transform(m, phi, z), reconstruct(s, z), *xi(m, z).coords]
     assert f != 0 and fp == 0
     assert np.all(np.isfinite(values))
+
+
+# Model sizes on both sides of the crossover: F with F' or with the
+# numerator stacks 4N real terms per call, each sum of reconstruct 2N.
+SIZES = sorted({_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
+                _STACK_TERMS // 2 - 1, _STACK_TERMS // 2, 400})
+
+
+def _points(m, count, seed):
+    """Off-axis and real points over the spectrum, points next to eight
+    zeros of F where the certificate cannot clear the zero guard, and |z|
+    up to 1e300."""
+    lam, scale = m.eigenvalues, m.scale
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(lam[0] - scale, lam[-1] + scale, count)
+    y = 10.0 ** rng.uniform(-12, 0, count) * scale * rng.choice([-1, 1],
+                                                                 count)
+    r = 1e-8 * scale
+    zeros = perturbed_spectrum(m, Coupling.infinite())
+    zeros = zeros[::max(1, zeros.size // 8)]
+    return ([complex(a, b) for a, b in zip(x, y)] + list(x[:4])
+            + [z + k * r * d for z in zeros for k in (0.0, 0.9, 1.1, 3.0)
+               for d in (1.0, 1j)]
+            + [1e200, -1e300, 1e300j, 1e200 + 1e200j])
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["weights", "tiny"])
+@pytest.mark.parametrize("n, layout", [(n, layout) for n in SIZES
+                                       for layout in LAYOUTS]
+                         + [(1000, "random"), (1000, "clusters")])
+def test_evaluators_across_the_crossover_equal_the_reference(n, layout,
+                                                             tiny):
+    m, phi, s = _case(layout, tiny, n, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        _check(m, phi, s, _points(m, 6, n))
+
+
+@pytest.mark.parametrize("n", SIZES + [1000])
+def test_single_sums_across_the_crossover_equal_fsum(n):
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    phi, psi = random_state(rng, n), random_state(rng, n)
+    assert _bits(mu_inner(m, phi)) == _bits(_fsum(m.sqrt_weights
+                                                  * phi.coords))
+    f, g = sample(m, phi, H), sample(m, psi, H)
+    assert _bits(inner_h(m, H, phi, psi)) == _bits(
+        _fsum(f.node_weights * np.conj(f.values) * g.values))
+    rep = to_partial_fractions(normalize(m), phi)
+    for z in _points(m, 6, n)[:8]:
+        with np.errstate(all="ignore"):
+            want = rep.constant + _fsum(rep.coefficients / (z - rep.poles))
+        assert _bits(evaluate_rep(rep, z)) == _bits(want)
+
+
+@pytest.mark.parametrize("n", [_STACK_TERMS // 2 - 1, _STACK_TERMS // 2])
+def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
+    # One point's expansion holds 2N real terms: below the crossover it is
+    # summed by fsum, from it on in one stacked call; a grid is one call
+    # per slab, and a small slab bound makes several.
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    s = sample(m, random_state(rng, n), H)
+    grid = np.array(_points(m, 10, n)[:10])
+    want = []
+    for z in grid:
+        coords = np.conj(xi(m, z).coords)[None]
+        masses, (values,) = _node_data(m, 1.0, H, s.nodes, coords)
+        want.append(_fsum(masses * values * s.values))
+    want = np.array(want).tobytes()
+    assert kramer_reconstruct(m, s, grid).tobytes() == want
+    assert np.array([kramer_reconstruct(m, s, z)
+                     for z in grid]).tobytes() == want
+    monkeypatch.setattr(sampling, "_KRAMER_TERMS", 3 * n)
+    assert kramer_reconstruct(m, s, grid).tobytes() == want
+
+
+def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
+    # transform stacks F with its numerator, 4N real terms; each of the two
+    # sums of reconstruct holds 2N.
+    calls = []
+    row_sums = herglotz._row_sums
+    monkeypatch.setattr(herglotz, "_row_sums",
+                        lambda t: calls.append(t.shape) or row_sums(t))
+    for n, stacked in [(_STACK_TERMS // 4 - 1, []),
+                       (_STACK_TERMS // 4, [(4, _STACK_TERMS // 4)])]:
+        m = random_model(np.random.default_rng(n), n)
+        phi = random_state(np.random.default_rng(n), n)
+        calls.clear()
+        transform(m, phi, 0.3 + 1.0j)
+        assert calls == stacked
+    for n, stacked in [(_STACK_TERMS // 2 - 1, []),
+                       (_STACK_TERMS // 2, [(2, _STACK_TERMS // 2)] * 2)]:
+        m = random_model(np.random.default_rng(n), n)
+        s = sample(m, random_state(np.random.default_rng(n), n), H)
+        calls.clear()
+        reconstruct(s, 0.3 + 1.0j)
+        assert calls == stacked
+
+
+@pytest.mark.parametrize("n", [3, _STACK_TERMS])
+def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
+    # Weights of 5e307 on the first two poles: midway between them their
+    # terms are infinite, of opposite signs, and have no sum
+    # (NumericalError); at -0.3 they are finite and sum past the largest
+    # double, which math.fsum reports (OverflowError).
+    lam = np.linspace(0.0, 1.0, n)
+    m = new_model(lam, np.concatenate(([5e307, 5e307], np.ones(n - 2))))
+    mid = 0.5 * (lam[0] + lam[1])
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="both infinite signs"):
+            weyl(m, mid)
+        with pytest.raises(NumericalError, match="both infinite signs"):
+            transform(m, StateVector(np.ones(n)), mid)
+        with pytest.raises(OverflowError):
+            weyl(m, -0.3)

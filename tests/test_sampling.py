@@ -406,6 +406,39 @@ def test_kramer_rejects_a_partial_node_set():
         kramer_reconstruct(m, part, 0.3 + 1.0j)
 
 
+class _CountingMath:
+    """The math module, counting the rows _row_sums hands to math.fsum."""
+
+    def __init__(self):
+        self.fsum_rows = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def fsum(self, terms):
+        self.fsum_rows += 1
+        return math.fsum(terms)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_sample_on_tiny_weights_sums_few_rows_by_fsum(monkeypatch, layout):
+    # With weights down to 1e-299, w_k / (lam_k - x_j) overflows at most
+    # nodes, which take the limit value psi_k / sqrt(w_k).  The pass at the
+    # nodes sums only the others: a row with an infinite term cannot be
+    # certified and would fall back to math.fsum (about 570 rows here).
+    import specsample.herglotz as herglotz
+
+    m = layout_model(200, layout, True, 2)
+    phi = random_state(np.random.default_rng(2), m.dim)
+    counting = _CountingMath()
+    monkeypatch.setattr(herglotz, "math", counting)
+    s = sample(m, phi, 1.3)
+    assert counting.fsum_rows <= 3
+    with np.errstate(divide="ignore", over="ignore"):
+        terms = m.weights / (m.eigenvalues - s.nodes[:, None])
+    assert (~np.isfinite(terms).all(axis=1)).sum() > 100
+
+
 PHI3 = StateVector([1.0, 2.0 - 1.0j, 3.0])
 
 
