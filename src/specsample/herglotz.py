@@ -7,10 +7,9 @@ model size, by a vectorized error-free extraction that certifies each row
 correctly rounded, and math.fsum for the rest (_row_sums).  That serves
 real sums at many real points or pole offsets (cauchy_rows), and the
 complex sums a point evaluator takes at one point (_stacked): below
-_STACK_TERMS real terms per call, or where half of them are known zeros
-(the imaginary parts of F's terms at a real point), each part is one
-math.fsum; from there on they are stacked into one _row_sums call, which
-is faster there.
+_STACK_TERMS real terms per call, not counting the imaginary parts of F's
+terms at a real point, which are zeros, each part is one math.fsum; from
+there on they are stacked into one _row_sums call, which is faster there.
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -37,14 +36,15 @@ from .model import SpectralModel
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
-# Terms formed at once by cauchy_rows and _stacked, per array: 2^15 doubles
-# is 256 KiB.
+# Terms formed at once by cauchy_rows, and stacked at once for
+# kramer_reconstruct, per array: 2^15 doubles is 256 KiB.
 _BLOCK_TERMS = 1 << 15
 
 # Real terms per call from which _stacked stacks its sums into one _row_sums
-# call.  math.fsum takes 35-50 ns a term and a stacked call 25-40 us
-# whatever its rows; they break even at about 800 terms (Python 3.11,
-# numpy 2.4, a shared 2-vCPU x86-64 host).
+# call; below it, the sums are taken by _csum alone.  math.fsum takes
+# 35-50 ns a term and a stacked call 25-40 us whatever its rows; they break
+# even at about 800 terms (Python 3.11, numpy 2.4, a shared 2-vCPU x86-64
+# host).
 _STACK_TERMS = 800
 
 
@@ -63,29 +63,39 @@ def _csum(terms: np.ndarray) -> complex:
 
 def _stacked(terms) -> list[complex] | None:
     """[_csum(t) for t in terms] for equal-length complex arrays (a
-    sequence, or the rows of a 2-D array), bit for bit, from one _row_sums
-    call over their real and imaginary parts; None below _STACK_TERMS real
-    terms, and where a sum overflows or is NaN (a NaN term, or both
-    infinities), which _csum raises or returns.  A caller given None takes
-    each sum with _csum, in the order that decides which error is raised."""
-    k = len(terms)
-    n = len(terms[0]) if k else 0
-    if 2 * k * n < _STACK_TERMS:
-        return None
+    sequence, or the rows of a 2-D array: kramer_reconstruct passes a block
+    of _BLOCK_TERMS real terms at a time), bit for bit, from one _row_sums
+    call over their real and imaginary parts.  An imaginary part of zeros (F's terms at a real point) is 0.0,
+    as fsum sums it, and is left out of the call and of the count; they are
+    looked for only where the first term of the first array is real, so off
+    the real axis that costs no pass.  None below _STACK_TERMS real terms
+    in the call (callers test 2 k n >= _STACK_TERMS for k arrays of n terms
+    before they form them), and where a sum overflows or is NaN (a NaN
+    term, or both infinities), which _csum raises or returns.  A caller
+    given None takes each sum with _csum, in the order that decides which
+    error is raised."""
     t = np.asarray(terms)
-    step = max(1, _BLOCK_TERMS // (2 * n))
-    sums = []
+    if 2 * t.size < _STACK_TERMS:
+        return None
+    imag, live = t.imag, None
+    if not t[0, 0].imag:
+        live = [bool(head.imag) or np.count_nonzero(imag[i]) > 0
+                for i, head in enumerate(t[:, 0].tolist())]
+        imag = imag[live]
+        if (len(t) + len(imag)) * t.shape[1] < _STACK_TERMS:
+            return None
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, k, step):
-                part = t[lo:lo + step]
-                s = _row_sums(np.concatenate((part.real, part.imag))).tolist()
-                if any(map(math.isnan, s)):
-                    return None
-                sums += map(complex, s[:len(part)], s[len(part):])
+            sums = _row_sums(np.concatenate((t.real, imag))).tolist()
     except OverflowError:
         return None
-    return sums
+    k = len(t)
+    if live is not None:
+        found = iter(sums[k:])
+        sums[k:] = [next(found) if nonzero else 0.0 for nonzero in live]
+    if any(map(math.isnan, sums)):
+        return None
+    return list(map(complex, sums[:k], sums[k:]))
 
 
 def _sum(terms: np.ndarray) -> complex:
@@ -292,38 +302,41 @@ def _regular(model: SpectralModel, z: complex, derivative: bool = False,
     """complex(z), F(z), F'(z) and N(z) = sum num_j/(lam_j - z), once z is
     guarded against the eigenvalues and the zeros of F.  F' is summed where
     it is asked for or where _clear_of_zero cannot clear z without it, else
-    it is None; N is None without num.  F with F' or with N is one stacked
-    call (_stacked) off the real axis, or else each sum in turn, N after
-    the guard."""
+    it is None; N is None without num.  From _STACK_TERMS real terms on, F
+    and those asked for are one stacked call (_stacked); else each is a
+    _csum in turn, N after the guard."""
     z = complex(z)
     r, d, dist = _guard(model.eigenvalues, z, "eigenvalue")
     w = model.weights
-    terms = [w / d]
+    sums = None
+    if 2 * (1 + derivative + (num is not None)) * w.size >= _STACK_TERMS:
+        terms = [w / d]
+        if derivative:
+            terms.append(_slopes(w, d))
+        if num is not None:
+            terms.append(num / d)
+        sums = _stacked(terms)
+    f, fp = sums[0] if sums else _csum(w / d), None
     if derivative:
-        terms.append(_slopes(w, d))
-    elif num is not None:
-        terms.append(num / d)
-    # At a real point the imaginary parts of F's terms are zeros, so half
-    # the stack would be zeros: the stacked call does not pay there.
-    sums = _stacked(terms) if z.imag else None
-    f, fp = sums[0] if sums else _csum(terms[0]), None
-    if derivative:
-        fp = sums[1] if sums else _csum(terms[1])
+        fp = sums[1] if sums else _csum(_slopes(w, d))
     elif not _clear_of_zero(f, w, dist, r):
         fp = _csum(_slopes(w, d))
     if fp is not None and _near_zero(f, fp, r):
         raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
     if num is None:
         return z, f, fp, None
-    return z, f, fp, sums[1] if sums else _csum(terms[1])
+    return z, f, fp, sums[-1] if sums else _csum(num / d)
 
 
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    z = complex(z)
-    _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
-    terms = [model.weights / d, _slopes(model.weights, d)]
-    return tuple((_stacked(terms) if z.imag else None) or map(_csum, terms))
+    _, d, _ = _guard(model.eigenvalues, complex(z), "eigenvalue")
+    w = model.weights
+    if 4 * w.size >= _STACK_TERMS:
+        sums = _stacked([w / d, _slopes(w, d)])
+        if sums:
+            return tuple(sums)
+    return _csum(w / d), _csum(_slopes(w, d))
 
 
 def weyl_h(model: SpectralModel, h: float,

@@ -58,25 +58,17 @@ def _secular_roots(model: SpectralModel, a: float, b: float
     s = 1.0 if b > 0.0 else -1.0
     c = max(abs(a), abs(b))
     a1, b1 = s * a / c, abs(b) / c
-    # Rows are taken a block at a time.  Row k starts as lam_j - lam_k: a
-    # row of shift while all of them fit in one block, else subtracted,
-    # which gives the same bits.
+    # Rows are taken a block at a time; row k starts as lam_j - lam_k.
     block = max(1, min(n, _SOLVE_TERMS // n))
     diff, work = np.empty((block, n)), np.empty((block, n))
-    shift = np.subtract(lam, lam[:, None]) if block >= n else None
     index = np.arange(block)
     starts = index * n
 
     def sums(origin, cut, tau):
         """F, R and R' (see evaluate) for the rows of one block."""
         m = tau.size
-        if shift is None:
-            d = diff[:m]
-            d[...] = lam
-            d -= lam[origin, None]
-        else:
-            d = np.take(shift, origin, axis=0, out=diff[:m], mode="clip")
         # lam_j - x as (lam_j - lam_k) - tau is exact at the origin.
+        d = np.subtract(lam, lam[origin, None], out=diff[:m])
         d -= tau[:, None]
         q = np.divide(w, d, out=work[:m])
         total = q.sum(axis=1)

@@ -23,6 +23,8 @@ from .errors import (
     RealPoint,
 )
 from .herglotz import (
+    _BLOCK_TERMS,
+    _STACK_TERMS,
     _clear_of_zero,
     _complex,
     _csum,
@@ -88,9 +90,8 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     z = complex(z)
     r, d, dist = _guard(samples.nodes, z, "sampling node")
     masses = samples.node_weights
-    # At a real point the imaginary parts of F_h's terms are zeros (see
-    # herglotz._regular).
-    f_h = _sum(masses / d) if z.imag else _csum(masses / d)
+    total = _csum if 2 * masses.size < _STACK_TERMS else _sum
+    f_h = total(masses / d)
     if not _clear_of_zero(f_h, masses, dist, r) and _near_zero(
             f_h, _csum(_slopes(masses, d)), r):
         raise PoleProximity(
@@ -100,7 +101,7 @@ def reconstruct(samples: SampleSet, z: complex) -> complex:
     if not cmath.isfinite(g_h):
         raise NumericalError(f"G_h = 1/F_h overflows at z={z}")
     # G_h'(x_j) = -1/m_j turns the Lagrange weight into m_j G_h(z)/(x_j - z).
-    return _sum(masses * samples.values * (g_h / d))
+    return total(masses * samples.values * (g_h / d))
 
 
 # Grid points whose xi coordinates and node values Kramer holds at once:
@@ -120,7 +121,8 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     nodes are summed for a whole slab of the grid (_KRAMER_TERMS
     coordinates) in one stacked pass, which also takes F, the masses at
     the roots of the solve the nodes are matched to, once per slab, and
-    the expansion at every point of the slab in one stacked call (_stacked).
+    the expansions at the slab's points in one stacked call (_stacked) per
+    _BLOCK_TERMS real terms.
     Raises InconsistentNodes when the nodes are not the spectrum at the
     samples' coupling, also for an empty grid.
     """
@@ -136,7 +138,11 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
         masses, values = _node_data(model, 1.0, float(samples.h),
                                     samples.nodes, coords.reshape(-1, model.dim))
         terms = masses * values * samples.values
-        out[start:start + slab] = _stacked(terms) or list(map(_csum, terms))
+        rows = max(1, _BLOCK_TERMS // (2 * terms.shape[1]))
+        for lo in range(0, len(terms), rows):
+            block = terms[lo:lo + rows]
+            out[start + lo:start + lo + len(block)] = (
+                _stacked(block) or list(map(_csum, block)))
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

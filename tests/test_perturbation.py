@@ -538,8 +538,7 @@ def _check_against_bisection(m, h):
                                   "tiny-weights", "offset-1e8"])
 @pytest.mark.parametrize("h", [1.3, -1e-8, 1e8, None])
 def test_roots_in_blocks_equal_the_unblocked_roots(monkeypatch, name, h):
-    # A block bound of two rows splits every solve into several blocks,
-    # whose rows are subtracted, not taken from the whole shift matrix:
+    # A block bound of two rows splits every solve into several blocks:
     # roots, origins, offsets and evaluation counts keep their bits, and
     # the roots match the bit bisection.
     m = _REFERENCE_MODELS[name]

@@ -43,6 +43,7 @@ from specsample.herglotz import (
     _clear_of_zero,
     _guard,
     _near_zero,
+    _regular,
 )
 from specsample.perturbation import _node_data
 
@@ -300,7 +301,7 @@ def test_single_sums_across_the_crossover_equal_fsum(n):
 def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
     # One point's expansion holds 2N real terms: below the crossover it is
     # summed by fsum, from it on in one stacked call; a grid is one call
-    # per slab, and a small slab bound makes several.
+    # per block of a slab, and small bounds make several.
     rng = np.random.default_rng(n)
     m = random_model(rng, n)
     s = sample(m, random_state(rng, n), H)
@@ -315,6 +316,11 @@ def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
     assert np.array([kramer_reconstruct(m, s, z)
                      for z in grid]).tobytes() == want
     monkeypatch.setattr(sampling, "_KRAMER_TERMS", 3 * n)
+    assert kramer_reconstruct(m, s, grid).tobytes() == want
+    # Blocks of two points within a slab of five: the last one alone is
+    # below the crossover.
+    monkeypatch.setattr(sampling, "_KRAMER_TERMS", 5 * n)
+    monkeypatch.setattr(sampling, "_BLOCK_TERMS", 4 * n)
     assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
@@ -339,6 +345,36 @@ def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
         calls.clear()
         reconstruct(s, 0.3 + 1.0j)
         assert calls == stacked
+    # At a real point the imaginary parts of the terms of F and F' are
+    # zeros, left out of the call and of the count: xi_norm_sq stacks 2N
+    # real terms, transform 3N.
+    for n, stacked in [(_STACK_TERMS // 2 - 1, []),
+                       (_STACK_TERMS // 2, [(2, _STACK_TERMS // 2)])]:
+        m = random_model(np.random.default_rng(n), n)
+        calls.clear()
+        xi_norm_sq(m, 0.3)
+        assert calls == stacked
+    for n, stacked in [(_STACK_TERMS // 3, []),
+                       (_STACK_TERMS // 3 + 1, [(3, _STACK_TERMS // 3 + 1)])]:
+        m = random_model(np.random.default_rng(n), n)
+        phi = random_state(np.random.default_rng(n), n)
+        calls.clear()
+        transform(m, phi, 0.3)
+        assert calls == stacked
+
+
+@pytest.mark.parametrize("n", [_STACK_TERMS // 6, _STACK_TERMS // 6 + 1])
+def test_f_its_derivative_and_a_numerator_are_summed_together(n):
+    # F, F' and N hold 6N real terms: fsum below the crossover, one
+    # stacked call from it on, and each sum in its own place either way.
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    num = m.sqrt_weights * random_state(rng, n).coords
+    z = 0.3 + 0.5j
+    d = m.eigenvalues - z
+    want = (z, _fsum(m.weights / d), _fsum(m.weights / (d * d)),
+            _fsum(num / d))
+    assert _bits(_regular(m, z, derivative=True, num=num)) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [3, _STACK_TERMS])
