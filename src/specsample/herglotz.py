@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,11 +80,11 @@ def _stacked(terms) -> list[complex] | None:
         return None
     imag, live = t.imag, None
     if not t[0, 0].imag:
-        live = [bool(head.imag) or np.count_nonzero(imag[i]) > 0
+        live = [bool(head.imag or np.count_nonzero(imag[i]))
                 for i, head in enumerate(t[:, 0].tolist())]
-        imag = imag[live]
-        if (len(t) + len(imag)) * t.shape[1] < _STACK_TERMS:
+        if (len(t) + sum(live)) * t.shape[1] < _STACK_TERMS:
             return None
+        imag = imag[live]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _row_sums(np.concatenate((t.real, imag))).tolist()
@@ -296,54 +297,55 @@ def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
                       + n * (1.0 + r) * 2.0 ** -1020)
 
 
-def _regular(model: SpectralModel, z: complex, derivative: bool = False,
-             num: np.ndarray | None = None
+def _zero_of_f(z: complex, r: float) -> ZeroOfF:
+    return ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
+
+
+def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
+             derivative: bool = False, num: np.ndarray | None = None,
+             what: str = "eigenvalue",
+             zero: Callable[[complex, float], Exception] = _zero_of_f
              ) -> tuple[complex, complex, complex | None, complex | None]:
-    """complex(z), F(z), F'(z) and N(z) = sum num_j/(lam_j - z), once z is
-    guarded against the eigenvalues and the zeros of F.  F' is summed where
-    it is asked for or where _clear_of_zero cannot clear z without it, else
-    it is None; N is None without num.  From _STACK_TERMS real terms on, F
-    and those asked for are one stacked call (_stacked); else each is a
-    _csum in turn, N after the guard."""
+    """complex(z), f(z) = sum c_j/(poles_j - z), f'(z) and N(z) = sum
+    num_j/(poles_j - z), z guarded against the poles (named what) and the
+    zeros of f (raising zero(z, r)).  f' is summed where asked for or where
+    _clear_of_zero cannot clear z without it, else None; N is None without
+    num.  From _STACK_TERMS real terms on, f and those asked for are one
+    stacked call; else, or where it declines, each is a _csum of the terms
+    formed, N after the guard."""
     z = complex(z)
-    r, d, dist = _guard(model.eigenvalues, z, "eigenvalue")
-    w = model.weights
-    sums = None
-    if 2 * (1 + derivative + (num is not None)) * w.size >= _STACK_TERMS:
-        terms = [w / d]
-        if derivative:
-            terms.append(_slopes(w, d))
-        if num is not None:
-            terms.append(num / d)
-        sums = _stacked(terms)
-    f, fp = sums[0] if sums else _csum(w / d), None
+    r, d, dist = _guard(poles, z, what)
+    terms = [c / d]
     if derivative:
-        fp = sums[1] if sums else _csum(_slopes(w, d))
-    elif not _clear_of_zero(f, w, dist, r):
-        fp = _csum(_slopes(w, d))
+        terms.append(_slopes(c, d))
+    if num is not None:
+        terms.append(num / d)
+    sums = iter((2 * len(terms) * c.size >= _STACK_TERMS and _stacked(terms))
+                or map(_csum, terms))
+    f = next(sums)
+    fp = next(sums) if derivative else None
+    if fp is None and not _clear_of_zero(f, c, dist, r):
+        fp = _csum(_slopes(c, d))
     if fp is not None and _near_zero(f, fp, r):
-        raise ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
-    if num is None:
-        return z, f, fp, None
-    return z, f, fp, sums[-1] if sums else _csum(num / d)
+        raise zero(z, r)
+    return z, f, fp, next(sums) if num is not None else None
 
 
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
     _, d, _ = _guard(model.eigenvalues, complex(z), "eigenvalue")
     w = model.weights
-    if 4 * w.size >= _STACK_TERMS:
-        sums = _stacked([w / d, _slopes(w, d)])
-        if sums:
-            return tuple(sums)
-    return _csum(w / d), _csum(_slopes(w, d))
+    terms = [w / d, _slopes(w, d)]
+    return tuple((4 * w.size >= _STACK_TERMS and _stacked(terms))
+                 or map(_csum, terms))
 
 
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
     NumericalError where F^2 underflows (|z| past about 1e154)."""
-    z, f, fp, _ = _regular(model, z, derivative=True)
+    z, f, fp, _ = _regular(model.eigenvalues, model.weights, z,
+                           derivative=True)
     if f * f == 0:
         raise NumericalError(f"F(z)^2 underflows at z={z}")
     f_h = f / (1.0 + h * f)
@@ -369,13 +371,17 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
     Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
-    z, f, _, _ = _regular(model, z)
+    z, f, _, _ = _regular(model.eigenvalues, model.weights, z)
     zb = z.conjugate()
     coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
     return XiVector(at=z, coords=coords)
 
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
-    """Squared norm of xi at a real point, via F'(x)/F(x)^2."""
-    _, f, fp, _ = _regular(model, x, derivative=True)
+    """Squared norm of xi at a real point, via F'(x)/F(x)^2.
+    NumericalError where F^2 underflows, as in weyl_h."""
+    z, f, fp, _ = _regular(model.eigenvalues, model.weights, x,
+                           derivative=True)
+    if f * f == 0:
+        raise NumericalError(f"F(z)^2 underflows at z={z}")
     return float((fp / (f * f)).real)

@@ -38,6 +38,7 @@ class SpectralModel:
     eigenvalues: np.ndarray
     weights: np.ndarray
     mu_norm_sq: float = field(init=False)
+    sqrt_weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = _frozen(self.eigenvalues, float)
@@ -64,14 +65,13 @@ class SpectralModel:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu_norm_sq", total)
+        root = np.sqrt(w)
+        root.flags.writeable = False
+        object.__setattr__(self, "sqrt_weights", root)
 
     @property
     def dim(self) -> int:
         return self.eigenvalues.size
-
-    @property
-    def sqrt_weights(self) -> np.ndarray:
-        return np.sqrt(self.weights)
 
     @property
     def scale(self) -> float:

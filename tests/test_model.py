@@ -86,6 +86,17 @@ def test_model_immutable(m2):
         m2.eigenvalues[0] = 5.0
 
 
+def test_sqrt_weights_are_held_once_per_model():
+    m = new_model([0.0, 1.0, 2.5], [2e-300, 0.3, 7.0])
+    root = m.sqrt_weights
+    assert root is m.sqrt_weights
+    assert not root.flags.writeable
+    assert root.tobytes() == np.sqrt(m.weights).tobytes()
+    with pytest.raises(ValueError):
+        root[0] = 1.0
+    assert "sqrt_weights" not in repr(m)
+
+
 def test_coupling():
     assert Coupling.finite(1.5).value == 1.5
     assert Coupling.infinite().is_infinite

@@ -83,9 +83,8 @@ def _reference(m, phi, s, z):
             out["transform"] = _fsum(m.sqrt_weights * phi.coords / d) / f
             out["xi"] = m.sqrt_weights / ((lam - z.conjugate()) * f.conjugate())
             if z.imag == 0:
-                # F^2 underflows at |x| near 1e300: a bare ZeroDivisionError
-                # (ROADMAP.md, known defects).
-                out["xi_norm_sq"] = (ZeroDivisionError if f * f == 0
+                # F^2 underflows at |x| near 1e300, as for weyl_h.
+                out["xi_norm_sq"] = (NumericalError if f * f == 0
                                      else (fp / (f * f)).real)
         if z.imag == 0 and "xi_norm_sq" not in out:
             out["xi_norm_sq"] = out["weyl_h"]
@@ -95,9 +94,11 @@ def _reference(m, phi, s, z):
         if not pole:
             f, fp = _fsum(s.node_weights / d), _fsum(s.node_weights / (d * d))
             if not (f == 0 or abs(f) < r * abs(fp)):
-                g = 1.0 / f
-                out["reconstruct"] = NumericalError if not cmath.isfinite(
-                    g) else _fsum(s.node_weights * s.values * (g / d))
+                # The barycentric quotient N_h/F_h, N_h = sum m_j v_j/d_j.
+                value = _fsum(s.node_weights * s.values / d) / f
+                out["reconstruct"] = (
+                    value if cmath.isfinite(1.0 / f)
+                    and cmath.isfinite(value) else NumericalError)
     return out
 
 
@@ -114,7 +115,7 @@ def _evaluate(name, m, phi, s, z):
         if name == "xi_norm_sq":
             return xi_norm_sq(m, z.real)
         return reconstruct(s, z)
-    except (NumericalError, ZeroDivisionError) as e:
+    except NumericalError as e:
         return type(e)
 
 
@@ -207,7 +208,7 @@ def test_a_point_the_certificate_cannot_clear_is_still_evaluated():
     assert not _clear_of_zero(f, m.weights, dist, r)
     assert not _near_zero(f, fp, r)
     # weyl_h's F'/F^2 is out of range: F^2 underflows, and xi_norm_sq,
-    # which divides by it, raises ZeroDivisionError.
+    # which divides by it, raises NumericalError as weyl_h does.
     assert _check(m, phi, None, [z]) == 2
 
 
@@ -228,6 +229,18 @@ def test_f_that_underflows_to_zero_is_a_zero_of_f(z):
             reconstruct(s, z)
 
 
+@pytest.mark.parametrize("z", [0.5 + 1e-7, 0.5 + 1e-7j])
+def test_a_quotient_past_the_doubles_is_a_numerical_failure(z):
+    # 1e-7 from the zero of F_h at 0.5, outside the guard, N_h/F_h is about
+    # 5e309; every term of N_h and 1/F_h are finite.
+    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1.0, 1.0],
+                  values=[1e303, -1e303])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError, match="N_h/F_h overflows"):
+            reconstruct(s, z)
+
+
 @pytest.mark.parametrize("z", [1e200, -1e200, 1e200j, -1e200j, 1e300,
                                -1e300j])
 def test_huge_points_evaluate_without_warnings(z):
@@ -245,7 +258,8 @@ def test_huge_points_evaluate_without_warnings(z):
 
 
 # Model sizes on both sides of the crossover: F with F' or with the
-# numerator stacks 4N real terms per call, each sum of reconstruct 2N.
+# numerator (reconstruct's F_h with N_h too) stacks 4N real terms per call,
+# and at a real point F with F' 2N.
 SIZES = sorted({_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
                 _STACK_TERMS // 2 - 1, _STACK_TERMS // 2, 400})
 
@@ -325,8 +339,8 @@ def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
 
 
 def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
-    # transform stacks F with its numerator, 4N real terms; each of the two
-    # sums of reconstruct holds 2N.
+    # transform stacks F with its numerator, 4N real terms, and reconstruct
+    # F_h with N_h, also 4N.
     calls = []
     row_sums = herglotz._row_sums
     monkeypatch.setattr(herglotz, "_row_sums",
@@ -338,8 +352,8 @@ def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
         calls.clear()
         transform(m, phi, 0.3 + 1.0j)
         assert calls == stacked
-    for n, stacked in [(_STACK_TERMS // 2 - 1, []),
-                       (_STACK_TERMS // 2, [(2, _STACK_TERMS // 2)] * 2)]:
+    for n, stacked in [(_STACK_TERMS // 4 - 1, []),
+                       (_STACK_TERMS // 4, [(4, _STACK_TERMS // 4)])]:
         m = random_model(np.random.default_rng(n), n)
         s = sample(m, random_state(np.random.default_rng(n), n), H)
         calls.clear()
@@ -363,6 +377,23 @@ def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
         assert calls == stacked
 
 
+def test_terms_a_declined_stacked_call_formed_are_summed_as_they_are(
+        monkeypatch):
+    # At a real point F with F' holds 4N terms but only 2N live real ones:
+    # for N = 200, _stacked declines, and the terms of F' it was given are
+    # summed, not formed again.
+    n = _STACK_TERMS // 4
+    m = random_model(np.random.default_rng(n), n)
+    calls = []
+    slopes = herglotz._slopes
+    monkeypatch.setattr(herglotz, "_slopes",
+                        lambda c, d: calls.append(c.size) or slopes(c, d))
+    d = m.eigenvalues - complex(0.3)
+    f, fp = _fsum(m.weights / d), _fsum(m.weights / (d * d))
+    assert xi_norm_sq(m, 0.3) == (fp / (f * f)).real
+    assert calls == [n]
+
+
 @pytest.mark.parametrize("n", [_STACK_TERMS // 6, _STACK_TERMS // 6 + 1])
 def test_f_its_derivative_and_a_numerator_are_summed_together(n):
     # F, F' and N hold 6N real terms: fsum below the crossover, one
@@ -374,7 +405,8 @@ def test_f_its_derivative_and_a_numerator_are_summed_together(n):
     d = m.eigenvalues - z
     want = (z, _fsum(m.weights / d), _fsum(m.weights / (d * d)),
             _fsum(num / d))
-    assert _bits(_regular(m, z, derivative=True, num=num)) == _bits(want)
+    assert _bits(_regular(m.eigenvalues, m.weights, z, derivative=True,
+                          num=num)) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [3, _STACK_TERMS])
