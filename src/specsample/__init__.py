@@ -2,6 +2,8 @@
 perturbed spectra, and sampling/interpolation of the associated meromorphic
 functions."""
 
+from importlib import import_module as _import_module
+
 from .errors import (
     DimensionMismatch,
     InconsistentNodes,
@@ -21,15 +23,6 @@ from .errors import (
     ZeroOfF,
 )
 from .herglotz import XiVector, weyl, weyl_h, xi, xi_norm_sq
-from .jacobi import (
-    JacobiParams,
-    PolynomialEval,
-    jm_reconstruct,
-    polys,
-    sturm_count,
-    truncate,
-    weyl_approx,
-)
 from .model import (
     Coupling,
     MeromorphicRep,
@@ -38,14 +31,6 @@ from .model import (
     StateVector,
     new_model,
     normalize,
-)
-from .oscillator import (
-    hermite_overlap,
-    mu_pointwise,
-    osc_F_integral,
-    osc_F_series,
-    osc_F_tail_bound,
-    oscillator_model,
 )
 from .perturbation import (
     compression_spectrum,
@@ -69,6 +54,26 @@ from .sampling import (
     to_partial_fractions,
     transform,
 )
-from .verify import run_verification
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Layers that only some commands use load on first access (PEP 562), so
+# that importing the package, and the CLI, does not compile them.
+_LAZY = {
+    "jacobi": ("JacobiParams", "PolynomialEval", "jm_reconstruct", "polys",
+               "sturm_count", "truncate", "weyl_approx"),
+    "oscillator": ("hermite_overlap", "mu_pointwise", "osc_F_integral",
+                   "osc_F_series", "osc_F_tail_bound", "oscillator_model"),
+    "verify": ("run_verification",),
+}
+_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name):
+    if name in _LAZY:
+        return _import_module(f".{name}", __name__)
+    if name in _OWNER:
+        return getattr(_import_module(f".{_OWNER[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted({name for name in dir() if not name.startswith("_")}
+                 | set(_LAZY) | set(_OWNER))

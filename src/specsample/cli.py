@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Commands: spectrum, sample, reconstruct, verify, demo.  Exit codes:
+Commands: spectrum, sample, reconstruct, verify, demo; each imports only
+the layers it uses.  Exit codes:
 0 success, 1 failed verification, 2 malformed input, 3 numerical failure
 (also running out of memory), 4 sampling requested at infinite coupling.
 """
@@ -13,9 +14,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, SpectralError, ValidationError
-from .jacobi import JacobiParams, jm_reconstruct, truncate
 from .model import Coupling
-from .oscillator import osc_F_integral, osc_F_series
 from .perturbation import node_weights, perturbed_spectrum
 from .sampling import kramer_reconstruct, reconstruct, sample
 from .serialize import (
@@ -27,7 +26,6 @@ from .serialize import (
     samples_to_dict,
     state_from_dict,
 )
-from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -75,13 +73,17 @@ def cmd_reconstruct(args) -> int:
     samples = samples_from_dict(load_json(args.samples))
     points = grid_from_dict(load_json(args.grid))
     model = model_from_dict(load_json(args.model)) if args.model else None
-    values = []
-    for idx, z in enumerate(points):
-        try:
-            values.append(reconstruct(samples, z))
-        except NumericalError as exc:
-            print(f"grid point {idx}: {exc}", file=sys.stderr)
-            return EXIT_NUMERICAL
+    try:
+        values = reconstruct(samples, points).tolist()
+    except NumericalError as exc:
+        # The grid raised what its first failing point raises: find it.
+        for idx, z in enumerate(points):
+            try:
+                reconstruct(samples, z)
+            except NumericalError:
+                break
+        print(f"grid point {idx}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     # The Kramer cross-check weighs the nodes once for the whole grid.
     cross = (kramer_reconstruct(model, samples, points).tolist()
              if model is not None and points else [])
@@ -104,6 +106,8 @@ def cmd_reconstruct(args) -> int:
 def cmd_verify(args) -> int:
     if args.seed < 0:
         raise ValidationError(f"bad seed {args.seed}: expected one >= 0")
+    from .verify import run_verification
+
     model = model_from_dict(load_json(args.model))
     results = run_verification(model, args.seed)
     ok = True
@@ -115,6 +119,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .jacobi import JacobiParams, jm_reconstruct, truncate
+    from .oscillator import osc_F_integral, osc_F_series
+
     # Jacobi convergence study: interpolation at growing polynomial degree
     # against the exact Lagrange reconstruction.
     n_max = 10

@@ -10,6 +10,8 @@ complex sums a point evaluator takes at one point (_stacked): below
 _STACK_TERMS real terms per call, not counting the imaginary parts of F's
 terms at a real point, which are zeros, each part is one math.fsum; from
 there on they are stacked into one _row_sums call, which is faster there.
+A grid of points takes f and a numerator's sum at a block of points in one
+_row_sums call (_regular_rows), and _regular at the points it cannot pass.
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -70,11 +72,10 @@ def _stacked(terms) -> list[complex] | None:
     as fsum sums it, and is left out of the call and of the count; they are
     looked for only where the first term of the first array is real, so off
     the real axis that costs no pass.  None below _STACK_TERMS real terms
-    in the call (callers test 2 k n >= _STACK_TERMS for k arrays of n terms
-    before they form them), and where a sum overflows or is NaN (a NaN
-    term, or both infinities), which _csum raises or returns.  A caller
-    given None takes each sum with _csum, in the order that decides which
-    error is raised."""
+    in the call (point evaluators count them before they call), and where
+    a sum overflows or is NaN (a NaN term, or both infinities), which _csum
+    raises or returns.  A caller given None takes each sum with _csum, in
+    the order that decides which error is raised."""
     t = np.asarray(terms)
     if 2 * t.size < _STACK_TERMS:
         return None
@@ -268,8 +269,8 @@ def _slopes(c: np.ndarray, d: np.ndarray) -> np.ndarray:
         return c / (d * d)
 
 
-def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
-                   r: float) -> bool:
+def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
+                   r: float) -> bool | np.ndarray:
     """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
     and f' = _csum(_slopes(c, d)), decided without summing f'.
 
@@ -287,14 +288,17 @@ def _clear_of_zero(f: complex, c: np.ndarray, dist: np.ndarray,
     c_j times the division's ratio underflows (times r, below 2^-1047 as
     |d_j| >= r >= 1e-8), and below 2^-1072 per term c_j q_j^2, so below
     2^-1045 once divided by r.
+
+    f and dist may also hold a row of points (shapes (p,) and (p, n)); the
+    answer is then one per point, each B summed by einsum in its own order.
     """
-    if f == 0:
-        return False
-    n = dist.size
+    n = dist.shape[-1]
     q = r / dist
-    bound = float(np.dot(c * q, q)) / r
-    return abs(f) >= (bound * (1.0 + (n + 64) * 2.0 ** -52)
-                      + n * (1.0 + r) * 2.0 ** -1020)
+    cq = c * q
+    bound = (float(np.dot(cq, q)) if q.ndim == 1
+             else np.einsum("ij,ij->i", cq, q)) / r
+    return (f != 0) & (abs(f) >= (bound * (1.0 + (n + 64) * 2.0 ** -52)
+                                  + n * (1.0 + r) * 2.0 ** -1020))
 
 
 def _zero_of_f(z: complex, r: float) -> ZeroOfF:
@@ -310,9 +314,11 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
     num_j/(poles_j - z), z guarded against the poles (named what) and the
     zeros of f (raising zero(z, r)).  f' is summed where asked for or where
     _clear_of_zero cannot clear z without it, else None; N is None without
-    num.  From _STACK_TERMS real terms on, f and those asked for are one
-    stacked call; else, or where it declines, each is a _csum of the terms
-    formed, N after the guard."""
+    num.  From _STACK_TERMS live real terms on, f and those asked for are
+    one stacked call; else, or where it declines, each is a _csum of the
+    terms formed, N after the guard.  At a real z the imaginary parts of
+    the terms of f and f' are zeros, which _stacked leaves out: they are
+    not counted, so no call is made that it would decline for them."""
     z = complex(z)
     r, d, dist = _guard(poles, z, what)
     terms = [c / d]
@@ -320,7 +326,8 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
         terms.append(_slopes(c, d))
     if num is not None:
         terms.append(num / d)
-    sums = iter((2 * len(terms) * c.size >= _STACK_TERMS and _stacked(terms))
+    rows = 2 * len(terms) - (0 if z.imag else 1 + derivative)
+    sums = iter((rows * c.size >= _STACK_TERMS and _stacked(terms))
                 or map(_csum, terms))
     f = next(sums)
     fp = next(sums) if derivative else None
@@ -331,13 +338,41 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
     return z, f, fp, next(sums) if num is not None else None
 
 
+def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
+                  num: np.ndarray):
+    """f and N of _regular(poles, c, z, num=num) at each of the points,
+    summed in one _row_sums call, and whether _regular passes each point
+    without f': z finite, |d| beyond r (with room for |d| rounded
+    otherwise than in _guard), f and N finite, and z cleared by
+    _clear_of_zero.  The caller hands every other point to _regular, which
+    raises where it must, and every point where the call overflows (None).
+    """
+    r = _radius(float(poles[-1] - poles[0]))
+    with np.errstate(all="ignore"):
+        d = poles - points[:, None]
+        dist = np.abs(d)
+        terms = (c / d, num / d)
+        try:
+            sums = _row_sums(np.concatenate(
+                [part for t in terms for part in (t.real, t.imag)]))
+        except OverflowError:
+            return None
+        f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
+        passed = (np.isfinite(points) & np.isfinite(f) & np.isfinite(n)
+                  & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50))
+                  & _clear_of_zero(f, c, dist, r))
+    return f, n, passed
+
+
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    _, d, _ = _guard(model.eigenvalues, complex(z), "eigenvalue")
+    z = complex(z)
+    _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
     w = model.weights
     terms = [w / d, _slopes(w, d)]
-    return tuple((4 * w.size >= _STACK_TERMS and _stacked(terms))
-                 or map(_csum, terms))
+    # At a real z the imaginary parts of both are zeros (see _regular).
+    return tuple(((4 if z.imag else 2) * w.size >= _STACK_TERMS
+                  and _stacked(terms)) or map(_csum, terms))
 
 
 def weyl_h(model: SpectralModel, h: float,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -180,6 +181,24 @@ class SampleSet:
     @property
     def size(self) -> int:
         return self.nodes.size
+
+    # Held for reconstruct from its first call on, so that building a
+    # sample set does not pay for them.
+    @cached_property
+    def _numerators(self) -> np.ndarray:
+        """m_j f(x_j), the numerators of the barycentric quotient."""
+        with np.errstate(over="ignore"):
+            num = self.node_weights * self.values
+        num.flags.writeable = False
+        return num
+
+    @cached_property
+    def _numerator_exponent(self) -> int:
+        """An exponent e with sum_j |m_j f(x_j)| < 2^e: the numerators and
+        the sums over them can overflow only where it is large."""
+        return (math.frexp(float(self.node_weights.max()))[1]
+                + math.frexp(float(np.abs(self.values.view(float)).max()))[1]
+                + self.size.bit_length() + 1)
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,7 @@ from .herglotz import (
     _csum,
     _guard,
     _regular,
+    _regular_rows,
     _stacked,
     _sum,
     cauchy_rows,
@@ -78,25 +79,94 @@ def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
     return SampleSet(h=h, nodes=nodes, node_weights=weights, values=values)
 
 
-def reconstruct(samples: SampleSet, z: complex) -> complex:
+def _pole_of_f(z: complex, r: float) -> PoleProximity:
+    return PoleProximity(
+        f"z={z} is too close to a pole of the reconstructed function")
+
+
+def _quotient(f_h: complex, n_h: complex, shift: int = 0) -> complex | None:
+    """N_h/F_h scaled by 2^shift, or None where it or G_h = 1/F_h is past
+    the doubles."""
+    value = n_h / f_h
+    if shift and cmath.isfinite(value):
+        try:
+            value = complex(math.ldexp(value.real, shift),
+                            math.ldexp(value.imag, shift))
+        except OverflowError:
+            return None
+    if cmath.isfinite(value) and cmath.isfinite(1.0 / f_h):
+        return value
+    return None
+
+
+def _barycentric(samples: SampleSet, z: complex, shift: int = 0) -> complex:
+    """N_h/F_h at one point, F_h and N_h by _regular, N_h from the
+    numerators m_j f(x_j) scaled by 2^-shift and the quotient scaled back.
+    NumericalError where G_h or the quotient is past the doubles."""
+    masses, num = samples.node_weights, samples._numerators
+    if shift:
+        # In two factors, each a double: shift may pass 1074.
+        num = masses * (samples.values * math.ldexp(1.0, -(shift // 2))
+                        * math.ldexp(1.0, shift // 2 - shift))
+    z, f_h, _, n_h = _regular(samples.nodes, masses, z, num=num,
+                              what="sampling node", zero=_pole_of_f)
+    value = _quotient(f_h, n_h, shift)
+    if value is None:
+        name = "N_h/F_h" if cmath.isfinite(1.0 / f_h) else "G_h = 1/F_h"
+        raise NumericalError(f"{name} overflows at z={z}")
+    return value
+
+
+def reconstruct(samples: SampleSet,
+                z: complex | np.ndarray) -> complex | np.ndarray:
     """Lagrange reconstruction from the samples alone, in barycentric form.
 
     The node data determines F_h(z) = sum m_j/(x_j - z), hence G_h = 1/F_h
     and G_h'(x_j) = -1/m_j: the Lagrange series is N_h/F_h with
     N_h(z) = sum m_j f(x_j)/(x_j - z) (Berrut & Trefethen, SIAM Rev. 46,
-    2004), and no model is needed.  F_h and N_h are summed together: one
-    stacked call from N = 200 on (N = 267 at a real z), fsum below.
-    NumericalError where G_h or the quotient is past the doubles.
+    2004), and no model is needed.  z is a point (the result is a complex)
+    or an array of points (an array of the same shape), as for
+    kramer_reconstruct, and each point gives the same bits either way.  At
+    a point F_h and N_h are summed together: one stacked call from N = 200
+    on (N = 267 at a real z), fsum below.  A grid sums them for a block of
+    points (_BLOCK_TERMS real terms) in one call (_regular_rows), and
+    evaluates alone each point that it cannot pass; it raises what the
+    first failing point raises.  Where N_h is past the doubles it is
+    summed from scaled numerators.  NumericalError where G_h or the
+    quotient is past the doubles.
     """
-    masses = samples.node_weights
-    z, f_h, _, n_h = _regular(
-        samples.nodes, masses, z, num=masses * samples.values,
-        what="sampling node", zero=lambda z, r: PoleProximity(
-            f"z={z} is too close to a pole of the reconstructed function"))
-    for name, value in (("G_h = 1/F_h", 1.0 / f_h), ("N_h/F_h", n_h / f_h)):
-        if not cmath.isfinite(value):
-            raise NumericalError(f"{name} overflows at z={z}")
-    return value
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
+        # Every exclusion radius is at least 1e-8 > 2^-27, so where
+        # sum |m_j f(x_j)| < 2^e, e <= 1021 - 27, no term of N_h nor their
+        # sum can overflow.  Elsewhere a point that fails past the pole
+        # guards is taken again with the numerators scaled by 2^-(e - 994):
+        # that mends an N_h past the doubles, and an F_h that fails fails
+        # again the same way.
+        excess = samples._numerator_exponent - (1021 - 27)
+        if excess <= 0:
+            return _barycentric(samples, z)
+        with np.errstate(over="ignore"):
+            try:
+                return _barycentric(samples, z)
+            except PoleProximity:
+                raise
+            except (NumericalError, OverflowError):
+                return _barycentric(samples, z, excess)
+    points = np.asarray(z, dtype=complex).ravel()
+    rows = max(1, _BLOCK_TERMS // (4 * samples.size))
+    out = []
+    for start in range(0, points.size, rows):
+        block = points[start:start + rows]
+        f_h, n_h, passed = (
+            _regular_rows(samples.nodes, samples.node_weights, block,
+                          samples._numerators)
+            or (block, block, np.zeros(block.size, bool)))
+        for point, f, n, ok in zip(block.tolist(), f_h.tolist(),
+                                   n_h.tolist(), passed.tolist()):
+            value = _quotient(f, n) if ok else None
+            out.append(value if value is not None
+                       else reconstruct(samples, point))
+    return np.array(out, dtype=complex).reshape(np.shape(z))
 
 
 # Grid points whose xi coordinates and node values Kramer holds at once:

@@ -10,9 +10,7 @@ import operator
 import numpy as np
 
 from .errors import ValidationError
-from .jacobi import JacobiParams, truncate
 from .model import SampleSet, SpectralModel, StateVector, new_model
-from .oscillator import oscillator_model
 
 
 def _complex_from(pair) -> complex:
@@ -50,10 +48,14 @@ def model_from_dict(data: dict) -> SpectralModel:
         return new_model(_field(data, "eigenvalues", _floats),
                          _field(data, "weights", _floats))
     if kind == "jacobi":
+        from .jacobi import JacobiParams, truncate
+
         params = JacobiParams(_field(data, "q", _floats),
                               _field(data, "b", _floats))
         return truncate(params, _field(data, "truncation", operator.index))
     if kind == "oscillator":
+        from .oscillator import oscillator_model
+
         normalized = data.get("normalized", False)
         if not isinstance(normalized, bool):
             raise ValidationError("bad field 'normalized': not a boolean")

@@ -1,9 +1,20 @@
+import ast
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from specsample import sample
+import specsample
+from specsample import (
+    PoleProximity,
+    StateVector,
+    new_model,
+    reconstruct,
+    sample,
+)
 from specsample.cli import main
 from specsample.serialize import samples_to_dict
 
@@ -388,11 +399,13 @@ def test_running_out_of_memory_is_a_numerical_failure(files, capsys,
                                                       monkeypatch, command,
                                                       callee):
     # No array is allocated: the callee raises as an allocation would.
-    from specsample import cli
+    from specsample import cli, verify
     from specsample.serialize import model_from_dict, state_from_dict
 
     samples = sample(model_from_dict(M2), state_from_dict(MU), 1.0)
-    monkeypatch.setattr(cli, callee, _out_of_memory)
+    # cmd_verify imports run_verification when it runs.
+    owner = verify if callee == "run_verification" else cli
+    monkeypatch.setattr(owner, callee, _out_of_memory)
     model = files("m.json", M2)
     args = {
         "spectrum": ["--model", model, "--coupling", "inf"],
@@ -406,3 +419,58 @@ def test_running_out_of_memory_is_a_numerical_failure(files, capsys,
     captured = capsys.readouterr()
     assert captured.err == "numerical failure: out of memory\n"
     assert captured.out == ""
+
+
+def test_reconstruct_names_the_first_failing_grid_point(files, capsys):
+    # The grid is one reconstruct call; the point it fails at is named as
+    # when each point was a call of its own.
+    samples = sample(new_model([0.0, 2.0], [0.5, 0.5]),
+                     StateVector([1.0, 0.5j]), 1.0)
+    node = float(samples.nodes[1])
+    with pytest.raises(PoleProximity) as e:
+        reconstruct(samples, node)
+    grid = files("grid.json", {"points": [[0.5, 1.0], [node, 0.0],
+                                          [0.5, 0.0]]})
+    assert main(["reconstruct", "--samples",
+                 files("s.json", samples_to_dict(samples)),
+                 "--grid", grid]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"grid point 1: {e.value}\n"
+    assert captured.out == ""
+
+
+def test_the_cli_imports_only_the_layers_it_uses():
+    # jacobi, oscillator and verify load on first use; the package's
+    # public names are those it had when it imported them eagerly.
+    code = (
+        "import sys, specsample.cli, specsample\n"
+        "lazy = ('jacobi', 'oscillator', 'verify')\n"
+        "print([m for m in lazy if 'specsample.' + m in sys.modules])\n"
+        "print(sorted(specsample.__all__))\n"
+        "print(specsample.truncate is specsample.jacobi.truncate)\n")
+    src = os.path.dirname(os.path.dirname(specsample.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    loaded, names, same = out.splitlines()
+    assert loaded == "[]"
+    assert ast.literal_eval(names) == sorted(PUBLIC_NAMES)
+    assert same == "True"
+
+
+# specsample.__all__: every public name and submodule of the package.
+PUBLIC_NAMES = """
+Coupling DimensionMismatch InconsistentNodes InsufficientCoefficients
+JacobiParams MeromorphicRep NonPositiveWeight NormalizationRequired NotAZero
+NumericalError PoleMismatch PoleProximity PolynomialEval QZero
+QuadratureNonConvergence RealPoint SampleSet SpectralError SpectralModel
+StateVector UnsortedEigenvalues ValidationError XiVector ZeroOfF
+apply_perturbed blaschke_swap compression_spectrum conjugate_state errors
+evaluate_rep from_partial_fractions herglotz hermite_overlap inner_h jacobi
+jm_reconstruct kramer_reconstruct model mu_inner mu_pointwise mu_state
+new_model node_weights normalize omega_state osc_F_integral osc_F_series
+osc_F_tail_bound oscillator oscillator_model perturbation perturbed_model
+perturbed_spectrum polys reconstruct run_verification sample sampling
+sturm_count to_partial_fractions transform truncate verify weyl weyl_approx
+weyl_h xi xi_norm_sq
+""".split()

@@ -37,7 +37,7 @@ from specsample import (
     xi_norm_sq,
 )
 from specsample import herglotz, sampling
-from specsample.errors import NumericalError
+from specsample.errors import NumericalError, ValidationError
 from specsample.herglotz import (
     _STACK_TERMS,
     _clear_of_zero,
@@ -380,8 +380,8 @@ def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
 def test_terms_a_declined_stacked_call_formed_are_summed_as_they_are(
         monkeypatch):
     # At a real point F with F' holds 4N terms but only 2N live real ones:
-    # for N = 200, _stacked declines, and the terms of F' it was given are
-    # summed, not formed again.
+    # for N = 200 they are summed without a stacked call, and the terms of
+    # F' are formed once.
     n = _STACK_TERMS // 4
     m = random_model(np.random.default_rng(n), n)
     calls = []
@@ -425,3 +425,123 @@ def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
             transform(m, StateVector(np.ones(n)), mid)
         with pytest.raises(OverflowError):
             weyl(m, -0.3)
+
+
+def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
+        monkeypatch):
+    # At a real z, F_h's terms have imaginary parts of zeros: F_h with N_h
+    # holds 3N live real terms, 600 at N = 200, so no stacked call is made.
+    n = _STACK_TERMS // 4
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    s = sample(m, random_state(rng, n), H)
+    calls = []
+    stacked = herglotz._stacked
+    monkeypatch.setattr(herglotz, "_stacked",
+                        lambda t: calls.append(len(t)) or stacked(t))
+    d = s.nodes - complex(0.3)
+    want = _fsum(s.node_weights * s.values / d) / _fsum(s.node_weights / d)
+    assert _bits(reconstruct(s, 0.3)) == _bits(want)
+    assert calls == []
+    reconstruct(s, 0.3 + 1e-3j)
+    assert calls == [2]
+
+
+@pytest.mark.parametrize("values, z", [([1e308, 1.0, 1.0], 1e-7),
+                                       ([1e308] * 3, 1.0 + 0.5j)])
+def test_numerators_near_the_top_of_the_doubles_are_summed_scaled(values, z):
+    # The terms m_j f(x_j)/(x_j - z) overflow: N_h is summed again from
+    # numerators scaled by a power of two, and the quotient scaled back.
+    mpmath = pytest.importorskip("mpmath")
+    nodes = [0.0, 1.0, 2.0]
+    s = SampleSet(h=H, nodes=nodes, node_weights=[1.0] * 3, values=values)
+    with mpmath.workdps(50):
+        zz = mpmath.mpc(z)
+        want = complex(
+            sum(mpmath.mpf(v) / (x - zz) for v, x in zip(values, nodes))
+            / sum(1 / (x - zz) for x in nodes))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [reconstruct(s, z), *reconstruct(s, [z, 0.5 + 1j, z])[::2]]
+    for value in got:
+        assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def _outcomes(s, points):
+    """The per-point reconstruct of each point: its value, or the type and
+    message of the error it raises."""
+    out = []
+    for z in points:
+        try:
+            out.append(reconstruct(s, z))
+        except (NumericalError, ValidationError, OverflowError) as e:
+            out.append((type(e), str(e)))
+    return out
+
+
+def _check_grid(s, points):
+    """The grid form equals the per-point calls: the array of the points
+    that evaluate, byte for byte, and at each failing point, a grid that
+    reaches it raises what the point raises."""
+    outcomes = _outcomes(s, points)
+    good = [z for z, o in zip(points, outcomes) if not isinstance(o, tuple)]
+    want = np.array([o for o in outcomes if not isinstance(o, tuple)],
+                    dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert reconstruct(s, np.array(good)).tobytes() == want.tobytes()
+        for i, o in enumerate(outcomes):
+            if isinstance(o, tuple):
+                with pytest.raises(o[0]) as e:
+                    reconstruct(s, good[:3] + [points[i]] + good[3:])
+                assert str(e.value) == o[1]
+    return len(points) - len(good)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["weights", "tiny"])
+@pytest.mark.parametrize("n, layout", [(n, layout)
+                                       for n in (2, 50, 100, 199, 200, 400)
+                                       for layout in LAYOUTS])
+def test_a_grid_equals_the_point_calls(n, layout, tiny):
+    m, phi, s = _case(layout, tiny, n, n)
+    if s is None:
+        pytest.skip("a node mass below the smallest double")
+    # Off-axis, real and huge points, and points next to the nodes and to
+    # zeros of F_h (poles of the reconstruction).
+    points = _points(m, 12, n)
+    r = 1e-8 * max(1.0, s.nodes[-1] - s.nodes[0])
+    points += [x + k * r * d for x in s.nodes[:: max(1, s.size // 4)]
+               for k in (0.0, 0.9, 1.1) for d in (1.0, 1j)]
+    _check_grid(s, points)
+
+
+def test_a_grid_raises_what_its_first_failing_point_raises():
+    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1.0, 1.0],
+                  values=[1.0, 2.0j])
+    # A node, the zero of F_h at 0.5, and a non-finite point.
+    assert _check_grid(s, [0.3 + 1j, 1.0, 0.5, 0.5 + 1e-9j, math.nan,
+                           complex(0.2, math.inf), 2.0 + 0.5j]) == 5
+    # G_h = 1/F_h overflows at |z| = 1e300 with tiny masses.
+    m = layout_model(40, "random", True, 3)
+    tiny = sample(m, random_state(np.random.default_rng(3), 40), H)
+    assert _check_grid(tiny, [0.3 + 1j, 1e300, -1e300j, 2.0]) == 2
+    # A non-finite point after a failing finite one: the finite one's error.
+    with pytest.raises(PoleProximity):
+        reconstruct(s, [2.0, 1.0, math.nan])
+    with pytest.raises(ValidationError):
+        reconstruct(s, [2.0, math.nan, 1.0])
+
+
+def test_grid_blocks_keep_the_bits_and_the_shape(monkeypatch):
+    rng = np.random.default_rng(9)
+    m = random_model(rng, 50)
+    s = sample(m, random_state(rng, 50), H)
+    grid = np.array(_points(m, 20, 9)[:24]).reshape(4, 6)
+    want = np.array([[reconstruct(s, z) for z in row] for row in grid])
+    assert reconstruct(s, grid).tobytes() == want.tobytes()
+    for terms in (1, 4 * 50, 4 * 50 * 5):
+        monkeypatch.setattr(sampling, "_BLOCK_TERMS", terms)
+        assert reconstruct(s, grid).tobytes() == want.tobytes()
+    empty = reconstruct(s, [])
+    assert empty.shape == (0,) and empty.dtype == complex
+    assert isinstance(reconstruct(s, np.complex128(0.3 + 1j)), complex)
