@@ -75,12 +75,12 @@ def cmd_reconstruct(args) -> int:
     model = model_from_dict(load_json(args.model)) if args.model else None
     try:
         values = reconstruct(samples, points).tolist()
-    except NumericalError as exc:
+    except (NumericalError, OverflowError) as exc:
         # The grid raised what its first failing point raises: find it.
         for idx, z in enumerate(points):
             try:
                 reconstruct(samples, z)
-            except NumericalError:
+            except (NumericalError, OverflowError):
                 break
         print(f"grid point {idx}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

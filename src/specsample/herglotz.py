@@ -5,13 +5,13 @@ reproducible across platforms.  Rows of real terms are summed a block at a
 time, at most _BLOCK_TERMS terms per array so memory stays bounded at any
 model size, by a vectorized error-free extraction that certifies each row
 correctly rounded, and math.fsum for the rest (_row_sums).  That serves
-real sums at many real points or pole offsets (cauchy_rows), and the
-complex sums a point evaluator takes at one point (_stacked): below
-_STACK_TERMS real terms per call, not counting the imaginary parts of F's
-terms at a real point, which are zeros, each part is one math.fsum; from
-there on they are stacked into one _row_sums call, which is faster there.
-A grid of points takes f and a numerator's sum at a block of points in one
-_row_sums call (_regular_rows), and _regular at the points it cannot pass.
+real sums at many real points or pole offsets (cauchy_rows), and every
+complex sum a point evaluator takes (_sums): below _STACK_TERMS real terms
+per call, not counting the imaginary parts of F's terms at a real point,
+which are zeros, each part is one math.fsum; from there on they are
+stacked into one _row_sums call, which is faster there.  A grid of points
+takes f and a numerator's sum at a block of points in one _row_sums call
+(_regular_rows), and _regular at the points it cannot pass.
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -23,12 +23,13 @@ f' is summed only where a certificate, |f| >= r sum c_j/|x_j - z|^2 with
 a margin for rounding (_clear_of_zero), cannot rule the zero guard out;
 elsewhere it is summed and the guard decides exactly as without the
 certificate.  weyl, weyl_h and xi_norm_sq always sum F', which they return.
+An f that is not finite (a term past the doubles) is a NumericalError.
 """
 from __future__ import annotations
 
 import cmath
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ EXCLUSION_RADIUS = 1e-8
 # kramer_reconstruct, per array: 2^15 doubles is 256 KiB.
 _BLOCK_TERMS = 1 << 15
 
-# Real terms per call from which _stacked stacks its sums into one _row_sums
+# Real terms per call from which _sums stacks its sums into one _row_sums
 # call; below it, the sums are taken by _csum alone.  math.fsum takes
 # 35-50 ns a term and a stacked call 25-40 us whatever its rows; they break
 # even at about 800 terms (Python 3.11, numpy 2.4, a shared 2-vCPU x86-64
@@ -64,48 +65,27 @@ def _csum(terms: np.ndarray) -> complex:
                              ) from None
 
 
-def _stacked(terms) -> list[complex] | None:
-    """[_csum(t) for t in terms] for equal-length complex arrays (a
-    sequence, or the rows of a 2-D array: kramer_reconstruct passes a block
-    of _BLOCK_TERMS real terms at a time), bit for bit, from one _row_sums
-    call over their real and imaginary parts.  An imaginary part of zeros (F's terms at a real point) is 0.0,
-    as fsum sums it, and is left out of the call and of the count; they are
-    looked for only where the first term of the first array is real, so off
-    the real axis that costs no pass.  None below _STACK_TERMS real terms
-    in the call (point evaluators count them before they call), and where
-    a sum overflows or is NaN (a NaN term, or both infinities), which _csum
-    raises or returns.  A caller given None takes each sum with _csum, in
-    the order that decides which error is raised."""
+def _sums(terms, real: int = 0) -> Iterator[complex]:
+    """map(_csum, terms), bit for bit, for equal-length complex arrays (a
+    sequence, or the rows of a 2-D array).  The imaginary parts of the
+    first real arrays are zeros (F's and F''s terms at a real point), which
+    fsum sums to 0.0: they are not counted nor summed.  From _STACK_TERMS
+    real terms on, every sum is taken in one _row_sums call; below it, and
+    where that call overflows or gives a NaN (a NaN term, or both
+    infinities), each is a _csum as the caller reads it, in the order that
+    decides which error is raised."""
+    k = len(terms)
+    if (2 * k - real) * terms[0].size < _STACK_TERMS:
+        return map(_csum, terms)
     t = np.asarray(terms)
-    if 2 * t.size < _STACK_TERMS:
-        return None
-    imag, live = t.imag, None
-    if not t[0, 0].imag:
-        live = [bool(head.imag or np.count_nonzero(imag[i]))
-                for i, head in enumerate(t[:, 0].tolist())]
-        if (len(t) + sum(live)) * t.shape[1] < _STACK_TERMS:
-            return None
-        imag = imag[live]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = _row_sums(np.concatenate((t.real, imag))).tolist()
+            sums = _row_sums(np.concatenate((t.real, t.imag[real:]))).tolist()
     except OverflowError:
-        return None
-    k = len(t)
-    if live is not None:
-        found = iter(sums[k:])
-        sums[k:] = [next(found) if nonzero else 0.0 for nonzero in live]
+        return map(_csum, terms)
     if any(map(math.isnan, sums)):
-        return None
-    return list(map(complex, sums[:k], sums[k:]))
-
-
-def _sum(terms: np.ndarray) -> complex:
-    """_csum(terms), taken by one _row_sums call (_stacked) from
-    _STACK_TERMS real terms on."""
-    if 2 * terms.size < _STACK_TERMS:
-        return _csum(terms)
-    return (_stacked([terms]) or [_csum(terms)])[0]
+        return map(_csum, terms)
+    return map(complex, sums[:k], [0.0] * real + sums[k:])
 
 
 def _extract(t: np.ndarray):
@@ -314,11 +294,10 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
     num_j/(poles_j - z), z guarded against the poles (named what) and the
     zeros of f (raising zero(z, r)).  f' is summed where asked for or where
     _clear_of_zero cannot clear z without it, else None; N is None without
-    num.  From _STACK_TERMS live real terms on, f and those asked for are
-    one stacked call; else, or where it declines, each is a _csum of the
-    terms formed, N after the guard.  At a real z the imaginary parts of
-    the terms of f and f' are zeros, which _stacked leaves out: they are
-    not counted, so no call is made that it would decline for them."""
+    num.  The sums asked for are taken by _sums, N after the guard; at a
+    real z the imaginary parts of the terms of f and f' are zeros, which it
+    leaves out.  NumericalError where f is not finite: a term past the
+    doubles, whose quotients would be 0 or NaN."""
     z = complex(z)
     r, d, dist = _guard(poles, z, what)
     terms = [c / d]
@@ -326,10 +305,10 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
         terms.append(_slopes(c, d))
     if num is not None:
         terms.append(num / d)
-    rows = 2 * len(terms) - (0 if z.imag else 1 + derivative)
-    sums = iter((rows * c.size >= _STACK_TERMS and _stacked(terms))
-                or map(_csum, terms))
+    sums = _sums(terms, 0 if z.imag else 1 + derivative)
     f = next(sums)
+    if not cmath.isfinite(f):
+        raise NumericalError(f"the sum over the {what}s is not finite at z={z}")
     fp = next(sums) if derivative else None
     if fp is None and not _clear_of_zero(f, c, dist, r):
         fp = _csum(_slopes(c, d))
@@ -369,10 +348,8 @@ def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     z = complex(z)
     _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
     w = model.weights
-    terms = [w / d, _slopes(w, d)]
     # At a real z the imaginary parts of both are zeros (see _regular).
-    return tuple(((4 if z.imag else 2) * w.size >= _STACK_TERMS
-                  and _stacked(terms)) or map(_csum, terms))
+    return tuple(_sums([w / d, _slopes(w, d)], 0 if z.imag else 2))
 
 
 def weyl_h(model: SpectralModel, h: float,

@@ -183,22 +183,26 @@ class SampleSet:
         return self.nodes.size
 
     # Held for reconstruct from its first call on, so that building a
-    # sample set does not pay for them.
+    # sample set does not pay for it.
     @cached_property
-    def _numerators(self) -> np.ndarray:
-        """m_j f(x_j), the numerators of the barycentric quotient."""
-        with np.errstate(over="ignore"):
-            num = self.node_weights * self.values
+    def _numerators(self) -> tuple[np.ndarray, int, bool]:
+        """m_j f(x_j), the numerators of the barycentric quotient, scaled by
+        2^-shift; shift; and whether a term of the point call can overflow.
+        shift is the least shift >= 0 that keeps sum_j |m_j f(x_j)| 2^-shift
+        below 2^(1021 - 27): every exclusion radius is at least 1e-8 > 2^-27,
+        so no term of N_h nor their sum can then overflow, nor one of F_h
+        where sum_j m_j is as small.  The sum is taken with the masses scaled
+        by 2^-(64 + the largest one's exponent): no product overflows."""
+        m, v = self.node_weights, self.values
+        top = float(m.max())
+        a = math.frexp(top)[1] + 64
+        total = float(np.abs(np.ldexp(m, -a) * v).sum())
+        shift = max(0, math.frexp(total)[1] + a - (1021 - 27)) if total else 0
+        # In two factors, each a double: shift may pass 1074.
+        num = m * (v * math.ldexp(1.0, -(shift // 2))
+                   * math.ldexp(1.0, shift // 2 - shift))
         num.flags.writeable = False
-        return num
-
-    @cached_property
-    def _numerator_exponent(self) -> int:
-        """An exponent e with sum_j |m_j f(x_j)| < 2^e: the numerators and
-        the sums over them can overflow only where it is large."""
-        return (math.frexp(float(self.node_weights.max()))[1]
-                + math.frexp(float(np.abs(self.values.view(float)).max()))[1]
-                + self.size.bit_length() + 1)
+        return num, shift, shift > 0 or top * m.size >= 2.0 ** 994
 
 
 @dataclass(frozen=True)

@@ -25,12 +25,10 @@ from .errors import (
 from .herglotz import (
     _BLOCK_TERMS,
     _complex,
-    _csum,
     _guard,
     _regular,
     _regular_rows,
-    _stacked,
-    _sum,
+    _sums,
     cauchy_rows,
     xi,
 )
@@ -52,7 +50,7 @@ def mu_state(model: SpectralModel) -> StateVector:
 
 def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
     """<mu, phi> (inner product anti-linear in the first argument)."""
-    return _sum(model.sqrt_weights * phi.coords)
+    return next(_sums([model.sqrt_weights * phi.coords]))
 
 
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
@@ -84,32 +82,33 @@ def _pole_of_f(z: complex, r: float) -> PoleProximity:
         f"z={z} is too close to a pole of the reconstructed function")
 
 
-def _quotient(f_h: complex, n_h: complex, shift: int = 0) -> complex | None:
-    """N_h/F_h scaled by 2^shift, or None where it or G_h = 1/F_h is past
-    the doubles."""
+def _quotient(f_h: complex, n_h: complex, shift: int) -> complex | None:
+    """N_h/F_h from N_h scaled by 2^-shift, or None where it or G_h = 1/F_h
+    is past the doubles.  N_h is scaled back first where it is a double: a
+    part of the quotient far below the other would lose its bits among the
+    subnormals, scaled."""
     value = n_h / f_h
-    if shift and cmath.isfinite(value):
+    if shift:
         try:
-            value = complex(math.ldexp(value.real, shift),
-                            math.ldexp(value.imag, shift))
+            value = complex(math.ldexp(n_h.real, shift),
+                            math.ldexp(n_h.imag, shift)) / f_h
         except OverflowError:
-            return None
+            try:
+                value = complex(math.ldexp(value.real, shift),
+                                math.ldexp(value.imag, shift))
+            except OverflowError:
+                return None
     if cmath.isfinite(value) and cmath.isfinite(1.0 / f_h):
         return value
     return None
 
 
-def _barycentric(samples: SampleSet, z: complex, shift: int = 0) -> complex:
-    """N_h/F_h at one point, F_h and N_h by _regular, N_h from the
-    numerators m_j f(x_j) scaled by 2^-shift and the quotient scaled back.
-    NumericalError where G_h or the quotient is past the doubles."""
-    masses, num = samples.node_weights, samples._numerators
-    if shift:
-        # In two factors, each a double: shift may pass 1074.
-        num = masses * (samples.values * math.ldexp(1.0, -(shift // 2))
-                        * math.ldexp(1.0, shift // 2 - shift))
-    z, f_h, _, n_h = _regular(samples.nodes, masses, z, num=num,
-                              what="sampling node", zero=_pole_of_f)
+def _barycentric(samples: SampleSet, z: complex) -> complex:
+    """N_h/F_h at one point, F_h and N_h by _regular.  NumericalError where
+    G_h or the quotient is past the doubles."""
+    num, shift, _ = samples._numerators
+    z, f_h, _, n_h = _regular(samples.nodes, samples.node_weights, z,
+                              num=num, what="sampling node", zero=_pole_of_f)
     value = _quotient(f_h, n_h, shift)
     if value is None:
         name = "N_h/F_h" if cmath.isfinite(1.0 / f_h) else "G_h = 1/F_h"
@@ -131,39 +130,29 @@ def reconstruct(samples: SampleSet,
     on (N = 267 at a real z), fsum below.  A grid sums them for a block of
     points (_BLOCK_TERMS real terms) in one call (_regular_rows), and
     evaluates alone each point that it cannot pass; it raises what the
-    first failing point raises.  Where N_h is past the doubles it is
-    summed from scaled numerators.  NumericalError where G_h or the
-    quotient is past the doubles.
+    first failing point raises.  N_h is summed from numerators scaled once
+    (SampleSet._numerators) so that it cannot overflow.  NumericalError
+    where F_h, G_h or the quotient is past the doubles.
     """
+    num, shift, overflows = samples._numerators
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
-        # Every exclusion radius is at least 1e-8 > 2^-27, so where
-        # sum |m_j f(x_j)| < 2^e, e <= 1021 - 27, no term of N_h nor their
-        # sum can overflow.  Elsewhere a point that fails past the pole
-        # guards is taken again with the numerators scaled by 2^-(e - 994):
-        # that mends an N_h past the doubles, and an F_h that fails fails
-        # again the same way.
-        excess = samples._numerator_exponent - (1021 - 27)
-        if excess <= 0:
-            return _barycentric(samples, z)
-        with np.errstate(over="ignore"):
-            try:
+        if overflows:
+            # Terms of F_h past the doubles are a NumericalError (_regular),
+            # which numpy's warning would only repeat.
+            with np.errstate(over="ignore"):
                 return _barycentric(samples, z)
-            except PoleProximity:
-                raise
-            except (NumericalError, OverflowError):
-                return _barycentric(samples, z, excess)
+        return _barycentric(samples, z)
     points = np.asarray(z, dtype=complex).ravel()
     rows = max(1, _BLOCK_TERMS // (4 * samples.size))
     out = []
     for start in range(0, points.size, rows):
         block = points[start:start + rows]
         f_h, n_h, passed = (
-            _regular_rows(samples.nodes, samples.node_weights, block,
-                          samples._numerators)
+            _regular_rows(samples.nodes, samples.node_weights, block, num)
             or (block, block, np.zeros(block.size, bool)))
         for point, f, n, ok in zip(block.tolist(), f_h.tolist(),
                                    n_h.tolist(), passed.tolist()):
-            value = _quotient(f, n) if ok else None
+            value = _quotient(f, n, shift) if ok else None
             out.append(value if value is not None
                        else reconstruct(samples, point))
     return np.array(out, dtype=complex).reshape(np.shape(z))
@@ -186,7 +175,7 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     nodes are summed for a whole slab of the grid (_KRAMER_TERMS
     coordinates) in one stacked pass, which also takes F, the masses at
     the roots of the solve the nodes are matched to, once per slab, and
-    the expansions at the slab's points in one stacked call (_stacked) per
+    the expansions at the slab's points in one stacked call (_sums) per
     _BLOCK_TERMS real terms.
     Raises InconsistentNodes when the nodes are not the spectrum at the
     samples' coupling, also for an empty grid.
@@ -206,8 +195,7 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
         rows = max(1, _BLOCK_TERMS // (2 * terms.shape[1]))
         for lo in range(0, len(terms), rows):
             block = terms[lo:lo + rows]
-            out[start + lo:start + lo + len(block)] = (
-                _stacked(block) or list(map(_csum, block)))
+            out[start + lo:start + lo + len(block)] = list(_sums(block))
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
@@ -266,7 +254,8 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     z = complex(z)
     _guard(rep.poles, z, "pole of the representation")
     if rep.poles.size:
-        return rep.constant + _sum(rep.coefficients / (z - rep.poles))
+        return rep.constant + next(_sums([rep.coefficients
+                                          / (z - rep.poles)]))
     return rep.constant
 
 
@@ -274,7 +263,7 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""
     _, weights, (f, g) = _sample(model, h, phi, psi)
-    return _sum(weights * np.conj(f) * g)
+    return next(_sums([weights * np.conj(f) * g]))
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

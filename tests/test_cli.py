@@ -16,7 +16,7 @@ from specsample import (
     sample,
 )
 from specsample.cli import main
-from specsample.serialize import samples_to_dict
+from specsample.serialize import samples_from_dict, samples_to_dict
 
 from conftest import layout_model, random_state
 
@@ -434,6 +434,21 @@ def test_reconstruct_names_the_first_failing_grid_point(files, capsys):
     assert main(["reconstruct", "--samples",
                  files("s.json", samples_to_dict(samples)),
                  "--grid", grid]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == f"grid point 1: {e.value}\n"
+    assert captured.out == ""
+
+
+def test_reconstruct_names_a_grid_point_whose_sum_overflows(files, capsys):
+    # At 1.001 the three finite terms of F_h sum past the largest double,
+    # which math.fsum reports as an OverflowError.
+    samples = {"h": 1.3, "nodes": [0.0, 0.001, 0.002],
+               "weights": [1.2e308] * 3, "values": [[1.0, 0.0]] * 3}
+    with pytest.raises(OverflowError) as e:
+        reconstruct(samples_from_dict(samples), 1.001)
+    assert main(["reconstruct", "--samples", files("s.json", samples),
+                 "--grid", files("g.json", {"points": [[100.0, 1.0],
+                                                       [1.001, 0.0]]})]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"grid point 1: {e.value}\n"
     assert captured.out == ""

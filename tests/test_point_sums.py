@@ -75,7 +75,11 @@ def _reference(m, phi, s, z):
     else:
         f, fp = _fsum(w / d), _fsum(w / (d * d))
         out["weyl"] = (f, fp)
-        if f == 0 or abs(f) < r * abs(fp):
+        if not cmath.isfinite(f):
+            # A term of F past the doubles: its quotients would be 0 or NaN.
+            out.update(dict.fromkeys(("weyl_h", "transform", "xi"),
+                                     NumericalError))
+        elif f == 0 or abs(f) < r * abs(fp):
             out.update(dict.fromkeys(("weyl_h", "transform", "xi"), ZeroOfF))
         else:
             out["weyl_h"] = (NumericalError if f * f == 0 else
@@ -93,7 +97,9 @@ def _reference(m, phi, s, z):
         out["reconstruct"] = PoleProximity
         if not pole:
             f, fp = _fsum(s.node_weights / d), _fsum(s.node_weights / (d * d))
-            if not (f == 0 or abs(f) < r * abs(fp)):
+            if not cmath.isfinite(f):
+                out["reconstruct"] = NumericalError
+            elif not (f == 0 or abs(f) < r * abs(fp)):
                 # The barycentric quotient N_h/F_h, N_h = sum m_j v_j/d_j.
                 value = _fsum(s.node_weights * s.values / d) / f
                 out["reconstruct"] = (
@@ -436,22 +442,110 @@ def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
     m = random_model(rng, n)
     s = sample(m, random_state(rng, n), H)
     calls = []
-    stacked = herglotz._stacked
-    monkeypatch.setattr(herglotz, "_stacked",
-                        lambda t: calls.append(len(t)) or stacked(t))
+    row_sums = herglotz._row_sums
+    monkeypatch.setattr(herglotz, "_row_sums",
+                        lambda t: calls.append(t.shape) or row_sums(t))
     d = s.nodes - complex(0.3)
     want = _fsum(s.node_weights * s.values / d) / _fsum(s.node_weights / d)
     assert _bits(reconstruct(s, 0.3)) == _bits(want)
     assert calls == []
     reconstruct(s, 0.3 + 1e-3j)
-    assert calls == [2]
+    assert calls == [(4, n)]
+
+
+@pytest.mark.parametrize("n", [_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
+                               _STACK_TERMS // 2 - 1, _STACK_TERMS // 2,
+                               _STACK_TERMS // 2 + 1, _STACK_TERMS - 1,
+                               _STACK_TERMS])
+def test_every_point_sum_stacks_from_its_count_of_real_terms(n, monkeypatch):
+    # weyl holds 4N real terms off the axis and 2N at a real point, xi 2N
+    # and N: the imaginary parts of F's and F''s terms at a real point are
+    # zeros, and not counted.  The single sums of mu_inner, inner_h and
+    # evaluate_rep hold 2N whatever their imaginary parts.
+    rng = np.random.default_rng(n)
+    m = random_model(rng, n)
+    phi = random_state(rng, n)
+    real = StateVector(phi.coords.real)
+    rep = to_partial_fractions(normalize(m), phi)
+    real_rep = type(rep)(constant=0.0, poles=rep.poles,
+                         coefficients=rep.coefficients.real)
+    # inner_h's solve and node rule make calls of their own: taken first.
+    taken = sampling._sample(m, H, phi, real)
+    monkeypatch.setattr(sampling, "_sample", lambda *args: taken)
+    calls = []
+    row_sums = herglotz._row_sums
+    monkeypatch.setattr(herglotz, "_row_sums",
+                        lambda t: calls.append(t.shape) or row_sums(t))
+    cases = [(lambda: weyl(m, 0.3 + 1j), 4, n), (lambda: weyl(m, 0.3), 2, n),
+             (lambda: xi(m, 0.3 + 1j), 2, n), (lambda: xi(m, 0.3), 1, n)]
+    cases += [(evaluate, 2, n) for evaluate in (
+        lambda: mu_inner(m, phi), lambda: mu_inner(m, real),
+        lambda: inner_h(m, H, phi, real), lambda: inner_h(m, H, real, real))]
+    # The partial-fraction form has N - 1 poles.
+    cases += [(lambda: evaluate_rep(rep, 0.3 + 1j), 2, n - 1),
+              (lambda: evaluate_rep(real_rep, 0.3), 2, n - 1)]
+    for evaluate, rows, size in cases:
+        calls.clear()
+        evaluate()
+        assert calls == ([(rows, size)] if rows * size >= _STACK_TERMS
+                         else [])
+
+
+def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
+    # N = 200: transform stacks F with its numerator, 4N real terms.  Next
+    # to a zero of F, coordinates 1e308 at the two poles beside it give the
+    # numerator terms of both infinite signs, and the stacked call a NaN.
+    # The sums are then taken as transform reads them: F first, whose zero
+    # guard raises before the numerator's sum, which has no value.
+    n = _STACK_TERMS // 4
+    m = random_model(np.random.default_rng(n), n)
+    x = perturbed_spectrum(m, Coupling.infinite())[n // 2]
+    k = int(np.searchsorted(m.eigenvalues, x))
+    coords = np.ones(n, dtype=complex)
+    coords[k - 1:k + 1] = 1e308
+    z = x + 1e-12j
+    with np.errstate(over="ignore"):
+        terms = m.sqrt_weights * coords / (m.eigenvalues - z)
+        assert np.isneginf(terms.real).any() and np.isposinf(terms.real).any()
+        with pytest.raises(ZeroOfF):
+            transform(m, StateVector(coords), z)
+
+
+def test_a_sum_past_the_doubles_is_a_numerical_failure():
+    # A weight of 1e308 at 0 puts F's term past the doubles at 0.3: its
+    # quotients would be 0 (transform's -0j, where the value is 1.0e-154)
+    # or NaN (weyl_h, xi, xi_norm_sq), and reconstruct's -0j where it is
+    # 1.0.  weyl returns F itself.
+    m = new_model([0.0, 1.0], [1e308, 1.0])
+    phi = StateVector([1.0, 2.0])
+    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1e308, 1.0],
+                  values=[1.0, 2.0])
+    points = [0.3 + 1e-3j, 0.3]
+    assert s._numerators[1] > 0
+    with np.errstate(over="ignore"):
+        assert _check(m, phi, s, points) == 9
+        assert cmath.isinf(weyl(m, points[0])[0])
+    # Values 1e-10 and 1e10 leave the numerators unscaled; F_h's term
+    # still overflows, and raises without a warning either way.
+    small = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1e308, 1.0],
+                      values=[1e-10, 1e10])
+    assert small._numerators[1] == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for samples in (s, small):
+            for z in points:
+                with pytest.raises(NumericalError, match="not finite"):
+                    reconstruct(samples, z)
+            with pytest.raises(NumericalError, match="not finite"):
+                reconstruct(samples, [1j, *points])
 
 
 @pytest.mark.parametrize("values, z", [([1e308, 1.0, 1.0], 1e-7),
                                        ([1e308] * 3, 1.0 + 0.5j)])
 def test_numerators_near_the_top_of_the_doubles_are_summed_scaled(values, z):
-    # The terms m_j f(x_j)/(x_j - z) overflow: N_h is summed again from
-    # numerators scaled by a power of two, and the quotient scaled back.
+    # Unscaled, the terms m_j f(x_j)/(x_j - z) overflow: N_h is summed from
+    # numerators scaled once by a power of two, and the quotient scaled
+    # back.
     mpmath = pytest.importorskip("mpmath")
     nodes = [0.0, 1.0, 2.0]
     s = SampleSet(h=H, nodes=nodes, node_weights=[1.0] * 3, values=values)
@@ -465,6 +559,43 @@ def test_numerators_near_the_top_of_the_doubles_are_summed_scaled(values, z):
         got = [reconstruct(s, z), *reconstruct(s, [z, 0.5 + 1j, z])[::2]]
     for value in got:
         assert abs(value - want) <= 1e-15 * abs(want)
+
+
+def test_scaled_numerators_keep_the_bits_of_the_unscaled_sums():
+    # Values of 1e300 scale the numerators at N = 50, whose terms stay
+    # finite off the axis: N_h is scaled back before the division, so the
+    # point and the grid give the unscaled quotient's bits.
+    rng = np.random.default_rng(50)
+    m = random_model(rng, 50)
+    s = sample(m, random_state(rng, 50), H)
+    s = SampleSet(h=H, nodes=s.nodes, node_weights=s.node_weights,
+                  values=s.values * 1e300)
+    assert s._numerators[1] > 0
+    points = [complex(x, y) for x in (-3.0, 0.3, 4.1, 20.0)
+              for y in (1e-3, -0.5, 40.0)]
+    want = []
+    for z in points:
+        d = s.nodes - z
+        want.append(_fsum(s.node_weights * s.values / d)
+                    / _fsum(s.node_weights / d))
+    want = np.array(want).tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.array([reconstruct(s, z) for z in points]).tobytes() == want
+        assert reconstruct(s, points).tobytes() == want
+    # A mass of 1e307 scales them too.  At 1000i the quotient is about
+    # 1 - 2.08e-306i: divided scaled, its imaginary part would fall among
+    # the subnormals and keep about 32 of its bits.
+    nodes = np.linspace(0.0, 1.0, 250)
+    masses = np.concatenate(([1e307], np.ones(249)))
+    s = SampleSet(h=H, nodes=nodes, node_weights=masses,
+                  values=np.arange(1.0, 251.0))
+    assert s._numerators[1] > 0
+    d = nodes - 1000j
+    want = _fsum(masses * s.values / d) / _fsum(masses / d)
+    assert abs(want.imag) < 1e-305
+    assert _bits(reconstruct(s, 1000j)) == _bits(want)
+    assert _bits(reconstruct(s, [1000j])) == _bits(want)
 
 
 def _outcomes(s, points):

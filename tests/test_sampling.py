@@ -161,13 +161,13 @@ def test_unitarity():
 
 
 def test_inner_h_solves_once_and_matches_two_samples(monkeypatch, tmp_path):
-    from specsample import cli, perturbation, sampling
+    from specsample import cli, herglotz, perturbation
 
     rng = np.random.default_rng(90)
     m = random_model(rng, 7)
     phi, psi = random_state(rng, m.dim), random_state(rng, m.dim)
     fs, gs = sample(m, phi, 1.3), sample(m, psi, 1.3)
-    expected = sampling._csum(fs.node_weights * np.conj(fs.values) * gs.values)
+    expected = herglotz._csum(fs.node_weights * np.conj(fs.values) * gs.values)
     solves = []
     solve = perturbation._secular_roots
     monkeypatch.setattr(perturbation, "_secular_roots",
