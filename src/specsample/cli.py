@@ -75,12 +75,12 @@ def cmd_reconstruct(args) -> int:
     model = model_from_dict(load_json(args.model)) if args.model else None
     try:
         values = reconstruct(samples, points).tolist()
-    except (NumericalError, OverflowError) as exc:
+    except NumericalError as exc:
         # The grid raised what its first failing point raises: find it.
         for idx, z in enumerate(points):
             try:
                 reconstruct(samples, z)
-            except (NumericalError, OverflowError):
+            except NumericalError:
                 break
         print(f"grid point {idx}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -191,8 +191,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (NumericalError, OverflowError) as exc:
-        # OverflowError: a correctly rounded sum past the largest double.
+    except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MemoryError:

@@ -17,13 +17,15 @@ Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
 PoleProximity, and where the Newton step |f/f'| puts a zero of its
 denominator f within r it raises ZeroOfF (for F; PoleProximity for F_h and
-P_n, whose zeros are poles of the evaluated function).  A non-finite point
-is a ValidationError.  For F and F_h, sums of c_j/(x_j - z) with c_j >= 0,
-f' is summed only where a certificate, |f| >= r sum c_j/|x_j - z|^2 with
-a margin for rounding (_clear_of_zero), cannot rule the zero guard out;
-elsewhere it is summed and the guard decides exactly as without the
-certificate.  weyl, weyl_h and xi_norm_sq always sum F', which they return.
-An f that is not finite (a term past the doubles) is a NumericalError.
+P_n, whose zeros are poles of the evaluated function, and for weyl_h
+where 1 + hF is exactly 0).  A non-finite point is a ValidationError.
+For F and F_h, sums of c_j/(x_j - z) with c_j >= 0, f' is summed only
+where a certificate, |f| >= r sum c_j/|x_j - z|^2 with a margin for
+rounding (_clear_of_zero), cannot rule the zero guard out; elsewhere it
+is summed and the guard decides exactly as without the certificate.
+weyl, weyl_h and xi_norm_sq always sum F', which they return.  A point
+farther than the largest double from a pole, an f that is not finite (a
+term past the doubles) and a sum past the doubles are NumericalErrors.
 """
 from __future__ import annotations
 
@@ -56,13 +58,15 @@ def _csum(terms: np.ndarray) -> complex:
     """Correctly rounded sum of a complex array (per part); fsum reads the
     parts through a memoryview, the same doubles in the same order as a
     list of them, without copying them out first.  A part holding both
-    infinities has no sum: NumericalError."""
+    infinities, or past the largest double, has no sum: NumericalError."""
     try:
         return complex(math.fsum(memoryview(terms.real)),
                        math.fsum(memoryview(terms.imag)))
     except ValueError:  # -inf + inf
         raise NumericalError("a sum holds terms of both infinite signs"
                              ) from None
+    except OverflowError:
+        raise NumericalError("a sum is past the largest double") from None
 
 
 def _sums(terms, real: int = 0) -> Iterator[complex]:
@@ -81,7 +85,7 @@ def _sums(terms, real: int = 0) -> Iterator[complex]:
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             sums = _row_sums(np.concatenate((t.real, t.imag[real:]))).tolist()
-    except OverflowError:
+    except NumericalError:
         return map(_csum, terms)
     if any(map(math.isnan, sums)):
         return map(_csum, terms)
@@ -130,8 +134,8 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     of its exact remainder [tau, low], unless r = 0 (a row of zeros, say:
     the imaginary parts at a real point, which sum to 0.0).  Every other
     row (a zero sum, a tie, a sum past the largest double, a non-finite
-    term) takes math.fsum, which raises its OverflowError where its
-    partial sums overflow; a row holding both infinities is NaN.
+    term) takes math.fsum; a row whose partial sums overflow raises
+    NumericalError, and a row holding both infinities is NaN.
     """
     r, certified, tau, low = _extract(t)
     if np.count_nonzero(certified) < certified.size:
@@ -146,6 +150,9 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
                 r[i] = math.fsum(memoryview(t[i])) if t[i].any() else 0.0
             except ValueError:  # -inf + inf: NaN, as numpy sums it
                 r[i] = math.nan
+            except OverflowError:
+                raise NumericalError("a sum is past the largest double"
+                                     ) from None
     return r
 
 
@@ -159,9 +166,10 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     power p is 1 or 2, for every set or one per set.  Each row is the
     correctly rounded sum of the correctly rounded terms c_j / d_j
     (d_j * d_j for power 2, d_j = poles_j - x), so it equals the per-point
-    math.fsum bit for bit on every machine (see _row_sums).  A point on a
-    pole gives an infinite or NaN row.  With origin, an index per point,
-    row i is summed at x = poles_k + points_i, k = origin[i], as
+    math.fsum bit for bit on every machine (see _row_sums).  A block of
+    points holds every set: _BLOCK_TERMS terms at most, or one point's.  A
+    point on a pole gives an infinite or NaN row.  With origin, an index
+    per point, row i is summed at x = poles_k + points_i, k = origin[i], as
     d_j = (poles_j - poles_k) - points_i, exact at poles_k, and the term of
     poles_k is left out.
     """
@@ -169,15 +177,11 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     sets = coeffs.reshape(-1, n)
     k = len(sets)
     powers = (power,) * k if isinstance(power, int) else tuple(power)
-    # Sets of power 1 first: a chunk of sets divides by d, then by d * d.
+    # Sets of power 1 first: they divide by d, the rest by d * d.
     order = sorted(range(k), key=powers.__getitem__)
     sets, split = sets[order, None, :], powers.count(1)
     sums = np.empty((k, points.size))
-    # Rows of points per block, so that a block of every set holds at most
-    # _BLOCK_TERMS terms; with more sets than that allows for one point,
-    # the sets are split into chunks.
     rows = max(1, _BLOCK_TERMS // max(1, n * k))
-    chunk = max(1, _BLOCK_TERMS // (n * rows))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start in range(0, points.size, rows):
             block = slice(start, start + rows)
@@ -189,16 +193,11 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
                 # c / inf is an exact zero, which leaves the sum unchanged,
                 # and inf * inf is inf: the term drops out of both powers.
                 d[np.arange(at.size), at] = np.inf
-            dens = [d, d * d] if split < k else [d]
-            for lo in range(0, k, chunk):
-                hi = min(k, lo + chunk)
-                mid = min(max(split, lo), hi)
-                t = np.empty((hi - lo,) + d.shape)
-                for a, b, den in ((lo, mid, d), (mid, hi, dens[-1])):
-                    if a < b:
-                        np.divide(sets[a:b], den, out=t[a - lo:b - lo])
-                sums[order[lo:hi], block] = _row_sums(
-                    t.reshape(-1, n)).reshape(hi - lo, -1)
+            t = np.empty((k,) + d.shape)
+            np.divide(sets[:split], d, out=t[:split])
+            if split < k:
+                np.divide(sets[split:], d * d, out=t[split:])
+            sums[order, block] = _row_sums(t.reshape(-1, n)).reshape(k, -1)
     return sums[0] if coeffs.ndim == 1 else sums
 
 
@@ -222,9 +221,15 @@ def _guard(poles: np.ndarray, z: complex,
            what: str) -> tuple[float, np.ndarray, np.ndarray]:
     """The exclusion radius r of the sorted poles, d = poles - z and |d|;
     PoleProximity (naming the pole) when z is within r of one,
-    ValidationError when z is not finite."""
+    ValidationError when z is not finite, NumericalError when some d is
+    past the largest double."""
     _check_finite(z)
-    r = _radius(float(poles[-1] - poles[0]) if poles.size else 0.0)
+    lo, hi = (float(poles[0]), float(poles[-1])) if poles.size else (0.0, 0.0)
+    r = _radius(hi - lo)
+    # The largest |Re d_j| is at an end pole, in the same rounding as d.
+    x = z.real
+    if hi - x == math.inf or x - lo == math.inf:
+        raise NumericalError(f"{what} - z overflows at z={z}")
     d = poles - z
     dist = np.abs(d)
     if dist.size and dist.min() < r:
@@ -322,11 +327,13 @@ def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
     """f and N of _regular(poles, c, z, num=num) at each of the points,
     summed in one _row_sums call, and whether _regular passes each point
     without f': z finite, |d| beyond r (with room for |d| rounded
-    otherwise than in _guard), f and N finite, and z cleared by
-    _clear_of_zero.  The caller hands every other point to _regular, which
-    raises where it must, and every point where the call overflows (None).
+    otherwise than in _guard), no d past the doubles (as in _guard), f and
+    N finite, and z cleared by _clear_of_zero; none where the call
+    overflows.  The caller hands every other point to _regular, which
+    raises where it must.
     """
-    r = _radius(float(poles[-1] - poles[0]))
+    lo, hi = float(poles[0]), float(poles[-1])
+    r = _radius(hi - lo)
     with np.errstate(all="ignore"):
         d = poles - points[:, None]
         dist = np.abs(d)
@@ -334,11 +341,12 @@ def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
         try:
             sums = _row_sums(np.concatenate(
                 [part for t in terms for part in (t.real, t.imag)]))
-        except OverflowError:
-            return None
+        except NumericalError:
+            return points, points, np.zeros(points.size, bool)
         f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
+        far = np.maximum(hi - points.real, points.real - lo) == math.inf
         passed = (np.isfinite(points) & np.isfinite(f) & np.isfinite(n)
-                  & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50))
+                  & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50)) & ~far
                   & _clear_of_zero(f, c, dist, r))
     return f, n, passed
 
@@ -355,12 +363,16 @@ def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
-    NumericalError where F^2 underflows (|z| past about 1e154)."""
+    NumericalError where F^2 underflows (|z| past about 1e154), and
+    PoleProximity where 1 + hF is exactly 0 (a pole of F_h)."""
     z, f, fp, _ = _regular(model.eigenvalues, model.weights, z,
                            derivative=True)
     if f * f == 0:
         raise NumericalError(f"F(z)^2 underflows at z={z}")
-    f_h = f / (1.0 + h * f)
+    den = 1.0 + h * f
+    if den == 0:
+        raise PoleProximity(f"z={z} is a pole of F_h at h={h}")
+    f_h = f / den
     g_h = h + 1.0 / f
     g_h_prime = -fp / (f * f)
     return f_h, g_h, g_h_prime
@@ -390,10 +402,5 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
 
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
-    """Squared norm of xi at a real point, via F'(x)/F(x)^2.
-    NumericalError where F^2 underflows, as in weyl_h."""
-    z, f, fp, _ = _regular(model.eigenvalues, model.weights, x,
-                           derivative=True)
-    if f * f == 0:
-        raise NumericalError(f"F(z)^2 underflows at z={z}")
-    return float((fp / (f * f)).real)
+    """Squared norm of xi at a real point, F'/F^2 = -G_0' of weyl_h."""
+    return -weyl_h(model, 0.0, x)[2].real

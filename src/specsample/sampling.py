@@ -147,20 +147,14 @@ def reconstruct(samples: SampleSet,
     out = []
     for start in range(0, points.size, rows):
         block = points[start:start + rows]
-        f_h, n_h, passed = (
-            _regular_rows(samples.nodes, samples.node_weights, block, num)
-            or (block, block, np.zeros(block.size, bool)))
+        f_h, n_h, passed = _regular_rows(samples.nodes, samples.node_weights,
+                                         block, num)
         for point, f, n, ok in zip(block.tolist(), f_h.tolist(),
                                    n_h.tolist(), passed.tolist()):
             value = _quotient(f, n, shift) if ok else None
             out.append(value if value is not None
                        else reconstruct(samples, point))
     return np.array(out, dtype=complex).reshape(np.shape(z))
-
-
-# Grid points whose xi coordinates and node values Kramer holds at once:
-# at most 2^20 complex doubles (16 MiB) per array.
-_KRAMER_TERMS = 1 << 20
 
 
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
@@ -171,31 +165,27 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     <xi(z), xi(x)> is the image of the state conj(xi(z)) at x, and
     1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
     samples' nodes.  z is a point (the result is a complex) or an array of
-    points (an array of the same shape); the images of conj(xi(z)) at the
-    nodes are summed for a whole slab of the grid (_KRAMER_TERMS
-    coordinates) in one stacked pass, which also takes F, the masses at
-    the roots of the solve the nodes are matched to, once per slab, and
-    the expansions at the slab's points in one stacked call (_sums) per
-    _BLOCK_TERMS real terms.
+    points (an array of the same shape).  The grid is taken a slab of
+    S = _BLOCK_TERMS // (2N) points at a time: the images of conj(xi(z))
+    at the nodes, 1 + 2S coefficient sets of N terms with F, are summed in
+    one cauchy_rows pass, the masses at the roots of the solve the nodes
+    are matched to in another, and the slab's expansions, 2SN real terms,
+    in one stacked call (_sums).
     Raises InconsistentNodes when the nodes are not the spectrum at the
     samples' coupling, also for an empty grid.
     """
     points = np.asarray(z, dtype=complex).ravel()
     out = np.empty(points.size, dtype=complex)
-    # conj(xi(z)) at every point of a slab first, each through xi and its
-    # guards, then their images and F at every node in one stacked pass,
-    # and the masses; an empty grid still checks the nodes.
-    slab = max(1, _KRAMER_TERMS // max(model.dim, samples.nodes.size))
+    # An empty grid is one slab of no points, which still checks the nodes.
+    slab = max(1, _BLOCK_TERMS // (2 * max(model.dim, samples.nodes.size)))
     for start in range(0, max(1, points.size), slab):
         coords = np.array([np.conj(xi(model, point).coords)
                            for point in points[start:start + slab]])
         masses, values = _node_data(model, 1.0, float(samples.h),
                                     samples.nodes, coords.reshape(-1, model.dim))
-        terms = masses * values * samples.values
-        rows = max(1, _BLOCK_TERMS // (2 * terms.shape[1]))
-        for lo in range(0, len(terms), rows):
-            block = terms[lo:lo + rows]
-            out[start + lo:start + lo + len(block)] = list(_sums(block))
+        if len(values):
+            out[start:start + slab] = list(_sums(masses * values
+                                                 * samples.values))
     return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

@@ -9,6 +9,7 @@ import pytest
 
 import specsample
 from specsample import (
+    NumericalError,
     PoleProximity,
     StateVector,
     new_model,
@@ -441,10 +442,11 @@ def test_reconstruct_names_the_first_failing_grid_point(files, capsys):
 
 def test_reconstruct_names_a_grid_point_whose_sum_overflows(files, capsys):
     # At 1.001 the three finite terms of F_h sum past the largest double,
-    # which math.fsum reports as an OverflowError.
+    # a NumericalError.
     samples = {"h": 1.3, "nodes": [0.0, 0.001, 0.002],
                "weights": [1.2e308] * 3, "values": [[1.0, 0.0]] * 3}
-    with pytest.raises(OverflowError) as e:
+    with pytest.raises(NumericalError,
+                       match="^a sum is past the largest double$") as e:
         reconstruct(samples_from_dict(samples), 1.001)
     assert main(["reconstruct", "--samples", files("s.json", samples),
                  "--grid", files("g.json", {"points": [[100.0, 1.0],

@@ -6,6 +6,7 @@ of its denominator (ZeroOfF for F, PoleProximity for F_h and P_n), returns
 a finite value at 1.1 r, and rejects a non-finite point.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,13 +14,20 @@ import pytest
 from specsample import (
     Coupling,
     JacobiParams,
+    NumericalError,
     PoleProximity,
+    SampleSet,
+    SpectralError,
     StateVector,
     ValidationError,
     ZeroOfF,
     evaluate_rep,
+    inner_h,
     jm_reconstruct,
     kramer_reconstruct,
+    new_model,
+    node_weights,
+    normalize,
     oscillator_model,
     osc_F_integral,
     osc_F_series,
@@ -125,3 +133,114 @@ def test_series_guard_matches_the_model(k):
         weyl(oscillator_model(20), z)
     with pytest.raises(PoleProximity):
         osc_F_series(z, 20)
+
+
+def test_weyl_h_at_an_exact_pole_of_f_h():
+    # At the middle node 1 + hF rounds to exactly 0, where F_h has no
+    # value; at the outer nodes F_h is large but finite.
+    m = new_model([0.0, 1.0, 2.0], [0.3, 0.3, 0.4])
+    x = perturbed_spectrum(m, Coupling.finite(1.3))
+    with pytest.raises(PoleProximity, match="pole of F_h"):
+        weyl_h(m, 1.3, x[1])
+    for node, f_h in ((x[0], -2.3e15), (x[2], 3.5e15)):
+        value = weyl_h(m, 1.3, node)[0]
+        assert value.imag == 0.0 and abs(value.real / f_h - 1.0) < 0.02
+
+
+def test_a_point_farther_than_the_doubles_from_a_pole_is_a_numerical_error():
+    # 1.7e308 - (-1e307) is past the largest double: that term would drop
+    # out of every sum (reconstruct read 2.5 here, the value is about 2.02,
+    # and weyl's F' NaN).  Point and grid raise alike, without a warning.
+    lam = [-1e307, 0.0, 1.0]
+    s = SampleSet(h=1.3, nodes=lam, node_weights=[1.0] * 3,
+                  values=[1.0, 2.0, 3.0])
+    m = new_model(lam, [1.0] * 3)
+    # With masses of 1e308 the near node's term clears the zero certificate
+    # at 1.7e308, so a grid takes that point's sums unless it is refused.
+    heavy = SampleSet(h=1.3, nodes=[-1e307, 1e308], node_weights=[1e308] * 2,
+                      values=[1.0, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in [(s, 1.7e308), (s, [1e300j, 1.7e308]), (heavy, 1.7e308),
+                  (heavy, [1j, 1.7e308])]:
+            with pytest.raises(NumericalError) as e:
+                reconstruct(*z)
+            assert str(e.value) == ("sampling node - z overflows at "
+                                    "z=(1.7e+308+0j)")
+        for call in (lambda: transform(m, StateVector([1.0, 2.0, 3.0]),
+                                       1.7e308 + 1j),
+                     lambda: weyl(m, 1.7e308),
+                     lambda: weyl(m, 1.7e308 - 1.7e308j),
+                     lambda: weyl(new_model([-1.0, 0.0, 1e307], [1.0] * 3),
+                                  -1.7e308)):
+            with pytest.raises(NumericalError, match="^eigenvalue - z over"):
+                call()
+        # At 8e307 the largest difference, 9e307, is still a double.
+        assert math.isfinite(weyl(m, 8e307)[0].real)
+
+
+def test_a_sum_past_the_doubles_is_a_numerical_error():
+    # The three terms of F_h at 1.001 are finite; their sum is not.
+    s = SampleSet(h=1.3, nodes=[0.0, 0.001, 0.002],
+                  node_weights=[1.2e308] * 3, values=[1.0, 1.0, 1.0])
+    for z in (1.001, [1.001]):
+        with pytest.raises(NumericalError,
+                           match="^a sum is past the largest double$"):
+            reconstruct(s, z)
+
+
+def test_extreme_models_return_or_raise_a_spectral_error():
+    # Every public evaluator, on weights from 2e-300 to 1e308, eigenvalues
+    # up to 1e307 in size, |z| up to 1.7e308 and couplings from the
+    # smallest subnormal to 1e300, returns or raises a SpectralError; so
+    # does weyl_h at the nodes, where 1 + hF can round to exactly 0.
+    # numpy's warnings are not asserted on: the model evaluators still warn
+    # where a weight's term overflows, a known open defect.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    small = st.integers(-4, 4).map(lambda k: k / 2)
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None,
+                         database=None)
+    @hypothesis.given(
+        data=st.integers(2, 5).flatmap(lambda n: st.tuples(
+            st.lists(st.floats(-1e307, 1e307) | small, min_size=n,
+                     max_size=n, unique=True),
+            st.lists(st.floats(2e-300, 1e308)
+                     | st.sampled_from([2e-300, 1e-8, 1.0, 5e307]),
+                     min_size=n, max_size=n),
+            st.lists(small, min_size=n, max_size=n))),
+        z=st.complex_numbers(max_magnitude=1.7e308, allow_nan=False,
+                             allow_infinity=False)
+        | st.complex_numbers(max_magnitude=4.0),
+        h=st.sampled_from([0.0, 5e-324, 1e-8, 1.3, 1e8, 1e300]))
+    def check(data, z, h):
+        lam, w, coords = data
+        try:
+            m = new_model(sorted(lam), w)
+            nodes = perturbed_spectrum(m, Coupling.finite(h))
+        except SpectralError:
+            return
+        phi = StateVector(np.array(coords) + 1j)
+        calls = [lambda: weyl(m, z), lambda: weyl_h(m, h, z),
+                 lambda: xi(m, z), lambda: xi_norm_sq(m, z.real),
+                 lambda: transform(m, phi, z),
+                 lambda: node_weights(m, h, nodes),
+                 lambda: inner_h(m, h, phi, phi),
+                 lambda: to_partial_fractions(normalize(m), phi)]
+        calls += [lambda x=x: weyl_h(m, h, x) for x in nodes]
+        try:
+            s = sample(m, phi, h)
+            calls += [lambda: reconstruct(s, z), lambda: reconstruct(s, [z]),
+                      lambda: kramer_reconstruct(m, s, z)]
+        except SpectralError:
+            pass
+        for call in calls:
+            try:
+                call()
+            except SpectralError:
+                pass
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        check()

@@ -321,11 +321,12 @@ def test_single_sums_across_the_crossover_equal_fsum(n):
 def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
     # One point's expansion holds 2N real terms: below the crossover it is
     # summed by fsum, from it on in one stacked call; a grid is one call
-    # per block of a slab, and small bounds make several.
+    # per slab of _BLOCK_TERMS // (2N) points, and small bounds make
+    # several.
     rng = np.random.default_rng(n)
     m = random_model(rng, n)
     s = sample(m, random_state(rng, n), H)
-    grid = np.array(_points(m, 10, n)[:10])
+    grid = np.array(_points(m, 11, n)[:11])
     want = []
     for z in grid:
         coords = np.conj(xi(m, z).coords)[None]
@@ -335,13 +336,11 @@ def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
     assert kramer_reconstruct(m, s, grid).tobytes() == want
     assert np.array([kramer_reconstruct(m, s, z)
                      for z in grid]).tobytes() == want
-    monkeypatch.setattr(sampling, "_KRAMER_TERMS", 3 * n)
-    assert kramer_reconstruct(m, s, grid).tobytes() == want
-    # Blocks of two points within a slab of five: the last one alone is
-    # below the crossover.
-    monkeypatch.setattr(sampling, "_KRAMER_TERMS", 5 * n)
-    monkeypatch.setattr(sampling, "_BLOCK_TERMS", 4 * n)
-    assert kramer_reconstruct(m, s, grid).tobytes() == want
+    # Slabs of one, two and five points; the last slab of five holds one
+    # point, below the crossover at N = 399.
+    for slab in (1, 2, 5):
+        monkeypatch.setattr(sampling, "_BLOCK_TERMS", 2 * n * slab)
+        assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
 def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
@@ -420,7 +419,8 @@ def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
     # Weights of 5e307 on the first two poles: midway between them their
     # terms are infinite, of opposite signs, and have no sum
     # (NumericalError); at -0.3 they are finite and sum past the largest
-    # double, which math.fsum reports (OverflowError).
+    # double, which math.fsum reports (NumericalError too, not its
+    # OverflowError).
     lam = np.linspace(0.0, 1.0, n)
     m = new_model(lam, np.concatenate(([5e307, 5e307], np.ones(n - 2))))
     mid = 0.5 * (lam[0] + lam[1])
@@ -429,7 +429,8 @@ def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
             weyl(m, mid)
         with pytest.raises(NumericalError, match="both infinite signs"):
             transform(m, StateVector(np.ones(n)), mid)
-        with pytest.raises(OverflowError):
+        with pytest.raises(NumericalError,
+                           match="^a sum is past the largest double$"):
             weyl(m, -0.3)
 
 
@@ -605,7 +606,7 @@ def _outcomes(s, points):
     for z in points:
         try:
             out.append(reconstruct(s, z))
-        except (NumericalError, ValidationError, OverflowError) as e:
+        except (NumericalError, ValidationError) as e:
             out.append((type(e), str(e)))
     return out
 

@@ -559,10 +559,10 @@ def _kramer_per_point(m, s, z):
 
 
 def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
-    # One stacked pass over a whole grid gives, bit for bit, the value a
-    # node-by-node sum gives at each point; the N=120 grid has more
-    # coefficient sets than one block holds, and a small slab bound splits
-    # the grid.
+    # One stacked pass over a slab of the grid gives, bit for bit, the
+    # value a node-by-node sum gives at each point; the N=120 grid of 150
+    # points takes two slabs, and a small block bound makes slabs of one,
+    # two and five points.
     import specsample.sampling as sampling
 
     rng = np.random.default_rng(98)
@@ -574,9 +574,10 @@ def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
                 + 1j * rng.uniform(0.1, 3.0, count))
         want = np.array([_kramer_per_point(m, s, z) for z in grid]).tobytes()
         assert kramer_reconstruct(m, s, grid).tobytes() == want
-        with monkeypatch.context() as patch:
-            patch.setattr(sampling, "_KRAMER_TERMS", 1000)
-            assert kramer_reconstruct(m, s, grid).tobytes() == want
+        for slab in (1, 2, 5):
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "_BLOCK_TERMS", 2 * m.dim * slab)
+                assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
 # On eigenvalues offset to 1e8 a zero of F can lie 1e-3 from its
