@@ -42,8 +42,8 @@ from .model import SpectralModel
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
-# Terms formed at once by cauchy_rows, and stacked at once for
-# kramer_reconstruct, per array: 2^15 doubles is 256 KiB.
+# Terms formed at once per array by cauchy_rows, a reconstruct grid and
+# verify's norm terms: 2^15 doubles is 256 KiB.
 _BLOCK_TERMS = 1 << 15
 
 # Real terms per call from which _sums stacks its sums into one _row_sums

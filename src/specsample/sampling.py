@@ -157,36 +157,44 @@ def reconstruct(samples: SampleSet,
     return np.array(out, dtype=complex).reshape(np.shape(z))
 
 
+def _on(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """np.isin(x, lam) for increasing lam, without loading numpy.ma."""
+    return lam[np.minimum(np.searchsorted(lam, x), lam.size - 1)] == x
+
+
 def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
                        z: complex | np.ndarray) -> complex | np.ndarray:
-    """Orthogonal-expansion reconstruction
-    f(z) = sum_j <xi(z), xi(x_j)> f(x_j) / ||xi(x_j)||^2.
-
-    <xi(z), xi(x)> is the image of the state conj(xi(z)) at x, and
-    1/||xi(x_j)||^2 the mass of x_j, both taken from the model at the
-    samples' nodes.  z is a point (the result is a complex) or an array of
-    points (an array of the same shape).  The grid is taken a slab of
-    S = _BLOCK_TERMS // (2N) points at a time: the images of conj(xi(z))
-    at the nodes, 1 + 2S coefficient sets of N terms with F, are summed in
-    one cauchy_rows pass, the masses at the roots of the solve the nodes
-    are matched to in another, and the slab's expansions, 2SN real terms,
-    in one stacked call (_sums).
-    Raises InconsistentNodes when the nodes are not the spectrum at the
-    samples' coupling, also for an empty grid.
+    """Orthogonal-expansion reconstruction f(z) = sum_j m_j f(x_j) <xi(z),
+    xi(x_j)> by the kernel of the analytic Kramer theorem (Everitt,
+    Nasri-Roudsari & Rehberg, Results Math. 34, 1998): <xi(z), xi(x)> =
+    (1/F(z) - 1/F(x))/(x - z), 1/F(x_j) = -h at a root of 1 + hF and 0 at a
+    node on an eigenvalue (its root rounded onto it), whose value is f there.
+    The masses m_j (one pass per call) and F(z) are the model's, so it
+    checks reconstruct, which takes F_h from the samples alone.  z is a
+    point or an array of points, as for reconstruct, each guarded as by
+    transform, then as by reconstruct; a value past the doubles is a
+    NumericalError.  InconsistentNodes when the nodes are not the spectrum
+    at the samples' coupling, also for an empty grid.
     """
-    points = np.asarray(z, dtype=complex).ravel()
-    out = np.empty(points.size, dtype=complex)
-    # An empty grid is one slab of no points, which still checks the nodes.
-    slab = max(1, _BLOCK_TERMS // (2 * max(model.dim, samples.nodes.size)))
-    for start in range(0, max(1, points.size), slab):
-        coords = np.array([np.conj(xi(model, point).coords)
-                           for point in points[start:start + slab]])
-        masses, values = _node_data(model, 1.0, float(samples.h),
-                                    samples.nodes, coords.reshape(-1, model.dim))
-        if len(values):
-            out[start:start + slab] = list(_sums(masses * values
-                                                 * samples.values))
-    return complex(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
+    h = float(samples.h)
+    x, lam = samples.nodes, model.eigenvalues
+    masses = _node_data(model, 1.0, h, x)[0]
+    g = np.where(_on(x, lam), 0.0, h)  # -1/F at each node
+
+    def at(point):
+        f = _regular(lam, model.weights, point)[1]
+        z, _, _, value = _regular(x, masses, point, num=num * (g + 1.0 / f),
+                                  what="sampling node", zero=_pole_of_f)
+        if not cmath.isfinite(value):
+            raise NumericalError(f"the Kramer series overflows at z={z}")
+        return value
+
+    # Terms past the doubles give a value past them, which is raised.
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = masses * samples.values
+        values = [at(point) for point in np.ravel(z).tolist()]
+    return (values[0] if np.ndim(z) == 0
+            else np.array(values, dtype=complex).reshape(np.shape(z)))
 
 
 _UNIT_WEIGHT_TOL = 1e-12
@@ -229,7 +237,7 @@ def from_partial_fractions(model: SpectralModel,
         and np.max(np.abs(rep.poles - poles)) > 1e-9 * model.scale
     ):
         raise PoleMismatch("rep poles do not match the model's pole set")
-    on = rep.poles[np.isin(rep.poles, model.eigenvalues)]
+    on = rep.poles[_on(rep.poles, model.eigenvalues)]
     if on.size:
         raise NumericalError(f"pole {float(on[0])!r} lies on an eigenvalue")
     # Coordinate j is sqrt(w_j) (c + sum_n c_n / (lam_j - x_n)).

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .herglotz import cauchy_rows, weyl_h
+from .herglotz import _BLOCK_TERMS, cauchy_rows, weyl_h
 from .model import Coupling, SpectralModel, StateVector, normalize
 from .perturbation import (
     compression_spectrum,
@@ -116,11 +117,14 @@ def check_partial_fractions(model: SpectralModel, rng) -> CheckResult:
         rep = to_partial_fractions(unit, phi)
         back = from_partial_fractions(unit, rep)
         worst = max(worst, float(np.max(np.abs(back.coords - phi.coords))))
-        # |c_n|^2 F'(x_n) term by term, each at most ||phi||^2: F' overflows.
-        gaps = np.abs(np.subtract.outer(unit.eigenvalues, rep.poles))
-        terms = unit.sqrt_weights[:, None] * (np.abs(rep.coefficients) / gaps)
-        norm_id = abs(rep.constant) ** 2 + math.fsum(
-            (terms * terms).ravel().tolist())
+        # |c_n|^2 F'(x_n) term by term, each at most ||phi||^2 (F'
+        # overflows), in blocks of _BLOCK_TERMS summed by one fsum.
+        c, rows = np.abs(rep.coefficients), max(1, _BLOCK_TERMS // unit.dim)
+        blocks = (unit.sqrt_weights[i:i + rows, None] * (c / np.abs(
+            np.subtract.outer(unit.eigenvalues[i:i + rows], rep.poles)))
+            for i in range(0, unit.dim, rows))
+        norm_id = abs(rep.constant) ** 2 + math.fsum(chain.from_iterable(
+            memoryview((t * t).ravel()) for t in blocks))
         err = abs(norm_id - phi.norm() ** 2) / phi.norm() ** 2
         worst = max(worst, err)
     return CheckResult("partial-fractions", worst <= 1e-10, f"max={worst:.2e}")

@@ -88,7 +88,8 @@ CASES = [
     *[(name, "zero-of-F", ZERO_F, R, ZeroOfF)
       for name in ("weyl_h", "xi", "xi_norm_sq", "transform",
                    "kramer_reconstruct")],
-    ("reconstruct", "node", S.nodes[3], RS, PoleProximity),
+    *[(name, "node", S.nodes[3], RS, PoleProximity)
+      for name in ("reconstruct", "kramer_reconstruct")],
     ("reconstruct", "zero-of-F_h", ZERO_F, RS, PoleProximity),
     ("evaluate_rep", "pole", REP.poles[1], RR, PoleProximity),
     ("jm_reconstruct", "node", S10.nodes[4], RS10, PoleProximity),

@@ -9,6 +9,7 @@ from specsample import (
     InconsistentNodes,
     NumericalError,
     compression_spectrum,
+    kramer_reconstruct,
     new_model,
     node_weights,
     perturbed_model,
@@ -163,7 +164,8 @@ def test_node_weight_sum_matches_total():
 def test_node_data_sums_only_the_rows_it_returns(monkeypatch, tmp_path,
                                                  capsys):
     # The masses come from one kernel pass at the roots; the pass at the
-    # nodes runs only for image values, which only sample asks for.
+    # nodes runs only for image values, which only sample asks for.  A
+    # Kramer grid takes the masses alone, once.
     calls = []
     kernel = perturbation.cauchy_rows
 
@@ -188,6 +190,9 @@ def test_node_data_sums_only_the_rows_it_returns(monkeypatch, tmp_path,
     assert passes(lambda: main(["spectrum", "--model", str(path),
                                 "--coupling", "1.3"])) == 1
     assert passes(lambda: sample(m, random_state(rng, 30), 1.3)) == 2
+    s = sample(m, random_state(rng, 30), 1.3)
+    grid = np.linspace(-1.0, 11.0, 40) + 0.5j
+    assert passes(lambda: kramer_reconstruct(m, s, grid)) == 1
     capsys.readouterr()
 
 

@@ -64,8 +64,9 @@ def _guarded(poles, z):
     return r, d, np.abs(d).min() < r
 
 
-def _reference(m, phi, s, z):
-    """Each evaluator's output, or the type of the error it raises."""
+def _reference(m, phi, s, z, kramer=True):
+    """Each evaluator's output, or the type of the error it raises; Kramer
+    where the samples are the model's."""
     lam, w = m.eigenvalues, m.weights
     out = {}
     r, d, pole = _guarded(lam, z)
@@ -94,18 +95,37 @@ def _reference(m, phi, s, z):
             out["xi_norm_sq"] = out["weyl_h"]
     if s is not None:
         r, d, pole = _guarded(s.nodes, z)
-        out["reconstruct"] = PoleProximity
+        out["reconstruct"] = out["kramer"] = PoleProximity
         if not pole:
             f, fp = _fsum(s.node_weights / d), _fsum(s.node_weights / (d * d))
             if not cmath.isfinite(f):
-                out["reconstruct"] = NumericalError
+                out["reconstruct"] = out["kramer"] = NumericalError
             elif not (f == 0 or abs(f) < r * abs(fp)):
                 # The barycentric quotient N_h/F_h, N_h = sum m_j v_j/d_j.
                 value = _fsum(s.node_weights * s.values / d) / f
                 out["reconstruct"] = (
                     value if cmath.isfinite(1.0 / f)
                     and cmath.isfinite(value) else NumericalError)
+                out["kramer"] = None
+        # Kramer takes the eigenvalues' guards first.
+        if not kramer:
+            del out["kramer"]
+        elif isinstance(out["transform"], type):
+            out["kramer"] = out["transform"]
+        elif out["kramer"] is None:
+            out["kramer"] = _kramer_sum(m, s, out["weyl"][0], d)
     return out
+
+
+def _kramer_sum(m, s, f, d):
+    """sum_j m_j v_j (h_j + 1/F(z)) / d_j, h_j = 0 on an eigenvalue and H
+    elsewhere, or NumericalError where it is past the doubles."""
+    h = np.where(np.isin(s.nodes, m.eigenvalues), 0.0, H)
+    try:
+        value = _fsum(s.node_weights * s.values * (h + 1.0 / f) / d)
+    except (ValueError, OverflowError):  # terms of both infinite signs
+        return NumericalError
+    return value if cmath.isfinite(value) else NumericalError
 
 
 def _evaluate(name, m, phi, s, z):
@@ -120,6 +140,8 @@ def _evaluate(name, m, phi, s, z):
             return xi(m, z).coords
         if name == "xi_norm_sq":
             return xi_norm_sq(m, z.real)
+        if name == "kramer":
+            return kramer_reconstruct(m, s, z)
         return reconstruct(s, z)
     except NumericalError as e:
         return type(e)
@@ -131,12 +153,12 @@ def _bits(value):
     return np.asarray(value, dtype=complex).tobytes()
 
 
-def _check(m, phi, s, points):
+def _check(m, phi, s, points, kramer=True):
     raised = 0
     for z in points:
         z = complex(z)
         with np.errstate(all="ignore"):
-            want = _reference(m, phi, s, z)
+            want = _reference(m, phi, s, z, kramer)
         for name, value in want.items():
             got = _evaluate(name, m, phi, s, z)
             assert _bits(got) == _bits(value), (name, z)
@@ -317,30 +339,24 @@ def test_single_sums_across_the_crossover_equal_fsum(n):
         assert _bits(evaluate_rep(rep, z)) == _bits(want)
 
 
-@pytest.mark.parametrize("n", [_STACK_TERMS // 2 - 1, _STACK_TERMS // 2])
-def test_kramer_slab_sums_equal_the_per_point_fsum(n, monkeypatch):
-    # One point's expansion holds 2N real terms: below the crossover it is
-    # summed by fsum, from it on in one stacked call; a grid is one call
-    # per slab of _BLOCK_TERMS // (2N) points, and small bounds make
-    # several.
+@pytest.mark.parametrize("n", [_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
+                               _STACK_TERMS // 2 - 1, _STACK_TERMS // 2])
+def test_kramer_sums_equal_the_per_point_fsum(n):
+    # A point sums F over the eigenvalues, 2N real terms (N at a real
+    # point), then F_h and the numerator over the nodes, 4N (3N): each
+    # call is summed by fsum below the crossover and stacked from it on,
+    # and a grid is the point calls.
     rng = np.random.default_rng(n)
     m = random_model(rng, n)
     s = sample(m, random_state(rng, n), H)
-    grid = np.array(_points(m, 11, n)[:11])
-    want = []
-    for z in grid:
-        coords = np.conj(xi(m, z).coords)[None]
-        masses, (values,) = _node_data(m, 1.0, H, s.nodes, coords)
-        want.append(_fsum(masses * values * s.values))
-    want = np.array(want).tobytes()
+    num = _node_data(m, 1.0, H, s.nodes)[0] * s.values
+    grid = np.array(_points(m, 11, n)[:15])
+    want = np.array([
+        _fsum(num * (H + 1.0 / _fsum(m.weights / (m.eigenvalues - z)))
+              / (s.nodes - z)) for z in grid]).tobytes()
     assert kramer_reconstruct(m, s, grid).tobytes() == want
     assert np.array([kramer_reconstruct(m, s, z)
                      for z in grid]).tobytes() == want
-    # Slabs of one, two and five points; the last slab of five holds one
-    # point, below the crossover at N = 399.
-    for slab in (1, 2, 5):
-        monkeypatch.setattr(sampling, "_BLOCK_TERMS", 2 * n * slab)
-        assert kramer_reconstruct(m, s, grid).tobytes() == want
 
 
 def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
@@ -524,7 +540,7 @@ def test_a_sum_past_the_doubles_is_a_numerical_failure():
     points = [0.3 + 1e-3j, 0.3]
     assert s._numerators[1] > 0
     with np.errstate(over="ignore"):
-        assert _check(m, phi, s, points) == 9
+        assert _check(m, phi, s, points, kramer=False) == 9
         assert cmath.isinf(weyl(m, points[0])[0])
     # Values 1e-10 and 1e10 leave the numerators unscaled; F_h's term
     # still overflows, and raises without a warning either way.

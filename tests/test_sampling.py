@@ -37,6 +37,7 @@ from specsample import (
     sample,
     to_partial_fractions,
     transform,
+    weyl,
     xi,
 )
 
@@ -236,6 +237,20 @@ def test_partial_fractions_norm_identity():
         assert total == pytest.approx(phi.norm() ** 2, rel=1e-10)
 
 
+def test_verify_sums_the_norm_terms_of_every_block_as_one(monkeypatch):
+    # verify's partial-fraction check forms its norm terms a block of rows
+    # at a time into one fsum: blocks of one row, of four and of all rows
+    # give the same result.
+    from specsample import verify
+
+    m = random_model(np.random.default_rng(96), 30)
+    want = verify.check_partial_fractions(m, np.random.default_rng(0))
+    for terms in (1, 4 * 29):
+        monkeypatch.setattr(verify, "_BLOCK_TERMS", terms)
+        assert verify.check_partial_fractions(
+            m, np.random.default_rng(0)) == want
+
+
 def test_from_partial_fractions_pole_mismatch(m2):
     rep = MeromorphicRep(constant=1.0, poles=[0.5], coefficients=[1.0])
     with pytest.raises(PoleMismatch):
@@ -372,7 +387,7 @@ def test_kramer_rejects_samples_of_another_coupling():
                       values=s.values)
     with pytest.raises(InconsistentNodes):
         kramer_reconstruct(m, other, 0.5 + 1.0j)
-    # An empty grid has no slab to sum, and still checks the nodes.
+    # An empty grid has no point to sum, and still checks the nodes.
     assert kramer_reconstruct(m, s, np.empty((0, 3))).shape == (0, 3)
     with pytest.raises(InconsistentNodes):
         kramer_reconstruct(m, other, [])
@@ -558,13 +573,20 @@ def _kramer_per_point(m, s, z):
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
-    # One stacked pass over a slab of the grid gives, bit for bit, the
-    # value a node-by-node sum gives at each point; the N=120 grid of 150
-    # points takes two slabs, and a small block bound makes slabs of one,
-    # two and five points.
-    import specsample.sampling as sampling
+def _kramer_identity(m, s, z):
+    """Kramer at one point by the kernel identity, from public pieces:
+    sum_j m_j f(x_j) (h + 1/F(z)) / (x_j - z), F(z) from weyl, the masses
+    from node_weights and the sum by one math.fsum per part (no node of
+    these models is an eigenvalue)."""
+    g = s.h + 1.0 / weyl(m, z)[0]
+    terms = node_weights(m, s.h, s.nodes) * s.values * g / (s.nodes - z)
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
+
+def test_kramer_grid_matches_the_node_by_node_sums():
+    # A grid and its points give, bit for bit, the identity summed node by
+    # node at each point, on the cross-check models and on N=120 (150
+    # points).
     rng = np.random.default_rng(98)
     for m, count in [(mm, 12) for mm in _cross_check_models()] + [
             (random_model(rng, 120), 150)]:
@@ -572,12 +594,60 @@ def test_kramer_grid_matches_the_node_by_node_sums(monkeypatch):
         lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
         grid = (rng.uniform(lo - 1.0, hi + 1.0, count)
                 + 1j * rng.uniform(0.1, 3.0, count))
-        want = np.array([_kramer_per_point(m, s, z) for z in grid]).tobytes()
+        want = np.array([_kramer_identity(m, s, z) for z in grid]).tobytes()
         assert kramer_reconstruct(m, s, grid).tobytes() == want
-        for slab in (1, 2, 5):
-            with monkeypatch.context() as patch:
-                patch.setattr(sampling, "_BLOCK_TERMS", 2 * m.dim * slab)
-                assert kramer_reconstruct(m, s, grid).tobytes() == want
+        assert np.array([kramer_reconstruct(m, s, z)
+                         for z in grid]).tobytes() == want
+
+
+def test_kramer_identity_equals_the_orthogonal_expansion():
+    # The closed form against the series summed term by term from xi.
+    rng = np.random.default_rng(97)
+    for m in _cross_check_models() + [random_model(rng, 120)]:
+        s = sample(m, random_state(rng, m.dim), 1.3)
+        lo, hi = m.eigenvalues[0], m.eigenvalues[-1]
+        for _ in range(6):
+            z = complex(rng.uniform(lo - 1.0, hi + 1.0), rng.uniform(0.1, 3.0))
+            want = _kramer_per_point(m, s, z)
+            assert abs(kramer_reconstruct(m, s, z) - want) <= 1e-13 * abs(want)
+
+
+def _mp_transform(m, phi, z):
+    """The image of phi at z from the model's doubles, at 30 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        zz = mp.mpc(complex(z))
+        lam = [mp.mpf(float(v)) - zz for v in m.eigenvalues]
+        w = [mp.mpf(float(v)) for v in m.weights]
+        f = mp.fsum(wj / d for wj, d in zip(w, lam))
+        n = mp.fsum(mp.sqrt(wj) * mp.mpc(complex(c)) / d
+                    for wj, c, d in zip(w, phi.coords, lam))
+        return complex(n / f)
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["weights", "tiny"])
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_kramer_is_as_accurate_as_lagrange(layout, tiny):
+    # Against the 30-digit transform, Kramer's worst relative error on 12
+    # points from the axis out to the spread is within 4x reconstruct's
+    # (or 1e-14).  At offset-1e8 with tiny weights (seed 1) every root
+    # rounds onto its eigenvalue, where the node holds f(lam_k): the
+    # kernel taken at the root instead reads 1.5e-11 against 4e-16.
+    for seed in range(3):
+        m = layout_model(40, layout, tiny, seed)
+        rng = np.random.default_rng(seed)
+        phi = random_state(rng, m.dim)
+        s = sample(m, phi, 1.3)
+        lam = m.eigenvalues
+        span = lam[-1] - lam[0]
+        grid = (rng.uniform(lam[0] - 0.1 * span, lam[-1] + 0.1 * span, 12)
+                + 1j * 10.0 ** rng.uniform(-3, 0, 12) * span
+                * rng.choice([-1, 1], 12))
+        want = np.array([_mp_transform(m, phi, z) for z in grid])
+        kramer, lagrange = (np.max(np.abs(got - want) / np.abs(want)) for got
+                            in (kramer_reconstruct(m, s, grid),
+                                reconstruct(s, grid)))
+        assert kramer <= max(4.0 * lagrange, 1e-14), (seed, kramer, lagrange)
 
 
 # On eigenvalues offset to 1e8 a zero of F can lie 1e-3 from its
