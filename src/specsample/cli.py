@@ -37,10 +37,7 @@ EXIT_INFINITE_SAMPLING = 4
 def _parse_coupling(text: str) -> Coupling:
     if text.strip().lower() == "inf":
         return Coupling.infinite()
-    try:
-        return Coupling.finite(float(text))
-    except (ValueError, ValidationError) as exc:
-        raise ValidationError(f"bad coupling {text!r}: {exc}") from exc
+    return Coupling.finite(text)
 
 
 def cmd_spectrum(args) -> int:

@@ -30,6 +30,7 @@ term past the doubles) and a sum past the doubles are NumericalErrors.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -351,6 +352,21 @@ def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
     return f, n, passed
 
 
+def _held(evaluate):
+    """evaluate(model, ...) under np.errstate where a term of the model's F
+    can pass the doubles (SpectralModel.heavy), which the evaluator then
+    raises or returns without numpy's warning; an ordinary model enters
+    none."""
+    @functools.wraps(evaluate)
+    def call(model: SpectralModel, *args, **kwargs):
+        if model.heavy:
+            with np.errstate(over="ignore", invalid="ignore"):
+                return evaluate(model, *args, **kwargs)
+        return evaluate(model, *args, **kwargs)
+    return call
+
+
+@_held
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
     z = complex(z)
@@ -360,6 +376,7 @@ def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     return tuple(_sums([w / d, _slopes(w, d)], 0 if z.imag else 2))
 
 
+@_held
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
@@ -389,6 +406,7 @@ class XiVector:
         return float(np.sum(np.abs(self.coords) ** 2))
 
 
+@_held
 def xi(model: SpectralModel, z: complex) -> XiVector:
     """The eigenvector field: xi(x) spans Ker(A_h - x) for the matching h.
 

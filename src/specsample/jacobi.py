@@ -20,7 +20,7 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import _check_finite, _guard, _near_zero, _radius
-from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, _frozen, new_model
+from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, _array, new_model
 
 
 @dataclass(frozen=True)
@@ -31,13 +31,9 @@ class JacobiParams:
     b: np.ndarray
 
     def __post_init__(self):
-        q = _frozen(self.q, float)
-        b = _frozen(self.b, float)
-        if q.ndim != 1 or b.ndim != 1:
-            raise ValidationError("q and b must be 1-d sequences")
-        if not np.all(np.isfinite(q)) or not np.all(np.isfinite(b)):
-            raise ValidationError("Jacobi coefficients must be finite")
-        if np.any(b <= 0.0):
+        q = _array(self.q, float, "q")
+        b = _array(self.b, float, "b")
+        if (b <= 0.0).any():
             raise ValidationError("off-diagonal entries must be positive")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "b", b)
@@ -134,10 +130,10 @@ def _twisted(q: np.ndarray, b: np.ndarray,
     pivots e_k meet at the r of least |gamma_k| = |d_k + e_k - (q_k - lam_j)|.
     """
     # Row k, column j: pivot k of J - lam_j; the loop fills d[1:], e[:-1].
-    a = q[:, None] - lam
-    b2 = (b * b)[:, None]
-    d, e = _nudge(a), _nudge(a)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        a = q[:, None] - lam
+        b2 = (b * b)[:, None]
+        d, e = _nudge(a), _nudge(a)
         for k in range(1, q.size):
             d[k] = _nudge(a[k] - b2[k - 1] / d[k - 1])
             e[-1 - k] = _nudge(a[-1 - k] - b2[-k] / e[-k])

@@ -7,6 +7,7 @@ sequences.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,11 +25,38 @@ from .errors import (
 _WEIGHT_FLOOR = 1e-300
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    """A read-only copy of values as an array of dtype, so a data type
-    neither changes with nor freezes the caller's array."""
-    out = np.array(values, dtype=dtype)
+def _array(values, dtype, what: str) -> np.ndarray:
+    """The input rule of every data type: a read-only 1-d copy of values as
+    dtype.  ValidationError naming what where they do not convert or an
+    entry is not finite, DimensionMismatch where they are not 1-d."""
+    try:
+        out = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be numbers: {exc}") from None
+    if out.ndim != 1:
+        raise DimensionMismatch(f"{what} must be a 1-d sequence")
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{what} must be finite")
     out.flags.writeable = False
+    return out
+
+
+def _increasing(values, what: str) -> np.ndarray:
+    """_array of floats, strictly increasing (UnsortedEigenvalues)."""
+    out = _array(values, float, what)
+    if (out[1:] <= out[:-1]).any():
+        raise UnsortedEigenvalues(f"{what} must be strictly increasing")
+    return out
+
+
+def _number(value, kind, what: str):
+    """kind(value), float or complex, by the rule of _array."""
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{what} must be a number: {exc}") from None
+    if not cmath.isfinite(out):
+        raise ValidationError(f"{what} must be finite")
     return out
 
 
@@ -40,23 +68,21 @@ class SpectralModel:
     weights: np.ndarray
     mu_norm_sq: float = field(init=False)
     sqrt_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    heavy: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        lam = _frozen(self.eigenvalues, float)
-        w = _frozen(self.weights, float)
-        if lam.ndim != 1 or w.ndim != 1 or lam.size != w.size:
-            raise DimensionMismatch(
-                f"eigenvalues ({lam.size}) and weights ({w.size}) must be "
-                "1-d sequences of equal length"
-            )
+        lam = _increasing(self.eigenvalues, "eigenvalues")
+        w = _array(self.weights, float, "weights")
+        if lam.size != w.size:
+            raise DimensionMismatch(f"eigenvalues ({lam.size}) and weights "
+                                    f"({w.size}) must have equal length")
         if lam.size < 2:
             raise ValidationError("model dimension must be at least 2")
-        if not np.all(np.isfinite(lam)):
-            raise UnsortedEigenvalues("eigenvalues must be finite")
-        if np.any(np.diff(lam) <= 0.0):
-            raise UnsortedEigenvalues("eigenvalues must be strictly increasing")
-        if not np.all(np.isfinite(w)) or np.any(w <= _WEIGHT_FLOOR):
+        if (w <= _WEIGHT_FLOOR).any():
             raise NonPositiveWeight("all weights must be strictly positive")
+        if float(lam[-1]) - float(lam[0]) == math.inf:
+            raise ValidationError(
+                "the eigenvalues spread past the largest double")
         try:
             total = math.fsum(w.tolist())
         except OverflowError:
@@ -69,6 +95,9 @@ class SpectralModel:
         root = np.sqrt(w)
         root.flags.writeable = False
         object.__setattr__(self, "sqrt_weights", root)
+        # Every exclusion radius is at least 1e-8 > 2^-27, so below this
+        # total no term w_j/(lam_j - z) of F nor their sum can overflow.
+        object.__setattr__(self, "heavy", total >= 2.0 ** 994)
 
     @property
     def dim(self) -> int:
@@ -97,11 +126,8 @@ class Coupling:
     value: float | None
 
     @staticmethod
-    def finite(h: float) -> "Coupling":
-        h = float(h)
-        if not math.isfinite(h):
-            raise ValidationError("finite coupling must be a finite real number")
-        return Coupling(h)
+    def finite(h: float | str) -> "Coupling":
+        return Coupling(_number(h, float, "coupling"))
 
     @staticmethod
     def infinite() -> "Coupling":
@@ -119,12 +145,8 @@ class StateVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = _frozen(self.coords, complex)
-        if c.ndim != 1:
-            raise DimensionMismatch("state coordinates must be a 1-d sequence")
-        if not np.all(np.isfinite(c)):
-            raise ValidationError("state coordinates must be finite")
-        object.__setattr__(self, "coords", c)
+        object.__setattr__(self, "coords",
+                           _array(self.coords, complex, "coords"))
 
     @property
     def dim(self) -> int:
@@ -155,23 +177,17 @@ class SampleSet:
     values: np.ndarray
 
     def __post_init__(self):
-        h = float(self.h)
-        if not math.isfinite(h):
-            raise ValidationError("sample sets require a finite coupling")
-        x = _frozen(self.nodes, float)
-        m = _frozen(self.node_weights, float)
-        v = _frozen(self.values, complex)
-        if x.ndim != 1 or x.size != m.size or x.size != v.size:
+        h = _number(self.h, float, "h")
+        x = _increasing(self.nodes, "nodes")
+        m = _array(self.node_weights, float, "node_weights")
+        v = _array(self.values, complex, "values")
+        if x.size != m.size or x.size != v.size:
             raise DimensionMismatch(
                 "nodes, node_weights and values must have equal length"
             )
         if x.size == 0:
             raise ValidationError("a sample set needs at least one node")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValidationError("nodes and values must be finite")
-        if np.any(np.diff(x) <= 0.0):
-            raise UnsortedEigenvalues("nodes must be strictly increasing")
-        if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
+        if (m <= 0.0).any():
             raise NonPositiveWeight("node weights must be strictly positive")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", x)
@@ -191,13 +207,17 @@ class SampleSet:
         shift is the least shift >= 0 that keeps sum_j |m_j f(x_j)| 2^-shift
         below 2^(1021 - 27): every exclusion radius is at least 1e-8 > 2^-27,
         so no term of N_h nor their sum can then overflow, nor one of F_h
-        where sum_j m_j is as small.  The sum is taken with the masses scaled
-        by 2^-(64 + the largest one's exponent): no product overflows."""
+        where sum_j m_j is as small.  The sum is bounded with the masses and
+        the values (these only downwards) scaled to below 1 by powers of two:
+        no product overflows, and each one lost to underflow is below
+        2^-1073, which n 2^-1073 covers."""
         m, v = self.node_weights, self.values
         top = float(m.max())
-        a = math.frexp(top)[1] + 64
-        total = float(np.abs(np.ldexp(m, -a) * v).sum())
-        shift = max(0, math.frexp(total)[1] + a - (1021 - 27)) if total else 0
+        a = math.frexp(top)[1]
+        b = max(0, math.frexp(float(np.abs(v.view(float)).max()))[1])
+        total = float(np.abs(np.ldexp(m, -a) * (v * math.ldexp(1.0, -b))).sum())
+        bound = total + math.ldexp(m.size, -1073)
+        shift = max(0, math.frexp(bound)[1] + a + b - (1021 - 27))
         # In two factors, each a double: shift may pass 1074.
         num = m * (v * math.ldexp(1.0, -(shift // 2))
                    * math.ldexp(1.0, shift // 2 - shift))
@@ -214,14 +234,11 @@ class MeromorphicRep:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        x = _frozen(self.poles, float)
-        c = _frozen(self.coefficients, complex)
-        if x.ndim != 1 or x.size != c.size:
+        x = _increasing(self.poles, "poles")
+        c = _array(self.coefficients, complex, "coefficients")
+        if x.size != c.size:
             raise DimensionMismatch("poles and coefficients must have equal length")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(c))):
-            raise ValidationError("poles and coefficients must be finite")
-        if np.any(np.diff(x) <= 0.0):
-            raise UnsortedEigenvalues("poles must be strictly increasing")
-        object.__setattr__(self, "constant", complex(self.constant))
+        object.__setattr__(self, "constant",
+                           _number(self.constant, complex, "constant"))
         object.__setattr__(self, "poles", x)
         object.__setattr__(self, "coefficients", c)

@@ -12,9 +12,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import QuadratureNonConvergence, ValidationError
+from .errors import (
+    NonPositiveWeight,
+    QuadratureNonConvergence,
+    ValidationError,
+)
 from .herglotz import _check_finite, _guard, weyl
-from .model import SpectralModel, new_model
+from .model import _WEIGHT_FLOOR, SpectralModel, new_model
 
 _PI4 = math.pi ** -0.25
 
@@ -34,16 +38,18 @@ def oscillator_model(levels: int, normalized: bool = False) -> SpectralModel:
     1/n!; total raw weight tends to e as levels grow."""
     if levels < 2:
         raise ValidationError("at least two levels are required")
-    lam = np.array([2.0 * n + 1.0 for n in range(levels)])
-    w = np.empty(levels)
-    inv_fact = 1.0
-    for n in range(levels):
-        if n > 0:
-            inv_fact /= n
-        w[n] = inv_fact
+    # 1/167! is below the weight floor: more than 167 levels are refused
+    # before they are allocated.
+    w = [1.0]
+    for n in range(1, levels):
+        w.append(w[-1] / n)
+        if w[-1] <= _WEIGHT_FLOOR:
+            raise NonPositiveWeight(f"weight 1/{n}! is below the model floor "
+                                    f"{_WEIGHT_FLOOR:g}")
+    w = np.array(w)
     if normalized:
         w = w / math.fsum(w)
-    return new_model(lam, w)
+    return new_model(2.0 * np.arange(levels) + 1.0, w)
 
 
 def osc_F_series(z: complex, terms: int) -> complex:

@@ -322,8 +322,8 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     InconsistentNodes: a node count other than the number of roots, or a
     node farther from its root than 1e-9 times the scale at h = 0, else
     _NODE_DISTANCE_TOL times the scale (or a few rounding errors).
-    NumericalError: two roots on one double, or a mass that rounds to 0
-    (naming an overflow of R').
+    NumericalError: two roots on one double, a mass that rounds to 0
+    (naming an overflow of R'), or an image value that is not finite.
     """
     x = np.asarray(nodes, dtype=float)
     lam, w = model.eigenvalues, model.weights
@@ -347,12 +347,12 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
         raise NumericalError(f"two roots round to {float(root[same[0]])!r} "
                              f"at h={h}")
     coords = np.empty((0, model.dim)) if coords is None else coords
-    num = model.sqrt_weights * coords
     wk = w[k]
-    sets = (w, w) + ((num.real, num.imag) if a == 0.0 else ())
-    r, rp, *rows = cauchy_rows(lam, np.vstack(sets), tau,
-                               (1, 2) + (1,) * (len(sets) - 2), origin=k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        num = model.sqrt_weights * coords
+        sets = (w, w) + ((num.real, num.imag) if a == 0.0 else ())
+        r, rp, *rows = cauchy_rows(lam, np.vstack(sets), tau,
+                                   (1, 2) + (1,) * (len(sets) - 2), origin=k)
         t = (wk + rp * tau * tau) / (a + b * r + b * rp * tau)
         bt = b * t
         masses = t * (t / (wk + bt * (bt * rp)))
@@ -377,6 +377,10 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
                if np.isinf(rp[j]) else f"got {float(masses[j])!r}")
         raise NumericalError(f"node {float(x[j])!r} has no positive mass in "
                              f"double precision ({why})")
+    lost = ~np.isfinite(values).all(axis=0)
+    if lost.any():
+        raise NumericalError(f"node {float(x[lost.argmax()])!r} has no "
+                             "finite value in double precision")
     return masses, values
 
 
@@ -408,11 +412,16 @@ def compression_spectrum(model: SpectralModel) -> np.ndarray:
     direction; the remaining reflected axes give a deterministic
     orthonormal basis of the complement.  Cross-validates, independently of
     the solver, the zeros of F from perturbed_spectrum at infinite coupling.
+    It compresses lam - c, c the midpoint of the eigenvalues, and adds c
+    back: lam - c is exact, and eigvalsh's error scales with the largest
+    |lam - c|, not with an offset.
     """
+    lam = model.eigenvalues
+    c = 0.5 * lam[0] + 0.5 * lam[-1]
     u = model.sqrt_weights / math.sqrt(model.mu_norm_sq)
     v = u.copy()
     v[0] += 1.0
     refl = np.eye(model.dim) - 2.0 * np.outer(v, v) / np.dot(v, v)
     basis = refl[:, 1:]
-    compressed = basis.T @ (model.eigenvalues[:, None] * basis)
-    return np.linalg.eigvalsh(compressed)
+    compressed = basis.T @ ((lam - c)[:, None] * basis)
+    return np.linalg.eigvalsh(compressed) + c

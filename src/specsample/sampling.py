@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import (
+    InconsistentNodes,
     NormalizationRequired,
     NotAZero,
     NumericalError,
@@ -26,6 +27,7 @@ from .herglotz import (
     _BLOCK_TERMS,
     _complex,
     _guard,
+    _held,
     _regular,
     _regular_rows,
     _sums,
@@ -53,6 +55,7 @@ def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
     return next(_sums([model.sqrt_weights * phi.coords]))
 
 
+@_held
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
     """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
     check_dims(model, phi)
@@ -174,11 +177,18 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
     point or an array of points, as for reconstruct, each guarded as by
     transform, then as by reconstruct; a value past the doubles is a
     NumericalError.  InconsistentNodes when the nodes are not the spectrum
-    at the samples' coupling, also for an empty grid.
+    at the samples' coupling or a node's mass is more than 1e-9 (relative)
+    off the model's, also for an empty grid.
     """
     h = float(samples.h)
     x, lam = samples.nodes, model.eigenvalues
     masses = _node_data(model, 1.0, h, x)[0]
+    off = ~(abs(samples.node_weights - masses) <= 1e-9 * masses)
+    if off.any():
+        j = int(off.argmax())
+        raise InconsistentNodes(
+            f"node {float(x[j])!r} has mass {float(samples.node_weights[j])!r}"
+            f", the model's is {float(masses[j])!r}")
     g = np.where(_on(x, lam), 0.0, h)  # -1/F at each node
 
     def at(point):
@@ -257,6 +267,7 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     return rep.constant
 
 
+@_held
 def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
     """Inner product of image functions in L^2 of the h-sampling measure."""

@@ -7,8 +7,6 @@ from __future__ import annotations
 import json
 import operator
 
-import numpy as np
-
 from .errors import ValidationError
 from .model import SampleSet, SpectralModel, StateVector, new_model
 
@@ -24,7 +22,7 @@ def _complex_to(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _field(data: dict, key: str, convert):
+def _field(data: dict, key: str, convert=lambda value: value):
     """convert(data[key]), with a missing or unconvertible field reported."""
     if key not in data:
         raise ValidationError(f"missing field {key!r}")
@@ -34,10 +32,6 @@ def _field(data: dict, key: str, convert):
         raise ValidationError(f"bad field {key!r}: {exc}") from exc
 
 
-def _floats(value) -> np.ndarray:
-    return np.array(value, dtype=float)
-
-
 def _complexes(value) -> list[complex]:
     return [_complex_from(p) for p in value]
 
@@ -45,13 +39,11 @@ def _complexes(value) -> list[complex]:
 def model_from_dict(data: dict) -> SpectralModel:
     kind = data.get("kind", "explicit")
     if kind == "explicit":
-        return new_model(_field(data, "eigenvalues", _floats),
-                         _field(data, "weights", _floats))
+        return new_model(_field(data, "eigenvalues"), _field(data, "weights"))
     if kind == "jacobi":
         from .jacobi import JacobiParams, truncate
 
-        params = JacobiParams(_field(data, "q", _floats),
-                              _field(data, "b", _floats))
+        params = JacobiParams(_field(data, "q"), _field(data, "b"))
         return truncate(params, _field(data, "truncation", operator.index))
     if kind == "oscillator":
         from .oscillator import oscillator_model
@@ -82,9 +74,9 @@ def state_to_dict(phi: StateVector) -> dict:
 
 def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(
-        h=_field(data, "h", float),
-        nodes=_field(data, "nodes", _floats),
-        node_weights=_field(data, "weights", _floats),
+        h=_field(data, "h"),
+        nodes=_field(data, "nodes"),
+        node_weights=_field(data, "weights"),
         values=_field(data, "values", _complexes),
     )
 

@@ -1,5 +1,6 @@
 import ast
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,25 @@ def test_extreme_models_exit_within_the_contract(files, name):
         assert main(argv) in {0, 1, 2, 3, 4}, argv
 
 
+@pytest.mark.parametrize("model, coords", [
+    ({"kind": "explicit", "eigenvalues": [0.0, 1.0], "weights": [1e308, 1.0]},
+     [[1e308, 0.0], [0.0, 0.0]]),
+    ({"kind": "jacobi", "q": [0.0, 1.0], "b": [1e308], "truncation": 2},
+     [[1.0, 0.0], [0.0, 1.0]]),
+    ({"kind": "oscillator", "levels": 10 ** 400}, [[1.0, 0.0]] * 2),
+], ids=["numerators-past-the-doubles", "jacobi-b-squared-overflows",
+        "oscillator-levels-10**400"])
+def test_files_past_the_doubles_fail_without_a_warning(files, capsys, model,
+                                                       coords):
+    # Each warned (the suite makes a RuntimeWarning an error) or, for the
+    # oscillator, allocated levels until memory ran out.
+    mfile = files("m.json", model)
+    state = files("s.json", {"coords": coords})
+    assert main(["spectrum", "--model", mfile, "--coupling", "1.3"]) in {2, 3}
+    assert main(["sample", "--model", mfile, "--state", state,
+                 "--coupling", "1.3"]) in {2, 3}
+
+
 def test_sample_infinite_rejected(files):
     assert main(["sample", "--model", files("m.json", M2),
                  "--state", files("s.json", MU), "--coupling", "inf"]) == 4
@@ -281,6 +301,27 @@ def test_reconstruct_malformed_input(tmp_path, files, capsys, samples, grid):
     assert main(["reconstruct", "--samples", str(tmp_path / "samples.json"),
                  "--grid", str(tmp_path / "grid.json")]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_reconstruct_with_the_model_checks_the_sample_masses(files, capsys, n):
+    # The barycentric quotient cannot see masses all off by one factor; the
+    # Kramer cross-check compares them with the model's.
+    m = layout_model(n, "random", False, 1)
+    model = files("m.json", _explicit(m))
+    state = files("s.json", {"coords": [[1.0, 0.5]] * n})
+    assert main(["sample", "--model", model, "--state", state,
+                 "--coupling", "1.3"]) == 0
+    samples = json.loads(capsys.readouterr().out)
+    grid = files("g.json", {"points": [[0.5, 1.0], [3.0, -0.2]]})
+    args = ["reconstruct", "--grid", grid, "--samples"]
+    assert main(args + [files("x.json", samples), "--model", model]) == 0
+    samples["weights"] = [2.0 * w for w in samples["weights"]]
+    doubled = files("x2.json", samples)
+    assert main(args + [doubled]) == 0
+    capsys.readouterr()
+    assert main(args + [doubled, "--model", model]) == 3
+    assert "has mass" in capsys.readouterr().err
 
 
 def test_verify_m2(files, capsys):
@@ -506,3 +547,111 @@ perturbed_spectrum polys reconstruct run_verification sample sampling
 sturm_count to_partial_fractions transform truncate verify weyl weyl_approx
 weyl_h xi xi_norm_sq
 """.split()
+
+
+def test_malformed_and_extreme_files_exit_within_the_contract(tmp_path,
+                                                               capsys):
+    # Well-formed model, state, samples and grid files with at most one
+    # fault or extreme value each: an entry that is a string, a ragged
+    # list, a NaN or Infinity token, 10**400, +-1e308 or subnormal, a
+    # duplicate, a missing field or one entry short.  Every command runs in-process: main returns
+    # a documented exit code, and nothing escapes it, a RuntimeWarning
+    # included (the suite makes it an error).
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    num = st.floats(-10.0, 10.0)
+    mass = st.floats(1e-3, 10.0)
+    pair = st.tuples(num, num).map(list)
+    extreme = st.sampled_from([1e308, -1e308, 1e300, 1e-310, 5e-324, 2e-300,
+                               1e8, 0.0])
+    bad = st.sampled_from(["x", None, [1.0, [2.0]], {"a": 1}, 10 ** 400,
+                           math.nan, math.inf, -math.inf])
+
+    def mutate(draw, obj):
+        # At most one fault in obj.
+        key = draw(st.sampled_from(sorted(obj)))
+        how = draw(st.sampled_from(["none", "none", "drop", "field", "entry",
+                                    "extreme", "extreme", "ends", "duplicate",
+                                    "short"]))
+        value = obj[key]
+        if how == "drop":
+            del obj[key]
+        elif how == "field":
+            obj[key] = draw(bad | st.lists(num | extreme | bad, max_size=4))
+        elif isinstance(value, list) and len(value) > 1:
+            i = draw(st.integers(0, len(value) - 1))
+            odd = draw(extreme)
+            if how == "entry":
+                value[i] = draw(bad)
+            elif how == "extreme":
+                value[i] = [odd, value[i][1]] if key in {
+                    "coords", "values", "points"} else odd
+            elif how == "ends" and key not in {"coords", "values", "points"}:
+                value[0], value[-1] = -abs(odd), abs(odd)
+            elif how == "duplicate":
+                value[i] = value[i - 1]
+            elif how == "short":
+                del value[i]
+
+    def path(name, payload):
+        p = tmp_path / name
+        p.write_text(json.dumps(payload))
+        return str(p)
+
+    @hypothesis.settings(derandomize=True, max_examples=150, deadline=None,
+                         database=None, suppress_health_check=list(
+                             hypothesis.HealthCheck))
+    @hypothesis.given(st.data())
+    def check(data):
+        draw = data.draw
+        n = draw(st.integers(2, 40))
+
+        def vec(entry, size=n):
+            return draw(st.lists(entry, min_size=size, max_size=size))
+
+        def ordered():
+            return sorted(draw(st.lists(num, min_size=n, max_size=n,
+                                        unique=True)))
+
+        kind = draw(st.sampled_from(["explicit", "jacobi", "oscillator"]))
+        if kind == "explicit":
+            model = {"kind": kind, "eigenvalues": ordered(),
+                     "weights": vec(mass)}
+        elif kind == "jacobi":
+            model = {"kind": kind, "q": vec(num), "b": vec(mass, n - 1),
+                     "truncation": n}
+        else:
+            model = {"kind": kind, "levels": n,
+                     "normalized": draw(st.booleans())}
+        files = {"model": model, "state": {"coords": vec(pair)},
+                 "grid": {"points": draw(st.lists(pair, max_size=4))}}
+        for name in files:
+            mutate(draw, files[name])
+        model, state, grid = (path(f"{k}.json", files[k])
+                              for k in ("model", "state", "grid"))
+        coupling = "--coupling=" + draw(st.sampled_from([
+            "1.3", "-0.7", "0", "1e-8", "1e8", "5e-324", "1e300", "inf",
+            "nan", "-inf", "1e400", "x"]))
+        codes = [main(["spectrum", "--model", model, coupling])]
+        capsys.readouterr()
+        codes.append(main(["sample", "--model", model, "--state", state,
+                           coupling]))
+        if codes[-1] == 0 and draw(st.booleans()):
+            # The samples just written, their masses sometimes doubled.
+            files["samples"] = json.loads(capsys.readouterr().out)
+            scale = draw(st.sampled_from([1.0, 2.0]))
+            files["samples"]["weights"] = [
+                scale * m for m in files["samples"]["weights"]]
+        else:
+            files["samples"] = {"h": draw(num), "nodes": ordered(),
+                                "weights": vec(mass), "values": vec(pair)}
+        mutate(draw, files["samples"])
+        samples = path("samples.json", files["samples"])
+        codes += [main(["reconstruct", "--samples", samples, "--grid", grid]),
+                  main(["reconstruct", "--samples", samples, "--grid", grid,
+                        "--model", model])]
+        if draw(st.booleans()):
+            codes.append(main(["verify", "--model", model]))
+        assert set(codes) <= {0, 1, 2, 3, 4}, codes
+
+    check()

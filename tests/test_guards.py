@@ -194,9 +194,8 @@ def test_extreme_models_return_or_raise_a_spectral_error():
     # Every public evaluator, on weights from 2e-300 to 1e308, eigenvalues
     # up to 1e307 in size, |z| up to 1.7e308 and couplings from the
     # smallest subnormal to 1e300, returns or raises a SpectralError; so
-    # does weyl_h at the nodes, where 1 + hF can round to exactly 0.
-    # numpy's warnings are not asserted on: the model evaluators still warn
-    # where a weight's term overflows, a known open defect.
+    # does weyl_h at the nodes, where 1 + hF can round to exactly 0.  The
+    # suite's filter makes a RuntimeWarning an error: none may warn first.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     small = st.integers(-4, 4).map(lambda k: k / 2)
@@ -242,6 +241,4 @@ def test_extreme_models_return_or_raise_a_spectral_error():
             except SpectralError:
                 pass
 
-    with warnings.catch_warnings(), np.errstate(all="ignore"):
-        warnings.simplefilter("ignore", RuntimeWarning)
-        check()
+    check()

@@ -49,6 +49,14 @@ def test_new_model_rejects_bad_weights():
         new_model([0, 1], [1e308, 1e308])
 
 
+def test_new_model_rejects_a_spread_past_the_doubles():
+    # Its scale, and with it every node tolerance and pole radius, would be
+    # inf.
+    with pytest.raises(ValidationError, match="spread past the largest"):
+        new_model([-1e308, 1e308], [1.0, 1.0])
+    assert new_model([-8e307, 8e307], [1.0, 1.0]).scale == 1.6e308
+
+
 def test_new_model_rejects_mismatch_and_small():
     with pytest.raises(DimensionMismatch):
         new_model([0, 1, 2], [0.5, 0.5])
@@ -173,3 +181,46 @@ def test_data_types_hold_read_only_copies():
             stored = getattr(obj, name)
             assert not stored.flags.writeable
             assert stored[0] != 7.0
+
+
+# Each data type, and Coupling.finite, with one field replaced by a value:
+# (type, field, whether the field is a scalar, builder).
+FIELDS = [
+    (SpectralModel, "eigenvalues", False,
+     lambda v: new_model(v, [0.5, 0.5])),
+    (SpectralModel, "weights", False, lambda v: new_model([0.0, 1.0], v)),
+    (StateVector, "coords", False, StateVector),
+    (SampleSet, "h", True, lambda v: SampleSet(
+        h=v, nodes=[0.0, 1.0], node_weights=[0.5, 0.5], values=[1.0, 2.0])),
+    (SampleSet, "nodes", False, lambda v: SampleSet(
+        h=1.0, nodes=v, node_weights=[0.5, 0.5], values=[1.0, 2.0])),
+    (SampleSet, "node_weights", False, lambda v: SampleSet(
+        h=1.0, nodes=[0.0, 1.0], node_weights=v, values=[1.0, 2.0])),
+    (SampleSet, "values", False, lambda v: SampleSet(
+        h=1.0, nodes=[0.0, 1.0], node_weights=[0.5, 0.5], values=v)),
+    (MeromorphicRep, "constant", True, lambda v: MeromorphicRep(
+        constant=v, poles=[0.0, 1.0], coefficients=[1.0, 2.0])),
+    (MeromorphicRep, "poles", False, lambda v: MeromorphicRep(
+        constant=1.0, poles=v, coefficients=[1.0, 2.0])),
+    (MeromorphicRep, "coefficients", False, lambda v: MeromorphicRep(
+        constant=1.0, poles=[0.0, 1.0], coefficients=v)),
+    (JacobiParams, "q", False, lambda v: JacobiParams(v, [1.0, 1.0])),
+    (JacobiParams, "b", False, lambda v: JacobiParams([0.0, 1.0], v)),
+    (Coupling, "coupling", True, Coupling.finite),
+]
+BAD = {"string": "x", "ragged": [1.0, [2.0, 3.0]], "nan": float("nan"),
+       "inf": float("inf"), "-inf": float("-inf"), "10**400": 10 ** 400}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD))
+@pytest.mark.parametrize("kind,name,scalar,build", FIELDS,
+                         ids=[f"{f[0].__name__}-{f[1]}" for f in FIELDS])
+def test_malformed_input_is_a_validation_error_naming_the_field(
+        kind, name, scalar, build, bad):
+    # A ValidationError (or subclass), never numpy's or float()'s
+    # ValueError, TypeError or OverflowError.
+    value = BAD[bad]
+    if not scalar and bad != "ragged":
+        value = [value, 1.0]
+    with pytest.raises(ValidationError, match=rf"^{name} must be"):
+        build(value)

@@ -33,6 +33,12 @@ def test_model_levels_and_weights():
     )
     with pytest.raises(ValidationError):
         oscillator_model(1)
+    # 1/167! is below the weight floor: more levels are refused before
+    # they are allocated (10**400 of them exhausted memory).
+    assert oscillator_model(167).weights[-1] > 1e-300
+    for levels in (168, 10 ** 400):
+        with pytest.raises(ValidationError, match="1/167! is below"):
+            oscillator_model(levels)
 
 
 def test_series_at_zero():

@@ -242,6 +242,27 @@ def test_compression_matches_zeros_of_f():
         np.testing.assert_allclose(comp, zeros, atol=1e-9 * m.scale)
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tiny", [False, True], ids=["gentle", "tiny"])
+def test_compression_oracle_holds_at_an_offset_of_1e8(tiny, seed):
+    # eigvalsh of the compression of lam itself erred by 5e-9 to 7e-9 of the
+    # scale here, past verify's 1e-9 bound; of lam - c it is exact.
+    from specsample.verify import check_compression_zeros
+
+    m = layout_model(40, "offset-1e8", tiny, seed)
+    assert check_compression_zeros(m, None).passed
+
+
+def test_a_secular_residual_past_the_doubles_fails_without_a_warning():
+    # The node beside 0 is the smallest subnormal, F there is 8.8e307, and
+    # 1 + hF overflows at h = 2.34: it reads inf, not numpy's warning.
+    from specsample.verify import check_secular_residuals
+
+    m = new_model([0.0, 0.01], [4.51032528088474e-16, 1.79e306])
+    result = check_secular_residuals(m, np.random.default_rng([0, 1]))
+    assert not result.passed and result.detail == "max=inf"
+
+
 def test_compression_three_level_brute_force():
     m = new_model([1, 3, 5], [0.4, 0.4, 0.2])
     comp = compression_spectrum(m)

@@ -563,14 +563,26 @@ def test_numerators_near_the_top_of_the_doubles_are_summed_scaled(values, z):
     # Unscaled, the terms m_j f(x_j)/(x_j - z) overflow: N_h is summed from
     # numerators scaled once by a power of two, and the quotient scaled
     # back.
+    _check_scaled_numerators([1.0] * 3, values, z)
+
+
+def test_numerators_of_a_small_mass_beside_a_heavy_one_are_scaled():
+    # The shift is taken from masses and values each scaled to their own
+    # largest: scaled by the largest mass alone, the mass 2 underflowed,
+    # the shift read 0 and its numerator overflowed with a warning.
+    _check_scaled_numerators([2.0, 1e308, 1.0], [1e308, 0.0, 0.0], 0.5 + 1j)
+
+
+def _check_scaled_numerators(masses, values, z):
     mpmath = pytest.importorskip("mpmath")
     nodes = [0.0, 1.0, 2.0]
-    s = SampleSet(h=H, nodes=nodes, node_weights=[1.0] * 3, values=values)
+    s = SampleSet(h=H, nodes=nodes, node_weights=masses, values=values)
     with mpmath.workdps(50):
         zz = mpmath.mpc(z)
         want = complex(
-            sum(mpmath.mpf(v) / (x - zz) for v, x in zip(values, nodes))
-            / sum(1 / (x - zz) for x in nodes))
+            sum(mpmath.mpf(m) * v / (x - zz)
+                for m, v, x in zip(masses, values, nodes))
+            / sum(m / (x - zz) for m, x in zip(masses, nodes)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = [reconstruct(s, z), *reconstruct(s, [z, 0.5 + 1j, z])[::2]]
