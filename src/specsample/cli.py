@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import NumericalError, SpectralError, ValidationError
-from .model import Coupling
+from .model import Coupling, StateVector
 from .perturbation import node_weights, perturbed_spectrum
 from .sampling import kramer_reconstruct, reconstruct, sample
 from .serialize import (
@@ -37,7 +37,10 @@ EXIT_INFINITE_SAMPLING = 4
 def _parse_coupling(text: str) -> Coupling:
     if text.strip().lower() == "inf":
         return Coupling.infinite()
-    return Coupling.finite(text)
+    try:
+        return Coupling.finite(float(text))
+    except ValueError as exc:
+        raise ValidationError(f"coupling must be a number: {exc}") from None
 
 
 def cmd_spectrum(args) -> int:
@@ -124,10 +127,7 @@ def cmd_demo(args) -> int:
     n_max = 10
     params = JacobiParams(np.arange(1.0, n_max + 3.0), np.ones(n_max + 2))
     model = truncate(params, n_max)
-    phi = state_from_dict(
-        {"coords": [[v, 0.0] for v in (model.sqrt_weights
-                                       / (1.0 + model.eigenvalues ** 2))]}
-    )
+    phi = StateVector(model.sqrt_weights / (1.0 + model.eigenvalues ** 2))
     samples = sample(model, phi, 1.5)
     grid = [2j, 5 + 2j, 8 - 2j]
     print("study,n,discrepancy")

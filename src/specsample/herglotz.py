@@ -17,8 +17,8 @@ Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
 PoleProximity, and where the Newton step |f/f'| puts a zero of its
 denominator f within r it raises ZeroOfF (for F; PoleProximity for F_h and
-P_n, whose zeros are poles of the evaluated function, and for weyl_h
-where 1 + hF is exactly 0).  A non-finite point is a ValidationError.
+P_n, whose zeros are poles of the evaluated function, and for weyl_h where
+1 + hF is exactly 0).  Any point but a finite number is a ValidationError.
 For F and F_h, sums of c_j/(x_j - z) with c_j >= 0, f' is summed only
 where a certificate, |f| >= r sum c_j/|x_j - z|^2 with a margin for
 rounding (_clear_of_zero), cannot rule the zero guard out; elsewhere it
@@ -37,14 +37,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, PoleProximity, ValidationError, ZeroOfF
-from .model import SpectralModel
+from .errors import NumericalError, PoleProximity, ZeroOfF
+from .model import SpectralModel, _number
 
 # Relative pole-exclusion radius; scaled by the spread of the guarded poles.
 EXCLUSION_RADIUS = 1e-8
 
-# Terms formed at once per array by cauchy_rows, a reconstruct grid and
-# verify's norm terms: 2^15 doubles is 256 KiB.
+# Terms formed at once per array by the solver, cauchy_rows, a reconstruct
+# grid and verify's norm terms: 2^15 doubles is 256 KiB.
 _BLOCK_TERMS = 1 << 15
 
 # Real terms per call from which _sums stacks its sums into one _row_sums
@@ -208,11 +208,6 @@ def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_finite(z: complex) -> None:
-    if not cmath.isfinite(z):
-        raise ValidationError(f"z={z} is not a finite point")
-
-
 def _radius(spread: float) -> float:
     """Pole-exclusion radius for poles spread over the given length."""
     return EXCLUSION_RADIUS * max(1.0, spread)
@@ -220,11 +215,9 @@ def _radius(spread: float) -> float:
 
 def _guard(poles: np.ndarray, z: complex,
            what: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """The exclusion radius r of the sorted poles, d = poles - z and |d|;
-    PoleProximity (naming the pole) when z is within r of one,
-    ValidationError when z is not finite, NumericalError when some d is
-    past the largest double."""
-    _check_finite(z)
+    """The exclusion radius r of the sorted poles, d = poles - z and |d|
+    at a finite z; PoleProximity (naming the pole) when z is within r of
+    one, NumericalError when some d is past the largest double."""
     lo, hi = (float(poles[0]), float(poles[-1])) if poles.size else (0.0, 0.0)
     r = _radius(hi - lo)
     # The largest |Re d_j| is at an end pole, in the same rounding as d.
@@ -296,15 +289,15 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
              what: str = "eigenvalue",
              zero: Callable[[complex, float], Exception] = _zero_of_f
              ) -> tuple[complex, complex, complex | None, complex | None]:
-    """complex(z), f(z) = sum c_j/(poles_j - z), f'(z) and N(z) = sum
-    num_j/(poles_j - z), z guarded against the poles (named what) and the
+    """z by model._number, f(z) = sum c_j/(poles_j - z), f'(z) and N(z) =
+    sum num_j/(poles_j - z), z guarded against the poles (named what) and the
     zeros of f (raising zero(z, r)).  f' is summed where asked for or where
     _clear_of_zero cannot clear z without it, else None; N is None without
     num.  The sums asked for are taken by _sums, N after the guard; at a
     real z the imaginary parts of the terms of f and f' are zeros, which it
     leaves out.  NumericalError where f is not finite: a term past the
     doubles, whose quotients would be 0 or NaN."""
-    z = complex(z)
+    z = _number(z, complex, "z")
     r, d, dist = _guard(poles, z, what)
     terms = [c / d]
     if derivative:
@@ -325,38 +318,43 @@ def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
 
 def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
                   num: np.ndarray):
-    """f and N of _regular(poles, c, z, num=num) at each of the points,
-    summed in one _row_sums call, and whether _regular passes each point
-    without f': z finite, |d| beyond r (with room for |d| rounded
-    otherwise than in _guard), no d past the doubles (as in _guard), f and
-    N finite, and z cleared by _clear_of_zero; none where the call
-    overflows.  The caller hands every other point to _regular, which
-    raises where it must.
+    """Yields each point z, f and N of _regular(poles, c, z, num=num), summed a
+    block of points (_BLOCK_TERMS real terms) per _row_sums call, and
+    whether _regular passes z without f': z finite, |d| beyond r (with
+    room for |d| rounded otherwise than in _guard), no d past the doubles
+    (as in _guard), f and N finite, and z cleared by _clear_of_zero; none
+    of a block whose call overflows.  The caller hands every other point
+    to _regular, which raises where it must.
     """
     lo, hi = float(poles[0]), float(poles[-1])
     r = _radius(hi - lo)
-    with np.errstate(all="ignore"):
-        d = poles - points[:, None]
-        dist = np.abs(d)
-        terms = (c / d, num / d)
-        try:
-            sums = _row_sums(np.concatenate(
-                [part for t in terms for part in (t.real, t.imag)]))
-        except NumericalError:
-            return points, points, np.zeros(points.size, bool)
-        f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
-        far = np.maximum(hi - points.real, points.real - lo) == math.inf
-        passed = (np.isfinite(points) & np.isfinite(f) & np.isfinite(n)
-                  & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50)) & ~far
-                  & _clear_of_zero(f, c, dist, r))
-    return f, n, passed
+    rows = max(1, _BLOCK_TERMS // (4 * poles.size))
+    for start in range(0, points.size, rows):
+        z = points[start:start + rows]
+        with np.errstate(all="ignore"):
+            d = poles - z[:, None]
+            dist = np.abs(d)
+            terms = (c / d, num / d)
+            try:
+                sums = _row_sums(np.concatenate(
+                    [part for t in terms for part in (t.real, t.imag)]))
+            except NumericalError:
+                sums = np.full(4 * z.size, math.nan)
+            f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
+            far = np.maximum(hi - z.real, z.real - lo) == math.inf
+            passed = (np.isfinite(z) & np.isfinite(f) & np.isfinite(n)
+                      & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50)) & ~far
+                      & _clear_of_zero(f, c, dist, r))
+        # Freed before the next block forms its own: one block's at a time.
+        del d, dist, terms, sums
+        yield from zip(z.tolist(), f.tolist(), n.tolist(), passed.tolist())
 
 
 def _held(evaluate):
     """evaluate(model, ...) under np.errstate where a term of the model's F
-    can pass the doubles (SpectralModel.heavy), which the evaluator then
-    raises or returns without numpy's warning; an ordinary model enters
-    none."""
+    (SpectralModel.heavy), or of the samples' F_h or N_h (SampleSet.heavy),
+    can pass the doubles, which the evaluator then raises or returns
+    without numpy's warning; an ordinary model enters none."""
     @functools.wraps(evaluate)
     def call(model: SpectralModel, *args, **kwargs):
         if model.heavy:
@@ -369,7 +367,7 @@ def _held(evaluate):
 @_held
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    z = complex(z)
+    z = _number(z, complex, "z")
     _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
     w = model.weights
     # At a real z the imaginary parts of both are zeros (see _regular).
@@ -382,6 +380,7 @@ def weyl_h(model: SpectralModel, h: float,
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
     NumericalError where F^2 underflows (|z| past about 1e154), and
     PoleProximity where 1 + hF is exactly 0 (a pole of F_h)."""
+    h = _number(h, float, "h")
     z, f, fp, _ = _regular(model.eigenvalues, model.weights, z,
                            derivative=True)
     if f * f == 0:

@@ -19,8 +19,15 @@ from .errors import (
     QZero,
     ValidationError,
 )
-from .herglotz import _check_finite, _guard, _near_zero, _radius
-from .model import _WEIGHT_FLOOR, SampleSet, SpectralModel, _array, new_model
+from .herglotz import _guard, _near_zero, _radius
+from .model import (
+    _WEIGHT_FLOOR,
+    SampleSet,
+    SpectralModel,
+    _array,
+    _number,
+    new_model,
+)
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,7 @@ def polys(params: JacobiParams, z: complex, n: int) -> PolynomialEval:
     """Run the three-term recurrence (and its derivative) up to degree n;
     NumericalError where it overflows."""
     _require(params, n)
-    z = complex(z)
-    _check_finite(z)
+    z = _number(z, complex, "z")
     q, b1 = params.q, params.offdiag(1)
     P = np.empty(n + 1, dtype=complex)
     Q = np.empty(n + 1, dtype=complex)
@@ -197,7 +203,7 @@ def jm_reconstruct(params: JacobiParams, n: int, samples: SampleSet,
     Lagrange form; for smaller n it is the truncation of the limit formula
     and is compared against the exact reconstruction in convergence studies.
     """
-    z = complex(z)
+    z = _number(z, complex, "z")
     _guard(samples.nodes, z, "sampling node")
     ev = polys(params, z, n)
     if _near_zero(ev.Q[n], ev.Q_prime[n], _radius(params.scale(n))):

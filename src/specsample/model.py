@@ -25,14 +25,24 @@ from .errors import (
 _WEIGHT_FLOOR = 1e-300
 
 
-def _array(values, dtype, what: str) -> np.ndarray:
-    """The input rule of every data type: a read-only 1-d copy of values as
-    dtype.  ValidationError naming what where they do not convert or an
-    entry is not finite, DimensionMismatch where they are not 1-d."""
+def _numbers(values, dtype, what: str) -> np.ndarray:
+    """A copy of values as an array of dtype, float or complex.
+    ValidationError naming what where they do not convert or are not
+    numbers: strings, objects and booleans are not."""
     try:
-        out = np.array(values, dtype=dtype)
+        raw = np.array(values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be numbers: {exc}") from None
+    if raw.dtype.kind not in ("iufc" if dtype is complex else "iuf"):
+        raise ValidationError(f"{what} must be numbers, not {raw.dtype}")
+    return raw.astype(dtype, copy=False)
+
+
+def _array(values, dtype, what: str) -> np.ndarray:
+    """The input rule of every data type: a read-only 1-d copy of values as
+    dtype (_numbers).  ValidationError naming what where an entry is not
+    finite, DimensionMismatch where they are not 1-d."""
+    out = _numbers(values, dtype, what)
     if out.ndim != 1:
         raise DimensionMismatch(f"{what} must be a 1-d sequence")
     if not np.isfinite(out).all():
@@ -50,13 +60,17 @@ def _increasing(values, what: str) -> np.ndarray:
 
 
 def _number(value, kind, what: str):
-    """kind(value), float or complex, by the rule of _array."""
+    """kind(value), float or complex, by the rule of _array: a str, bytes
+    or bool is not a number.  Every point evaluator takes its point by it."""
+    if isinstance(value, (str, bytes, bool)):
+        raise ValidationError(
+            f"{what} must be a number, not {type(value).__name__}")
     try:
         out = kind(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{what} must be a number: {exc}") from None
     if not cmath.isfinite(out):
-        raise ValidationError(f"{what} must be finite")
+        raise ValidationError(f"{what} must be finite, not {out}")
     return out
 
 
@@ -201,19 +215,17 @@ class SampleSet:
     # Held for reconstruct from its first call on, so that building a
     # sample set does not pay for it.
     @cached_property
-    def _numerators(self) -> tuple[np.ndarray, int, bool]:
+    def _numerators(self) -> tuple[np.ndarray, int]:
         """m_j f(x_j), the numerators of the barycentric quotient, scaled by
-        2^-shift; shift; and whether a term of the point call can overflow.
-        shift is the least shift >= 0 that keeps sum_j |m_j f(x_j)| 2^-shift
-        below 2^(1021 - 27): every exclusion radius is at least 1e-8 > 2^-27,
-        so no term of N_h nor their sum can then overflow, nor one of F_h
-        where sum_j m_j is as small.  The sum is bounded with the masses and
-        the values (these only downwards) scaled to below 1 by powers of two:
-        no product overflows, and each one lost to underflow is below
-        2^-1073, which n 2^-1073 covers."""
+        2^-shift, and shift: the least shift >= 0 that keeps
+        sum_j |m_j f(x_j)| 2^-shift below 2^(1021 - 27).  Every exclusion
+        radius is at least 1e-8 > 2^-27, so no term of N_h nor their sum can
+        then overflow.  The sum is bounded with the masses and the values
+        (these only downwards) scaled to below 1 by powers of two: no
+        product overflows, and each one lost to underflow is below 2^-1073,
+        which n 2^-1073 covers."""
         m, v = self.node_weights, self.values
-        top = float(m.max())
-        a = math.frexp(top)[1]
+        a = math.frexp(float(m.max()))[1]
         b = max(0, math.frexp(float(np.abs(v.view(float)).max()))[1])
         total = float(np.abs(np.ldexp(m, -a) * (v * math.ldexp(1.0, -b))).sum())
         bound = total + math.ldexp(m.size, -1073)
@@ -222,7 +234,14 @@ class SampleSet:
         num = m * (v * math.ldexp(1.0, -(shift // 2))
                    * math.ldexp(1.0, shift // 2 - shift))
         num.flags.writeable = False
-        return num, shift, shift > 0 or top * m.size >= 2.0 ** 994
+        return num, shift
+
+    @cached_property
+    def heavy(self) -> bool:
+        """SpectralModel.heavy for reconstruct's F_h and N_h: masses that
+        can sum to 2^994, or numerators scaled (_numerators)."""
+        return (self._numerators[1] > 0
+                or float(self.node_weights.max()) * self.size >= 2.0 ** 994)
 
 
 @dataclass(frozen=True)

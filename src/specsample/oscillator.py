@@ -17,8 +17,8 @@ from .errors import (
     QuadratureNonConvergence,
     ValidationError,
 )
-from .herglotz import _check_finite, _guard, weyl
-from .model import _WEIGHT_FLOOR, SpectralModel, new_model
+from .herglotz import _guard, weyl
+from .model import _WEIGHT_FLOOR, SpectralModel, _number, new_model
 
 _PI4 = math.pi ** -0.25
 
@@ -60,7 +60,7 @@ def osc_F_series(z: complex, terms: int) -> complex:
 
 def osc_F_tail_bound(z: complex, terms: int) -> float:
     """Bound on the dropped tail: sum_{n>=terms} 1/(n! |2n+1-z|)."""
-    z = complex(z)
+    z = _number(z, complex, "z")
     dist = min(abs(2.0 * n + 1.0 - z) for n in range(terms, terms + 64))
     return 2.0 / (math.factorial(min(terms, 170)) * dist)
 
@@ -103,8 +103,7 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
     nearest one at the one-pole radius EXCLUSION_RADIUS: the integral sums
     no finite set of levels whose spread would scale it.
     """
-    z = complex(z)
-    _check_finite(z)
+    z = _number(z, complex, "z")
     _guard(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), z,
            "oscillator level")
     return _refined(lambda points: _integral_value(z, points), quad_points,

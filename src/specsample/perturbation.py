@@ -28,15 +28,11 @@ import math
 import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
-from .herglotz import _complex, cauchy_rows
-from .model import Coupling, SpectralModel, new_model
+from .herglotz import _BLOCK_TERMS, _complex, cauchy_rows
+from .model import Coupling, SpectralModel, _number, new_model
 
 # Steps a root may take before its bracket must keep up with bisection.
 _FREE_STEPS = 16
-
-# Terms a block of rows forms at once per work array: 2^16 doubles is
-# 512 KiB, so memory stays bounded at any model size.
-_SOLVE_TERMS = 1 << 16
 
 
 def _secular_roots(model: SpectralModel, a: float, b: float
@@ -59,7 +55,7 @@ def _secular_roots(model: SpectralModel, a: float, b: float
     c = max(abs(a), abs(b))
     a1, b1 = s * a / c, abs(b) / c
     # Rows are taken a block at a time; row k starts as lam_j - lam_k.
-    block = max(1, min(n, _SOLVE_TERMS // n))
+    block = max(1, min(n, _BLOCK_TERMS // n))
     diff, work = np.empty((block, n)), np.empty((block, n))
     index = np.arange(block)
     starts = index * n
@@ -396,7 +392,7 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     InconsistentNodes for nodes that are not the spectrum at h, and
     NumericalError naming a node whose mass rounds to 0.
     """
-    return _node_data(model, 1.0, float(h), nodes)[0]
+    return _node_data(model, 1.0, _number(h, float, "h"), nodes)[0]
 
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:

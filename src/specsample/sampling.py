@@ -24,7 +24,6 @@ from .errors import (
     RealPoint,
 )
 from .herglotz import (
-    _BLOCK_TERMS,
     _complex,
     _guard,
     _held,
@@ -40,6 +39,8 @@ from .model import (
     SampleSet,
     SpectralModel,
     StateVector,
+    _number,
+    _numbers,
     check_dims,
 )
 from .perturbation import _node_data, perturbed_spectrum
@@ -85,11 +86,13 @@ def _pole_of_f(z: complex, r: float) -> PoleProximity:
         f"z={z} is too close to a pole of the reconstructed function")
 
 
-def _quotient(f_h: complex, n_h: complex, shift: int) -> complex | None:
-    """N_h/F_h from N_h scaled by 2^-shift, or None where it or G_h = 1/F_h
-    is past the doubles.  N_h is scaled back first where it is a double: a
-    part of the quotient far below the other would lose its bits among the
-    subnormals, scaled."""
+def _quotient(f_h: complex, n_h: complex, shift: int, z: complex) -> complex:
+    """N_h/F_h at z from N_h scaled by 2^-shift; NumericalError where G_h =
+    1/F_h or the quotient is past the doubles.  N_h is scaled back first
+    where it is a double: a part of the quotient far below the other would
+    lose its bits among the subnormals, scaled."""
+    if not cmath.isfinite(1.0 / f_h):
+        raise NumericalError(f"G_h = 1/F_h overflows at z={z}")
     value = n_h / f_h
     if shift:
         try:
@@ -100,25 +103,21 @@ def _quotient(f_h: complex, n_h: complex, shift: int) -> complex | None:
                 value = complex(math.ldexp(value.real, shift),
                                 math.ldexp(value.imag, shift))
             except OverflowError:
-                return None
-    if cmath.isfinite(value) and cmath.isfinite(1.0 / f_h):
-        return value
-    return None
-
-
-def _barycentric(samples: SampleSet, z: complex) -> complex:
-    """N_h/F_h at one point, F_h and N_h by _regular.  NumericalError where
-    G_h or the quotient is past the doubles."""
-    num, shift, _ = samples._numerators
-    z, f_h, _, n_h = _regular(samples.nodes, samples.node_weights, z,
-                              num=num, what="sampling node", zero=_pole_of_f)
-    value = _quotient(f_h, n_h, shift)
-    if value is None:
-        name = "N_h/F_h" if cmath.isfinite(1.0 / f_h) else "G_h = 1/F_h"
-        raise NumericalError(f"{name} overflows at z={z}")
+                value = math.inf
+    if not cmath.isfinite(value):
+        raise NumericalError(f"N_h/F_h overflows at z={z}")
     return value
 
 
+def _barycentric(samples: SampleSet, z: complex) -> complex:
+    """N_h/F_h at one point, F_h and N_h by _regular (see _quotient)."""
+    num, shift = samples._numerators
+    z, f_h, _, n_h = _regular(samples.nodes, samples.node_weights, z,
+                              num=num, what="sampling node", zero=_pole_of_f)
+    return _quotient(f_h, n_h, shift, z)
+
+
+@_held
 def reconstruct(samples: SampleSet,
                 z: complex | np.ndarray) -> complex | np.ndarray:
     """Lagrange reconstruction from the samples alone, in barycentric form.
@@ -130,34 +129,21 @@ def reconstruct(samples: SampleSet,
     or an array of points (an array of the same shape), as for
     kramer_reconstruct, and each point gives the same bits either way.  At
     a point F_h and N_h are summed together: one stacked call from N = 200
-    on (N = 267 at a real z), fsum below.  A grid sums them for a block of
-    points (_BLOCK_TERMS real terms) in one call (_regular_rows), and
-    evaluates alone each point that it cannot pass; it raises what the
-    first failing point raises.  N_h is summed from numerators scaled once
-    (SampleSet._numerators) so that it cannot overflow.  NumericalError
-    where F_h, G_h or the quotient is past the doubles.
+    on (N = 267 at a real z), fsum below.  A grid sums them a block of
+    points at a time (_regular_rows), and evaluates alone each point that
+    it cannot pass; it raises what the first failing point raises.  N_h is
+    summed from numerators scaled once (SampleSet._numerators) so that it
+    cannot overflow.  NumericalError where F_h, G_h or the quotient is past
+    the doubles.
     """
-    num, shift, overflows = samples._numerators
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
-        if overflows:
-            # Terms of F_h past the doubles are a NumericalError (_regular),
-            # which numpy's warning would only repeat.
-            with np.errstate(over="ignore"):
-                return _barycentric(samples, z)
         return _barycentric(samples, z)
-    points = np.asarray(z, dtype=complex).ravel()
-    rows = max(1, _BLOCK_TERMS // (4 * samples.size))
-    out = []
-    for start in range(0, points.size, rows):
-        block = points[start:start + rows]
-        f_h, n_h, passed = _regular_rows(samples.nodes, samples.node_weights,
-                                         block, num)
-        for point, f, n, ok in zip(block.tolist(), f_h.tolist(),
-                                   n_h.tolist(), passed.tolist()):
-            value = _quotient(f, n, shift) if ok else None
-            out.append(value if value is not None
-                       else reconstruct(samples, point))
-    return np.array(out, dtype=complex).reshape(np.shape(z))
+    num, shift = samples._numerators
+    rows = _regular_rows(samples.nodes, samples.node_weights,
+                         _numbers(z, complex, "z").ravel(), num)
+    return np.array([
+        _quotient(f, n, shift, point) if ok else _barycentric(samples, point)
+        for point, f, n, ok in rows], dtype=complex).reshape(np.shape(z))
 
 
 def _on(x: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -212,10 +198,18 @@ _UNIT_WEIGHT_TOL = 1e-12
 
 def omega_state(model: SpectralModel, pole: float) -> StateVector:
     """Eigenvector of the infinitely-coupled operator at one of its
-    eigenvalues, with coordinates sqrt(w_j)/(lam_j - pole)."""
-    return StateVector(
-        (model.sqrt_weights / (model.eigenvalues - pole)).astype(complex)
-    )
+    eigenvalues, with coordinates sqrt(w_j)/(lam_j - pole).  A pole on an
+    eigenvalue, where it would divide by zero, and coordinates past the
+    doubles are NumericalErrors."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d = model.eigenvalues - pole
+        coords = model.sqrt_weights / d
+    if not d.all():
+        raise NumericalError(f"pole {float(pole)!r} lies on an eigenvalue")
+    if not (np.isfinite(d).all() and np.isfinite(coords).all()):
+        raise NumericalError(f"the coordinates at pole {float(pole)!r} "
+                             "overflow")
+    return StateVector(coords.astype(complex))
 
 
 def to_partial_fractions(model: SpectralModel,
@@ -258,13 +252,18 @@ def from_partial_fractions(model: SpectralModel,
 
 
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
-    """Evaluate constant + sum c_n/(z - x_n)."""
-    z = complex(z)
+    """Evaluate constant + sum c_n/(z - x_n); NumericalError where a term
+    or the value is past the doubles."""
+    z = _number(z, complex, "z")
     _guard(rep.poles, z, "pole of the representation")
-    if rep.poles.size:
-        return rep.constant + next(_sums([rep.coefficients
-                                          / (z - rep.poles)]))
-    return rep.constant
+    if not rep.poles.size:
+        return rep.constant
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = rep.constant + next(_sums([rep.coefficients
+                                           / (z - rep.poles)]))
+    if not cmath.isfinite(value):
+        raise NumericalError(f"the partial fractions overflow at z={z}")
+    return value
 
 
 @_held
@@ -292,7 +291,7 @@ def blaschke_swap(model: SpectralModel, phi: StateVector,
     so the norm is preserved exactly.
     """
     check_dims(model, phi)
-    w = complex(w)
+    w = _number(w, complex, "w")
     if w.imag == 0.0:
         raise RealPoint("blaschke swap requires a non-real point")
     value = transform(model, phi, w)
@@ -307,8 +306,13 @@ def blaschke_swap(model: SpectralModel, phi: StateVector,
 
 def apply_perturbed(model: SpectralModel, h: float,
                     phi: StateVector) -> StateVector:
-    """Apply the h-coupled operator in eigenbasis coordinates."""
+    """Apply the h-coupled operator in eigenbasis coordinates;
+    NumericalError where a coordinate is past the doubles."""
     check_dims(model, phi)
-    shift = h * mu_inner(model, phi)
-    return StateVector(model.eigenvalues * phi.coords
-                       + shift * model.sqrt_weights)
+    h = _number(h, float, "h")
+    with np.errstate(over="ignore", invalid="ignore"):
+        coords = (model.eigenvalues * phi.coords
+                  + h * mu_inner(model, phi) * model.sqrt_weights)
+    if not np.isfinite(coords).all():
+        raise NumericalError("a coordinate of A_h phi overflows")
+    return StateVector(coords)

@@ -12,9 +12,13 @@ from .model import SampleSet, SpectralModel, StateVector, new_model
 
 
 def _complex_from(pair) -> complex:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValidationError(f"expected [re, im], got {pair!r}")
-    return complex(float(pair[0]), float(pair[1]))
+    """[re, im] of two JSON numbers; a part that is not finite is left to
+    the consumer."""
+    if isinstance(pair, (list, tuple)) and len(pair) == 2:
+        re, im = pair
+        if type(re) in (int, float) and type(im) in (int, float):
+            return complex(re, im)
+    raise ValidationError(f"expected [re, im] of numbers, got {pair!r}")
 
 
 def _complex_to(z: complex) -> list[float]:

@@ -303,6 +303,33 @@ def test_reconstruct_malformed_input(tmp_path, files, capsys, samples, grid):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+SAMPLES = {"h": 1.0, "nodes": [0.381966011250105, 2.618033988749895],
+           "weights": [0.276393202250021, 0.723606797749979],
+           "values": [[1.0, 0.0], [1.0, 0.0]]}
+
+
+@pytest.mark.parametrize("field,key,value", [
+    ("model", "eigenvalues", ["0", "2"]),
+    ("state", "coords", [["0.7", "0"], [0.7, 0.0]]),
+    ("samples", "nodes", ["0.381966011250105", 2.618033988749895]),
+    ("grid", "points", [["0.5", "1"]]),
+    ("samples", "h", "1"),
+], ids=["model", "state", "samples", "grid", "coupling"])
+def test_strings_in_a_file_are_not_numbers(files, capsys, field, key, value):
+    # float() parses each of these strings: the files used to be read.
+    payload = {"model": dict(M2), "state": dict(MU), "samples": dict(SAMPLES),
+               "grid": {"points": [[0.5, 1.0]]}}
+    payload[field][key] = value
+    paths = {k: files(f"{k}.json", v) for k, v in payload.items()}
+    assert main(["sample", "--model", paths["model"], "--state",
+                 paths["state"], "--coupling", "1"]) == (
+        2 if field in ("model", "state") else 0)
+    assert main(["reconstruct", "--samples", paths["samples"], "--grid",
+                 paths["grid"], "--model", paths["model"]]) == (
+        2 if field != "state" else 0)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("n", [10, 100])
 def test_reconstruct_with_the_model_checks_the_sample_masses(files, capsys, n):
     # The barycentric quotient cannot see masses all off by one factor; the

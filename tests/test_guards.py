@@ -3,7 +3,7 @@
 Each evaluator raises within r = EXCLUSION_RADIUS * max(1, spread of its
 poles) of a pole (PoleProximity) or, by the Newton step |f/f'|, of a zero
 of its denominator (ZeroOfF for F, PoleProximity for F_h and P_n), returns
-a finite value at 1.1 r, and rejects a non-finite point.
+a finite value at 1.1 r, and rejects a point that is not a finite number.
 """
 import math
 import warnings
@@ -14,6 +14,7 @@ import pytest
 from specsample import (
     Coupling,
     JacobiParams,
+    MeromorphicRep,
     NumericalError,
     PoleProximity,
     SampleSet,
@@ -21,6 +22,8 @@ from specsample import (
     StateVector,
     ValidationError,
     ZeroOfF,
+    apply_perturbed,
+    blaschke_swap,
     evaluate_rep,
     inner_h,
     jm_reconstruct,
@@ -28,9 +31,11 @@ from specsample import (
     new_model,
     node_weights,
     normalize,
+    omega_state,
     oscillator_model,
     osc_F_integral,
     osc_F_series,
+    osc_F_tail_bound,
     perturbed_spectrum,
     reconstruct,
     sample,
@@ -78,6 +83,8 @@ EVALUATORS = {
     "weyl_approx": lambda z: weyl_approx(JAC, z, 6),
     "osc_F_series": lambda z: osc_F_series(z, 20),
     "osc_F_integral": lambda z: osc_F_integral(z, 64),
+    "osc_F_tail_bound": lambda z: osc_F_tail_bound(z, 20),
+    "blaschke_swap": lambda z: blaschke_swap(M, PHI, z),
 }
 
 # (evaluator, what the point is next to, the point, radius, raised error)
@@ -117,10 +124,14 @@ def test_guard_radius(name, near, point, r, error, direction):
 
 
 @pytest.mark.parametrize("z", [complex(math.inf, 0.0), complex(0.5, math.inf),
-                               complex(math.nan, 0.0), complex(0.0, math.nan)],
-                         ids=["inf", "inf-imag", "nan", "nan-imag"])
+                               complex(math.nan, 0.0), complex(0.0, math.nan),
+                               "0.5+1j", None, ["0.5+1j"]],
+                         ids=["inf", "inf-imag", "nan", "nan-imag", "string",
+                              "none", "list"])
 @pytest.mark.parametrize("name", sorted(EVALUATORS))
 def test_non_finite_point_is_rejected(name, z):
+    # Each point passes the input rule, which complex() alone does not
+    # apply: it parses the string, and a grid of it.
     with pytest.raises(ValidationError):
         EVALUATORS[name](z)
 
@@ -190,6 +201,26 @@ def test_a_sum_past_the_doubles_is_a_numerical_error():
             reconstruct(s, z)
 
 
+def test_public_helpers_past_the_doubles_raise_without_a_warning():
+    # Terms past the doubles gave inf+0j, or a ValidationError about the
+    # coordinates they made, each after numpy's warning.
+    rep = MeromorphicRep(1.0, [0.0, 1.0], [1e308, -1e308])
+    m = new_model([0.0, 1.0, 2.0], [1.0, 1e-299, 1.0])
+    zeros = perturbed_spectrum(m, Coupling.infinite())
+    assert zeros.tolist() == [1.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="overflow"):
+            evaluate_rep(rep, 0.5 + 1e-300j)
+        for pole in zeros:
+            with pytest.raises(NumericalError,
+                               match="^pole 1.0 lies on an eigenvalue$"):
+                omega_state(m, pole)
+        with pytest.raises(NumericalError, match="overflows"):
+            apply_perturbed(new_model([0.0, 1.0, 2.0], [1.0] * 3), 1e308,
+                            StateVector([1e308, 1.0, 1.0]))
+
+
 def test_extreme_models_return_or_raise_a_spectral_error():
     # Every public evaluator, on weights from 2e-300 to 1e308, eigenvalues
     # up to 1e307 in size, |z| up to 1.7e308 and couplings from the
@@ -227,8 +258,16 @@ def test_extreme_models_return_or_raise_a_spectral_error():
                  lambda: transform(m, phi, z),
                  lambda: node_weights(m, h, nodes),
                  lambda: inner_h(m, h, phi, phi),
-                 lambda: to_partial_fractions(normalize(m), phi)]
+                 lambda: to_partial_fractions(normalize(m), phi),
+                 lambda: evaluate_rep(to_partial_fractions(normalize(m), phi),
+                                      z),
+                 lambda: apply_perturbed(m, h, phi)]
         calls += [lambda x=x: weyl_h(m, h, x) for x in nodes]
+        try:
+            calls += [lambda x=x: omega_state(m, x)
+                      for x in perturbed_spectrum(m, Coupling.infinite())]
+        except SpectralError:
+            pass
         try:
             s = sample(m, phi, h)
             calls += [lambda: reconstruct(s, z), lambda: reconstruct(s, [z]),

@@ -12,8 +12,11 @@ from specsample import (
     StateVector,
     UnsortedEigenvalues,
     ValidationError,
+    apply_perturbed,
     new_model,
+    node_weights,
     normalize,
+    weyl_h,
 )
 
 
@@ -207,9 +210,17 @@ FIELDS = [
     (JacobiParams, "q", False, lambda v: JacobiParams(v, [1.0, 1.0])),
     (JacobiParams, "b", False, lambda v: JacobiParams([0.0, 1.0], v)),
     (Coupling, "coupling", True, Coupling.finite),
+    (weyl_h, "h", True, lambda v: weyl_h(new_model([0.0, 1.0], [0.5, 0.5]),
+                                         v, 1j)),
+    (apply_perturbed, "h", True, lambda v: apply_perturbed(
+        new_model([0.0, 1.0], [0.5, 0.5]), v, StateVector([1.0, 2.0]))),
+    (node_weights, "h", True, lambda v: node_weights(
+        new_model([0.0, 1.0], [0.5, 0.5]), v, [0.5, 1.5])),
 ]
-BAD = {"string": "x", "ragged": [1.0, [2.0, 3.0]], "nan": float("nan"),
-       "inf": float("inf"), "-inf": float("-inf"), "10**400": 10 ** 400}
+# A string that float() or complex() would parse is not a number either.
+BAD = {"string": "x", "number-string": "1", "ragged": [1.0, [2.0, 3.0]],
+       "nan": float("nan"), "inf": float("inf"), "-inf": float("-inf"),
+       "10**400": 10 ** 400}
 
 
 @pytest.mark.parametrize("bad", sorted(BAD))
@@ -224,3 +235,16 @@ def test_malformed_input_is_a_validation_error_naming_the_field(
         value = [value, 1.0]
     with pytest.raises(ValidationError, match=rf"^{name} must be"):
         build(value)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: new_model([0.0, 1.0], [True, True]),
+    lambda: StateVector([True, False]),
+    lambda: Coupling.finite(True),
+    lambda: SampleSet(h=True, nodes=[0.0, 1.0], node_weights=[0.5, 0.5],
+                      values=[1.0, 2.0]),
+    lambda: MeromorphicRep(constant=b"1", poles=[0.0], coefficients=[1.0]),
+], ids=["weights", "coords", "coupling", "h", "bytes-constant"])
+def test_booleans_and_bytes_are_not_numbers(build):
+    with pytest.raises(ValidationError, match="must be"):
+        build()

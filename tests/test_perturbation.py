@@ -570,7 +570,7 @@ def test_roots_in_blocks_equal_the_unblocked_roots(monkeypatch, name, h):
     m = _REFERENCE_MODELS[name]
     a, b = (0.0, 1.0) if h is None else (1.0, h)
     want = _secular_roots(m, a, b)
-    monkeypatch.setattr(perturbation, "_SOLVE_TERMS", 2 * m.dim)
+    monkeypatch.setattr(perturbation, "_BLOCK_TERMS", 2 * m.dim)
     got = _secular_roots(m, a, b)
     assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
     _check_against_bisection(m, h)

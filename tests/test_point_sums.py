@@ -700,8 +700,33 @@ def test_grid_blocks_keep_the_bits_and_the_shape(monkeypatch):
     want = np.array([[reconstruct(s, z) for z in row] for row in grid])
     assert reconstruct(s, grid).tobytes() == want.tobytes()
     for terms in (1, 4 * 50, 4 * 50 * 5):
-        monkeypatch.setattr(sampling, "_BLOCK_TERMS", terms)
+        monkeypatch.setattr(herglotz, "_BLOCK_TERMS", terms)
         assert reconstruct(s, grid).tobytes() == want.tobytes()
     empty = reconstruct(s, [])
     assert empty.shape == (0,) and empty.dtype == complex
     assert isinstance(reconstruct(s, np.complex128(0.3 + 1j)), complex)
+
+
+def test_a_grid_evaluates_a_refused_point_without_calling_itself(
+        monkeypatch):
+    # Just past r from a node the grid's margin refuses the point, which
+    # _regular evaluates: within the one reconstruct call, at the bits of
+    # the point call.
+    s = sample(new_model([0.0, 1.0, 2.0], [0.3, 0.3, 0.4]),
+               StateVector([1.0, 2.0j, -0.5]), 1.3)
+    r = herglotz.EXCLUSION_RADIUS * max(1.0, s.nodes[-1] - s.nodes[0])
+    z = s.nodes[1] + 1j * r * (1.0 + 2.0 ** -51)
+    (_, _, _, passed), = herglotz._regular_rows(
+        s.nodes, s.node_weights, np.array([z]), s._numerators[0])
+    assert not passed
+    want = reconstruct(s, z)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return reconstruct(*args)
+
+    monkeypatch.setattr(sampling, "reconstruct", counted)
+    got = sampling.reconstruct(s, [z])
+    assert len(calls) == 1
+    assert got.tobytes() == np.array([want]).tobytes()
