@@ -6,12 +6,14 @@ time, at most _BLOCK_TERMS terms per array so memory stays bounded at any
 model size, by a vectorized error-free extraction that certifies each row
 correctly rounded, and math.fsum for the rest (_row_sums).  That serves
 real sums at many real points or pole offsets (cauchy_rows), and every
-complex sum a point evaluator takes (_sums): below _STACK_TERMS real terms
-per call, not counting the imaginary parts of F's terms at a real point,
-which are zeros, each part is one math.fsum; from there on they are
-stacked into one _row_sums call, which is faster there.  A grid of points
-takes f and a numerator's sum at a block of points in one _row_sums call
-(_regular_rows), and _regular at the points it cannot pass.
+complex sum of a point evaluator, all taken by one kernel (PoleSet) held
+once per pole set: below _STACK_TERMS real terms per call, not counting
+the imaginary parts of F's terms at a real point, which are zeros, each
+part is one math.fsum; from there on they are stacked into one _row_sums
+call, which is faster there.  A grid of points takes f and a numerator's
+sum at a block of points in one _row_sums call (PoleSet.rows), and
+PoleSet.at at the points it cannot pass.  The kernel enters np.errstate
+only where a term can pass the doubles (PoleSet.heavy, or z _FAR out).
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -30,9 +32,9 @@ term past the doubles) and a sum past the doubles are NumericalErrors.
 from __future__ import annotations
 
 import cmath
-import functools
+import contextlib
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +49,23 @@ EXCLUSION_RADIUS = 1e-8
 # grid and verify's norm terms: 2^15 doubles is 256 KiB.
 _BLOCK_TERMS = 1 << 15
 
-# Real terms per call from which _sums stacks its sums into one _row_sums
-# call; below it, the sums are taken by _csum alone.  math.fsum takes
-# 35-50 ns a term and a stacked call 25-40 us whatever its rows; they break
-# even at about 800 terms (Python 3.11, numpy 2.4, a shared 2-vCPU x86-64
-# host).
-_STACK_TERMS = 800
+# Real terms per call from which a point evaluator's sums are stacked into
+# one _row_sums call (_stacked); below it each part is one math.fsum.  They
+# break even at about 650 terms in 4 rows (F with F' or a numerator off the
+# axis: 29.3 us by fsum against 29.9 stacked at N = 150, 33.9 against 32.6
+# at N = 175), 575 in 3 and 750 in 2; at N = 400 a 4-row call takes 72.5 us
+# by fsum and 40.6 stacked (medians of 20 alternating in-process rounds;
+# Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
+_STACK_TERMS = 640
+
+# Below this sum |c_j|, no term c_j/d_j or c_j/d_j^2 (|d_j| >= r > 2^-27),
+# nor their sum, nor a stacked row of them (scaled to 2^bits, bits < 40,
+# over its largest term) can pass the doubles: 2^(1023 - 54 - 40).  Past
+# _FAR in |Re d_j| or |Im d_j|, d_j^2 can overflow.
+_QUIET, _FAR = 2.0 ** 929, 2.0 ** 511
 
 
-def _csum(terms: np.ndarray) -> complex:
+def _fsum(terms: np.ndarray) -> complex:
     """Correctly rounded sum of a complex array (per part); fsum reads the
     parts through a memoryview, the same doubles in the same order as a
     list of them, without copying them out first.  A part holding both
@@ -70,27 +80,32 @@ def _csum(terms: np.ndarray) -> complex:
         raise NumericalError("a sum is past the largest double") from None
 
 
-def _sums(terms, real: int = 0) -> Iterator[complex]:
-    """map(_csum, terms), bit for bit, for equal-length complex arrays (a
-    sequence, or the rows of a 2-D array).  The imaginary parts of the
-    first real arrays are zeros (F's and F''s terms at a real point), which
-    fsum sums to 0.0: they are not counted nor summed.  From _STACK_TERMS
-    real terms on, every sum is taken in one _row_sums call; below it, and
-    where that call overflows or gives a NaN (a NaN term, or both
-    infinities), each is a _csum as the caller reads it, in the order that
-    decides which error is raised."""
-    k = len(terms)
-    if (2 * k - real) * terms[0].size < _STACK_TERMS:
-        return map(_csum, terms)
-    t = np.asarray(terms)
+def _stacked(terms: list[np.ndarray], real: int) -> list[complex] | None:
+    """The sums of equal-length complex arrays, their parts stacked into one
+    (rows, n) buffer for one _row_sums call, bit for bit their _fsums.  The
+    imaginary parts of the first real arrays (F's and F''s terms at a real
+    point) are zeros, which fsum sums to 0.0: they are neither counted nor
+    summed.  None below _STACK_TERMS real terms, and where the call
+    overflows or gives a NaN (a NaN term, or both infinities): the caller
+    then takes each _fsum in the order that decides which error it raises."""
+    if (2 * len(terms) - real) * terms[0].size < _STACK_TERMS:
+        return None
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = _row_sums(np.concatenate((t.real, t.imag[real:]))).tolist()
+        sums = _row_sums(np.array([t.real for t in terms]
+                                  + [t.imag for t in terms[real:]]))
     except NumericalError:
-        return map(_csum, terms)
+        return None
+    sums = sums.tolist()
     if any(map(math.isnan, sums)):
-        return map(_csum, terms)
-    return map(complex, sums[:k], [0.0] * real + sums[k:])
+        return None
+    k = len(terms)
+    return list(map(complex, sums[:k], [0.0] * real + sums[k:]))
+
+
+def _csum(terms: np.ndarray) -> complex:
+    """_fsum of one complex array, _stacked from _STACK_TERMS real terms."""
+    sums = _stacked([terms], 0)
+    return sums[0] if sums else _fsum(terms)
 
 
 def _extract(t: np.ndarray):
@@ -202,6 +217,15 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     return sums[0] if coeffs.ndim == 1 else sums
 
 
+_NO_HOLD = contextlib.nullcontext()
+
+
+def _hold(held: bool):
+    """np.errstate holding overflow and invalid-value warnings where held,
+    else a context that does nothing."""
+    return np.errstate(over="ignore", invalid="ignore") if held else _NO_HOLD
+
+
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -213,26 +237,6 @@ def _radius(spread: float) -> float:
     return EXCLUSION_RADIUS * max(1.0, spread)
 
 
-def _guard(poles: np.ndarray, z: complex,
-           what: str) -> tuple[float, np.ndarray, np.ndarray]:
-    """The exclusion radius r of the sorted poles, d = poles - z and |d|
-    at a finite z; PoleProximity (naming the pole) when z is within r of
-    one, NumericalError when some d is past the largest double."""
-    lo, hi = (float(poles[0]), float(poles[-1])) if poles.size else (0.0, 0.0)
-    r = _radius(hi - lo)
-    # The largest |Re d_j| is at an end pole, in the same rounding as d.
-    x = z.real
-    if hi - x == math.inf or x - lo == math.inf:
-        raise NumericalError(f"{what} - z overflows at z={z}")
-    d = poles - z
-    dist = np.abs(d)
-    if dist.size and dist.min() < r:
-        raise PoleProximity(
-            f"z={z} is within {r:.3e} of {what} {poles[int(dist.argmin())]}"
-        )
-    return r, d, dist
-
-
 def _near_zero(f: complex, fp: complex, r: float) -> bool:
     """Whether the Newton step |f/f'| puts a zero of f within r; for a
     Herglotz f (F, F_h) |f/f'| >= |Im z|, so only near-real z can."""
@@ -240,16 +244,14 @@ def _near_zero(f: complex, fp: complex, r: float) -> bool:
 
 
 def _slopes(c: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """The terms c_j / d_j^2 of f', overflow held.  Past |d_j| = 1.3e154,
-    d_j^2 gives a term 0 where d_j is nearly real, but a NaN where both its
-    parts overflow (weyl's F' at z = 1e200 (1 + i); a known defect,
-    ROADMAP.md)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return c / (d * d)
+    """The terms c_j / d_j^2 of f'.  Past _FAR, d_j^2 overflows (held by
+    PoleSet.at): a term is 0 where d_j is nearly real, but a NaN where both
+    its parts overflow (weyl's F' at 1e200 (1 + i); a known defect)."""
+    return c / (d * d)
 
 
 def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
-                   r: float) -> bool | np.ndarray:
+                   r: float, bound: float | None = None) -> bool | np.ndarray:
     """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
     and f' = _csum(_slopes(c, d)), decided without summing f'.
 
@@ -270,12 +272,17 @@ def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
 
     f and dist may also hold a row of points (shapes (p,) and (p, n)); the
     answer is then one per point, each B summed by einsum in its own order.
+    A bound given for r B is used instead: r S / m / m at a point, S at
+    least sum c_j and m = min |d_j| (PoleSet.at), above r B but for a few
+    u, well within delta, and summing nothing (it divides by m twice: m^2
+    can overflow where the terms of f' do not).
     """
     n = dist.shape[-1]
-    q = r / dist
-    cq = c * q
-    bound = (float(np.dot(cq, q)) if q.ndim == 1
-             else np.einsum("ij,ij->i", cq, q)) / r
+    if bound is None:
+        q = r / dist
+        cq = c * q
+        bound = (float(np.dot(cq, q)) if q.ndim == 1
+                 else np.einsum("ij,ij->i", cq, q)) / r
     return (f != 0) & (abs(f) >= (bound * (1.0 + (n + 64) * 2.0 ** -52)
                                   + n * (1.0 + r) * 2.0 ** -1020))
 
@@ -284,105 +291,124 @@ def _zero_of_f(z: complex, r: float) -> ZeroOfF:
     return ZeroOfF(f"z={z} is within {r:.3e} of a zero of F")
 
 
-def _regular(poles: np.ndarray, c: np.ndarray, z: complex,
-             derivative: bool = False, num: np.ndarray | None = None,
-             what: str = "eigenvalue",
-             zero: Callable[[complex, float], Exception] = _zero_of_f
-             ) -> tuple[complex, complex, complex | None, complex | None]:
-    """z by model._number, f(z) = sum c_j/(poles_j - z), f'(z) and N(z) =
-    sum num_j/(poles_j - z), z guarded against the poles (named what) and the
-    zeros of f (raising zero(z, r)).  f' is summed where asked for or where
-    _clear_of_zero cannot clear z without it, else None; N is None without
-    num.  The sums asked for are taken by _sums, N after the guard; at a
-    real z the imaginary parts of the terms of f and f' are zeros, which it
-    leaves out.  NumericalError where f is not finite: a term past the
-    doubles, whose quotients would be 0 or NaN."""
-    z = _number(z, complex, "z")
-    r, d, dist = _guard(poles, z, what)
-    terms = [c / d]
-    if derivative:
-        terms.append(_slopes(c, d))
-    if num is not None:
-        terms.append(num / d)
-    sums = _sums(terms, 0 if z.imag else 1 + derivative)
-    f = next(sums)
-    if not cmath.isfinite(f):
-        raise NumericalError(f"the sum over the {what}s is not finite at z={z}")
-    fp = next(sums) if derivative else None
-    if fp is None and not _clear_of_zero(f, c, dist, r):
-        fp = _csum(_slopes(c, d))
-    if fp is not None and _near_zero(f, fp, r):
-        raise zero(z, r)
-    return z, f, fp, next(sums) if num is not None else None
+def _pole_of_f(z: complex, r: float) -> PoleProximity:
+    return PoleProximity(
+        f"z={z} is too close to a pole of the reconstructed function")
 
 
-def _regular_rows(poles: np.ndarray, c: np.ndarray, points: np.ndarray,
-                  num: np.ndarray):
-    """Yields each point z, f and N of _regular(poles, c, z, num=num), summed a
-    block of points (_BLOCK_TERMS real terms) per _row_sums call, and
-    whether _regular passes z without f': z finite, |d| beyond r (with
-    room for |d| rounded otherwise than in _guard), no d past the doubles
-    (as in _guard), f and N finite, and z cleared by _clear_of_zero; none
-    of a block whose call overflows.  The caller hands every other point
-    to _regular, which raises where it must.
-    """
-    lo, hi = float(poles[0]), float(poles[-1])
-    r = _radius(hi - lo)
-    rows = max(1, _BLOCK_TERMS // (4 * poles.size))
-    for start in range(0, points.size, rows):
-        z = points[start:start + rows]
-        with np.errstate(all="ignore"):
-            d = poles - z[:, None]
-            dist = np.abs(d)
-            terms = (c / d, num / d)
-            try:
-                sums = _row_sums(np.concatenate(
-                    [part for t in terms for part in (t.real, t.imag)]))
-            except NumericalError:
-                sums = np.full(4 * z.size, math.nan)
-            f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
-            far = np.maximum(hi - z.real, z.real - lo) == math.inf
-            passed = (np.isfinite(z) & np.isfinite(f) & np.isfinite(n)
+class PoleSet:
+    """The point kernel of an increasing, non-empty set of real poles with
+    masses c, named what in its errors, its zero guard raising zero(z, r):
+    its ends, radius r, total (a bound on sum |c_j|) and heavy (total or
+    num, a bound on the numerators' sum |num_j|, at _QUIET or past it)."""
+
+    def __init__(self, poles: np.ndarray, c: np.ndarray | None, total: float,
+                 what: str = "eigenvalue", zero: Callable = _zero_of_f,
+                 num: float = 0.0):
+        self.poles, self.c, self.total, self.what = poles, c, total, what
+        self.lo, self.hi, self.zero = float(poles[0]), float(poles[-1]), zero
+        self.r = _radius(self.hi - self.lo)
+        self.heavy = max(total, num) >= _QUIET
+
+    def guard(self, z: complex) -> tuple[np.ndarray, np.ndarray, float]:
+        """d = poles - z, |d| and its least at a finite z; PoleProximity
+        (naming the pole) when z is within r of one, NumericalError when
+        some d is past the largest double."""
+        # The largest |Re d_j| is at an end pole, in the same rounding as d.
+        x = z.real
+        if self.hi - x == math.inf or x - self.lo == math.inf:
+            raise NumericalError(f"{self.what} - z overflows at z={z}")
+        d = self.poles - z
+        dist = np.abs(d)
+        m = float(np.minimum.reduce(dist))
+        if m < self.r:
+            raise PoleProximity(f"z={z} is within {self.r:.3e} of {self.what}"
+                                f" {self.poles[int(dist.argmin())]}")
+        return d, dist, m
+
+    def at(self, z: complex, derivative: bool = False,
+           num: np.ndarray | None = None, checked: bool = True
+           ) -> tuple[complex, complex, complex | None, complex | None]:
+        """z by model._number, f(z), f'(z) and N(z) = sum num_j/(poles_j -
+        z), z guarded against the poles and, where checked, the zeros of f
+        and an f that is not finite (a term past the doubles, whose
+        quotients would be 0 or NaN: NumericalError).  f' is summed where
+        asked for or where _clear_of_zero cannot clear z, else None; N is
+        None without num, and summed after the guard (_stacked)."""
+        z = _number(z, complex, "z")
+        x = z.real
+        # Not _hold: an empty context costs a few percent of a call here.
+        if (self.heavy or not (self.hi - x < _FAR > x - self.lo
+                               and -_FAR < z.imag < _FAR)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                return self._at(z, derivative, num, checked)
+        return self._at(z, derivative, num, checked)
+
+    def _at(self, z, derivative, num, checked):
+        c, r = self.c, self.r
+        d, dist, m = self.guard(z)
+        terms = [c / d]
+        if derivative:
+            terms.append(_slopes(c, d))
+        if num is not None:
+            terms.append(num / d)
+        sums = _stacked(terms, 0 if z.imag else 1 + derivative)
+        f = sums[0] if sums else _fsum(terms[0])
+        if checked and not cmath.isfinite(f):
+            raise NumericalError(
+                f"the sum over the {self.what}s is not finite at z={z}")
+        fp = (sums[1] if sums else _fsum(terms[1])) if derivative else None
+        if not (derivative
+                or _clear_of_zero(f, c, dist, r, r * self.total / m / m)
+                or _clear_of_zero(f, c, dist, r)):
+            fp = _fsum(_slopes(c, d))
+        if checked and fp is not None and _near_zero(f, fp, r):
+            raise self.zero(z, r)
+        return z, f, fp, (None if num is None else sums[-1] if sums
+                          else _fsum(terms[-1]))
+
+    def rows(self, points: np.ndarray, num: np.ndarray):
+        """Yields each point z, f and N of at(z, num=num), summed a block of
+        points (_BLOCK_TERMS real terms) per _row_sums call, and whether at
+        passes z without f': z finite, |d| beyond r (with room for |d|
+        rounded otherwise than in guard), no d past the doubles, f and N
+        finite, z cleared by _clear_of_zero, and its block's call did not
+        overflow.  The caller hands every other point to at."""
+        c, lo, hi, r = self.c, self.lo, self.hi, self.r
+        rows = max(1, _BLOCK_TERMS // (4 * self.poles.size))
+        for start in range(0, points.size, rows):
+            z = points[start:start + rows]
+            with np.errstate(all="ignore"):
+                d = self.poles - z[:, None]
+                dist = np.abs(d)
+                terms = (c / d, num / d)
+                try:
+                    sums = _row_sums(np.concatenate(
+                        [part for t in terms for part in (t.real, t.imag)]))
+                except NumericalError:
+                    sums = np.full(4 * z.size, math.nan)
+                f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
+                far = np.maximum(hi - z.real, z.real - lo) == math.inf
+                ok = (np.isfinite(z) & np.isfinite(f) & np.isfinite(n)
                       & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50)) & ~far
                       & _clear_of_zero(f, c, dist, r))
-        # Freed before the next block forms its own: one block's at a time.
-        del d, dist, terms, sums
-        yield from zip(z.tolist(), f.tolist(), n.tolist(), passed.tolist())
+            # Freed before the next block forms its own: one at a time.
+            del d, dist, terms, sums
+            yield from zip(z.tolist(), f.tolist(), n.tolist(), ok.tolist())
 
 
-def _held(evaluate):
-    """evaluate(model, ...) under np.errstate where a term of the model's F
-    (SpectralModel.heavy), or of the samples' F_h or N_h (SampleSet.heavy),
-    can pass the doubles, which the evaluator then raises or returns
-    without numpy's warning; an ordinary model enters none."""
-    @functools.wraps(evaluate)
-    def call(model: SpectralModel, *args, **kwargs):
-        if model.heavy:
-            with np.errstate(over="ignore", invalid="ignore"):
-                return evaluate(model, *args, **kwargs)
-        return evaluate(model, *args, **kwargs)
-    return call
-
-
-@_held
 def weyl(model: SpectralModel, z: complex) -> tuple[complex, complex]:
     """Evaluate F(z) = sum w_j/(lam_j - z) and its derivative F'(z)."""
-    z = _number(z, complex, "z")
-    _, d, _ = _guard(model.eigenvalues, z, "eigenvalue")
-    w = model.weights
-    # At a real z the imaginary parts of both are zeros (see _regular).
-    return tuple(_sums([w / d, _slopes(w, d)], 0 if z.imag else 2))
+    return model._poles.at(z, derivative=True, checked=False)[1:3]
 
 
-@_held
 def weyl_h(model: SpectralModel, h: float,
            z: complex) -> tuple[complex, complex, complex]:
     """Evaluate the coupled family: F_h = F/(1+hF), G_h = h + 1/F, G_h'.
     NumericalError where F^2 underflows (|z| past about 1e154), and
     PoleProximity where 1 + hF is exactly 0 (a pole of F_h)."""
     h = _number(h, float, "h")
-    z, f, fp, _ = _regular(model.eigenvalues, model.weights, z,
-                           derivative=True)
+    z, f, fp, _ = model._poles.at(z, derivative=True)
     if f * f == 0:
         raise NumericalError(f"F(z)^2 underflows at z={z}")
     den = 1.0 + h * f
@@ -405,16 +431,16 @@ class XiVector:
         return float(np.sum(np.abs(self.coords) ** 2))
 
 
-@_held
 def xi(model: SpectralModel, z: complex) -> XiVector:
     """The eigenvector field: xi(x) spans Ker(A_h - x) for the matching h.
 
     Coordinates sqrt(w_j)/((lam_j - conj(z)) F(conj(z))); F(conj(z)) is
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
-    z, f, _, _ = _regular(model.eigenvalues, model.weights, z)
-    zb = z.conjugate()
-    coords = model.sqrt_weights / ((model.eigenvalues - zb) * f.conjugate())
+    z, f, _, _ = model._poles.at(z)
+    with _hold(model._poles.heavy):
+        coords = model.sqrt_weights / ((model.eigenvalues - z.conjugate())
+                                       * f.conjugate())
     return XiVector(at=z, coords=coords)
 
 

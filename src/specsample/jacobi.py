@@ -19,7 +19,7 @@ from .errors import (
     QZero,
     ValidationError,
 )
-from .herglotz import _guard, _near_zero, _radius
+from .herglotz import _near_zero, _radius
 from .model import (
     _WEIGHT_FLOOR,
     SampleSet,
@@ -204,7 +204,7 @@ def jm_reconstruct(params: JacobiParams, n: int, samples: SampleSet,
     and is compared against the exact reconstruction in convergence studies.
     """
     z = _number(z, complex, "z")
-    _guard(samples.nodes, z, "sampling node")
+    samples._poles.guard(z)
     ev = polys(params, z, n)
     if _near_zero(ev.Q[n], ev.Q_prime[n], _radius(params.scale(n))):
         raise QZero(f"second-kind polynomial vanishes at z={z}")

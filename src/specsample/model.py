@@ -59,6 +59,12 @@ def _increasing(values, what: str) -> np.ndarray:
     return out
 
 
+def _largest(values: np.ndarray) -> float:
+    """The largest |part| of the entries of a float or complex array."""
+    parts = np.ascontiguousarray(values).view(float)
+    return float(np.abs(parts).max(initial=0.0))
+
+
 def _number(value, kind, what: str):
     """kind(value), float or complex, by the rule of _array: a str, bytes
     or bool is not a number.  Every point evaluator takes its point by it."""
@@ -82,7 +88,6 @@ class SpectralModel:
     weights: np.ndarray
     mu_norm_sq: float = field(init=False)
     sqrt_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    heavy: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = _increasing(self.eigenvalues, "eigenvalues")
@@ -109,9 +114,6 @@ class SpectralModel:
         root = np.sqrt(w)
         root.flags.writeable = False
         object.__setattr__(self, "sqrt_weights", root)
-        # Every exclusion radius is at least 1e-8 > 2^-27, so below this
-        # total no term w_j/(lam_j - z) of F nor their sum can overflow.
-        object.__setattr__(self, "heavy", total >= 2.0 ** 994)
 
     @property
     def dim(self) -> int:
@@ -121,6 +123,13 @@ class SpectralModel:
     def scale(self) -> float:
         """Length scale used for root and node tolerances."""
         return max(1.0, float(self.eigenvalues[-1] - self.eigenvalues[0]))
+
+    # Each point kernel (herglotz.PoleSet) is held from its first use, so
+    # that building the object does not pay for it.
+    @cached_property
+    def _poles(self):
+        from .herglotz import PoleSet
+        return PoleSet(self.eigenvalues, self.weights, self.mu_norm_sq)
 
 
 def new_model(eigenvalues, weights) -> SpectralModel:
@@ -168,6 +177,13 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
+
+    # A bound on the norm: sqrt(total weight) times it bounds sum_j
+    # |sqrt(w_j) phi_j| (Cauchy-Schwarz), which decides where products
+    # with the weights are held (herglotz._QUIET).
+    @cached_property
+    def _bound(self) -> float:
+        return math.sqrt(2 * self.dim) * _largest(self.coords)
 
 
 def check_dims(model: SpectralModel, phi: StateVector) -> None:
@@ -237,11 +253,11 @@ class SampleSet:
         return num, shift
 
     @cached_property
-    def heavy(self) -> bool:
-        """SpectralModel.heavy for reconstruct's F_h and N_h: masses that
-        can sum to 2^994, or numerators scaled (_numerators)."""
-        return (self._numerators[1] > 0
-                or float(self.node_weights.max()) * self.size >= 2.0 ** 994)
+    def _poles(self):  # |m_j f(x_j)| <= 1.5 m_j times a value's largest part
+        from .herglotz import PoleSet, _pole_of_f
+        total = self.size * float(self.node_weights.max())
+        return PoleSet(self.nodes, self.node_weights, total, "sampling node",
+                       _pole_of_f, total * 1.5 * _largest(self.values))
 
 
 @dataclass(frozen=True)
@@ -261,3 +277,10 @@ class MeromorphicRep:
                            _number(self.constant, complex, "constant"))
         object.__setattr__(self, "poles", x)
         object.__setattr__(self, "coefficients", c)
+
+    @cached_property
+    def _poles(self):  # of a non-empty set of poles; total bounds sum |c_n|
+        from .herglotz import PoleSet
+        c = self.coefficients
+        return PoleSet(self.poles, None, 2 * c.size * _largest(c),
+                       "pole of the representation")

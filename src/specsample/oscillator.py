@@ -17,7 +17,7 @@ from .errors import (
     QuadratureNonConvergence,
     ValidationError,
 )
-from .herglotz import _guard, weyl
+from .herglotz import PoleSet, weyl
 from .model import _WEIGHT_FLOOR, SpectralModel, _number, new_model
 
 _PI4 = math.pi ** -0.25
@@ -104,8 +104,8 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
     no finite set of levels whose spread would scale it.
     """
     z = _number(z, complex, "z")
-    _guard(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), z,
-           "oscillator level")
+    PoleSet(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), None, 0.0,
+            "oscillator level").guard(z)
     return _refined(lambda points: _integral_value(z, points), quad_points,
                     1e-8, "integral")
 

@@ -20,16 +20,15 @@ from .errors import (
     NotAZero,
     NumericalError,
     PoleMismatch,
-    PoleProximity,
     RealPoint,
 )
 from .herglotz import (
+    _QUIET,
+    PoleSet,
     _complex,
-    _guard,
-    _held,
-    _regular,
-    _regular_rows,
-    _sums,
+    _csum,
+    _hold,
+    _pole_of_f,
     cauchy_rows,
     xi,
 )
@@ -39,6 +38,7 @@ from .model import (
     SampleSet,
     SpectralModel,
     StateVector,
+    _largest,
     _number,
     _numbers,
     check_dims,
@@ -52,16 +52,22 @@ def mu_state(model: SpectralModel) -> StateVector:
 
 
 def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
-    """<mu, phi> (inner product anti-linear in the first argument)."""
-    return next(_sums([model.sqrt_weights * phi.coords]))
+    """<mu, phi> (anti-linear in mu); NumericalError past the doubles."""
+    with _hold(math.sqrt(model.mu_norm_sq) * phi._bound >= _QUIET):
+        value = _csum(model.sqrt_weights * phi.coords)
+    if not cmath.isfinite(value):
+        raise NumericalError("<mu, phi> overflows")
+    return value
 
 
-@_held
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
-    """Evaluate the image function of phi at z (equals <xi(z), phi>)."""
+    """The image function of phi at z, <xi(z), phi>; NumericalError where
+    its numerator's sum is past the doubles."""
     check_dims(model, phi)
-    _, f, _, num = _regular(model.eigenvalues, model.weights, z,
-                            num=model.sqrt_weights * phi.coords)
+    with _hold(math.sqrt(model.mu_norm_sq) * phi._bound >= _QUIET):
+        z, f, _, num = model._poles.at(z, num=model.sqrt_weights * phi.coords)
+    if not cmath.isfinite(num):
+        raise NumericalError(f"the numerator of f overflows at z={z}")
     return num / f
 
 
@@ -79,11 +85,6 @@ def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
     """Sample the image of phi on the spectrum of the h-coupled operator."""
     nodes, weights, (values,) = _sample(model, h, phi)
     return SampleSet(h=h, nodes=nodes, node_weights=weights, values=values)
-
-
-def _pole_of_f(z: complex, r: float) -> PoleProximity:
-    return PoleProximity(
-        f"z={z} is too close to a pole of the reconstructed function")
 
 
 def _quotient(f_h: complex, n_h: complex, shift: int, z: complex) -> complex:
@@ -110,14 +111,12 @@ def _quotient(f_h: complex, n_h: complex, shift: int, z: complex) -> complex:
 
 
 def _barycentric(samples: SampleSet, z: complex) -> complex:
-    """N_h/F_h at one point, F_h and N_h by _regular (see _quotient)."""
+    """N_h/F_h at one point, F_h and N_h by the samples' kernel."""
     num, shift = samples._numerators
-    z, f_h, _, n_h = _regular(samples.nodes, samples.node_weights, z,
-                              num=num, what="sampling node", zero=_pole_of_f)
+    z, f_h, _, n_h = samples._poles.at(z, num=num)
     return _quotient(f_h, n_h, shift, z)
 
 
-@_held
 def reconstruct(samples: SampleSet,
                 z: complex | np.ndarray) -> complex | np.ndarray:
     """Lagrange reconstruction from the samples alone, in barycentric form.
@@ -128,9 +127,9 @@ def reconstruct(samples: SampleSet,
     2004), and no model is needed.  z is a point (the result is a complex)
     or an array of points (an array of the same shape), as for
     kramer_reconstruct, and each point gives the same bits either way.  At
-    a point F_h and N_h are summed together: one stacked call from N = 200
-    on (N = 267 at a real z), fsum below.  A grid sums them a block of
-    points at a time (_regular_rows), and evaluates alone each point that
+    a point F_h and N_h are summed together: one stacked call from N = 160
+    on (N = 214 at a real z), fsum below.  A grid sums them a block of
+    points at a time (PoleSet.rows), and evaluates alone each point that
     it cannot pass; it raises what the first failing point raises.  N_h is
     summed from numerators scaled once (SampleSet._numerators) so that it
     cannot overflow.  NumericalError where F_h, G_h or the quotient is past
@@ -139,8 +138,7 @@ def reconstruct(samples: SampleSet,
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
         return _barycentric(samples, z)
     num, shift = samples._numerators
-    rows = _regular_rows(samples.nodes, samples.node_weights,
-                         _numbers(z, complex, "z").ravel(), num)
+    rows = samples._poles.rows(_numbers(z, complex, "z").ravel(), num)
     return np.array([
         _quotient(f, n, shift, point) if ok else _barycentric(samples, point)
         for point, f, n, ok in rows], dtype=complex).reshape(np.shape(z))
@@ -176,11 +174,12 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
             f"node {float(x[j])!r} has mass {float(samples.node_weights[j])!r}"
             f", the model's is {float(masses[j])!r}")
     g = np.where(_on(x, lam), 0.0, h)  # -1/F at each node
+    nodes = PoleSet(x, masses, x.size * float(masses.max()), "sampling node",
+                    _pole_of_f)
 
     def at(point):
-        f = _regular(lam, model.weights, point)[1]
-        z, _, _, value = _regular(x, masses, point, num=num * (g + 1.0 / f),
-                                  what="sampling node", zero=_pole_of_f)
+        f = model._poles.at(point)[1]
+        z, _, _, value = nodes.at(point, num=num * (g + 1.0 / f))
         if not cmath.isfinite(value):
             raise NumericalError(f"the Kramer series overflows at z={z}")
         return value
@@ -255,23 +254,28 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     """Evaluate constant + sum c_n/(z - x_n); NumericalError where a term
     or the value is past the doubles."""
     z = _number(z, complex, "z")
-    _guard(rep.poles, z, "pole of the representation")
     if not rep.poles.size:
         return rep.constant
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = rep.constant + next(_sums([rep.coefficients
-                                           / (z - rep.poles)]))
+    rep._poles.guard(z)
+    with _hold(rep._poles.heavy):
+        value = rep.constant + _csum(rep.coefficients / (z - rep.poles))
     if not cmath.isfinite(value):
         raise NumericalError(f"the partial fractions overflow at z={z}")
     return value
 
 
-@_held
 def inner_h(model: SpectralModel, h: float, phi: StateVector,
             psi: StateVector) -> complex:
-    """Inner product of image functions in L^2 of the h-sampling measure."""
+    """Inner product of image functions in L^2 of the h-sampling measure;
+    NumericalError where it is past the doubles."""
     _, weights, (f, g) = _sample(model, h, phi, psi)
-    return next(_sums([weights * np.conj(f) * g]))
+    # Bounds each m_j conj(f_j), each product with g_j, and their sum.
+    top = 2 * f.size * _largest(weights) * _largest(f)
+    with _hold(top * max(1.0, _largest(g)) >= _QUIET):
+        value = _csum(weights * np.conj(f) * g)
+    if not cmath.isfinite(value):
+        raise NumericalError("the inner product overflows")
+    return value
 
 
 def conjugate_state(model: SpectralModel, phi: StateVector) -> StateVector:

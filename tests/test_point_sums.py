@@ -38,13 +38,7 @@ from specsample import (
 )
 from specsample import herglotz, sampling
 from specsample.errors import NumericalError, ValidationError
-from specsample.herglotz import (
-    _STACK_TERMS,
-    _clear_of_zero,
-    _guard,
-    _near_zero,
-    _regular,
-)
+from specsample.herglotz import _STACK_TERMS, _clear_of_zero, _near_zero
 from specsample.perturbation import _node_data
 
 from conftest import LAYOUTS, layout_model, random_model, random_state
@@ -88,9 +82,10 @@ def _reference(m, phi, s, z, kramer=True):
             out["transform"] = _fsum(m.sqrt_weights * phi.coords / d) / f
             out["xi"] = m.sqrt_weights / ((lam - z.conjugate()) * f.conjugate())
             if z.imag == 0:
-                # F^2 underflows at |x| near 1e300, as for weyl_h.
+                # F^2 underflows at |x| near 1e300, as for weyl_h; taken
+                # as -G_0', whose zero (F' = 0 far out) is -0.0.
                 out["xi_norm_sq"] = (NumericalError if f * f == 0
-                                     else (fp / (f * f)).real)
+                                     else -(-fp / (f * f)).real)
         if z.imag == 0 and "xi_norm_sq" not in out:
             out["xi_norm_sq"] = out["weyl_h"]
     if s is not None:
@@ -231,7 +226,7 @@ def test_a_point_the_certificate_cannot_clear_is_still_evaluated():
     m = new_model([0.0, 1.0, 2.0], [2e-300, 2e-300, 2e-300])
     phi = StateVector([1.0, 2.0 - 1.0j, 3.0])
     z = complex(1e8, 0.0)
-    r, d, dist = _guard(m.eigenvalues, z, "eigenvalue")
+    r, (d, dist, _) = m._poles.r, m._poles.guard(z)
     f, fp = _fsum(m.weights / d), _fsum(m.weights / (d * d))
     assert not _clear_of_zero(f, m.weights, dist, r)
     assert not _near_zero(f, fp, r)
@@ -426,8 +421,7 @@ def test_f_its_derivative_and_a_numerator_are_summed_together(n):
     d = m.eigenvalues - z
     want = (z, _fsum(m.weights / d), _fsum(m.weights / (d * d)),
             _fsum(num / d))
-    assert _bits(_regular(m.eigenvalues, m.weights, z, derivative=True,
-                          num=num)) == _bits(want)
+    assert _bits(m._poles.at(z, derivative=True, num=num)) == _bits(want)
 
 
 @pytest.mark.parametrize("n", [3, _STACK_TERMS])
@@ -710,14 +704,13 @@ def test_grid_blocks_keep_the_bits_and_the_shape(monkeypatch):
 def test_a_grid_evaluates_a_refused_point_without_calling_itself(
         monkeypatch):
     # Just past r from a node the grid's margin refuses the point, which
-    # _regular evaluates: within the one reconstruct call, at the bits of
+    # PoleSet.at evaluates: within the one reconstruct call, at the bits of
     # the point call.
     s = sample(new_model([0.0, 1.0, 2.0], [0.3, 0.3, 0.4]),
                StateVector([1.0, 2.0j, -0.5]), 1.3)
     r = herglotz.EXCLUSION_RADIUS * max(1.0, s.nodes[-1] - s.nodes[0])
     z = s.nodes[1] + 1j * r * (1.0 + 2.0 ** -51)
-    (_, _, _, passed), = herglotz._regular_rows(
-        s.nodes, s.node_weights, np.array([z]), s._numerators[0])
+    (_, _, _, passed), = s._poles.rows(np.array([z]), s._numerators[0])
     assert not passed
     want = reconstruct(s, z)
     calls = []
