@@ -50,8 +50,7 @@ def cmd_spectrum(args) -> int:
     out = {"nodes": nodes.tolist()}
     if not coupling.is_infinite:
         out["weights"] = node_weights(model, coupling.value, nodes).tolist()
-    json.dump(out, sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(out) + "\n")
     return EXIT_OK
 
 
@@ -64,8 +63,7 @@ def cmd_sample(args) -> int:
               "the sampled functions have their poles there", file=sys.stderr)
         return EXIT_INFINITE_SAMPLING
     samples = sample(model, phi, coupling.value)
-    json.dump(samples_to_dict(samples), sys.stdout)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(samples_to_dict(samples)) + "\n")
     return EXIT_OK
 
 

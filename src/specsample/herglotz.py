@@ -13,7 +13,8 @@ part is one math.fsum; from there on they are stacked into one _row_sums
 call, which is faster there.  A grid of points takes f and a numerator's
 sum at a block of points in one _row_sums call (PoleSet.rows), and
 PoleSet.at at the points it cannot pass.  The kernel enters np.errstate
-only where a term can pass the doubles (PoleSet.heavy, or z _FAR out).
+only at a point _FAR out: the data types refuse masses, numerators and
+coefficients whose terms could pass the doubles (model._QUIET).
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -26,13 +27,12 @@ where a certificate, |f| >= r sum c_j/|x_j - z|^2 with a margin for
 rounding (_clear_of_zero), cannot rule the zero guard out; elsewhere it
 is summed and the guard decides exactly as without the certificate.
 weyl, weyl_h and xi_norm_sq always sum F', which they return.  A point
-farther than the largest double from a pole, an f that is not finite (a
-term past the doubles) and a sum past the doubles are NumericalErrors.
+farther than the largest double from a pole and a sum past the doubles (a
+state's numerator) are NumericalErrors; below model._QUIET no sum of
+masses can pass them.
 """
 from __future__ import annotations
 
-import cmath
-import contextlib
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -58,11 +58,8 @@ _BLOCK_TERMS = 1 << 15
 # Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
 _STACK_TERMS = 640
 
-# Below this sum |c_j|, no term c_j/d_j or c_j/d_j^2 (|d_j| >= r > 2^-27),
-# nor their sum, nor a stacked row of them (scaled to 2^bits, bits < 40,
-# over its largest term) can pass the doubles: 2^(1023 - 54 - 40).  Past
-# _FAR in |Re d_j| or |Im d_j|, d_j^2 can overflow.
-_QUIET, _FAR = 2.0 ** 929, 2.0 ** 511
+# Past _FAR in |Re d_j| or |Im d_j|, d_j^2 can overflow.
+_FAR = 2.0 ** 511
 
 
 def _fsum(terms: np.ndarray) -> complex:
@@ -217,15 +214,6 @@ def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,
     return sums[0] if coeffs.ndim == 1 else sums
 
 
-_NO_HOLD = contextlib.nullcontext()
-
-
-def _hold(held: bool):
-    """np.errstate holding overflow and invalid-value warnings where held,
-    else a context that does nothing."""
-    return np.errstate(over="ignore", invalid="ignore") if held else _NO_HOLD
-
-
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     out = np.empty(re.shape, dtype=complex)
     out.real, out.imag = re, im
@@ -299,16 +287,13 @@ def _pole_of_f(z: complex, r: float) -> PoleProximity:
 class PoleSet:
     """The point kernel of an increasing, non-empty set of real poles with
     masses c, named what in its errors, its zero guard raising zero(z, r):
-    its ends, radius r, total (a bound on sum |c_j|) and heavy (total or
-    num, a bound on the numerators' sum |num_j|, at _QUIET or past it)."""
+    its ends, radius r and total, a bound on sum c_j."""
 
     def __init__(self, poles: np.ndarray, c: np.ndarray | None, total: float,
-                 what: str = "eigenvalue", zero: Callable = _zero_of_f,
-                 num: float = 0.0):
+                 what: str = "eigenvalue", zero: Callable = _zero_of_f):
         self.poles, self.c, self.total, self.what = poles, c, total, what
         self.lo, self.hi, self.zero = float(poles[0]), float(poles[-1]), zero
         self.r = _radius(self.hi - self.lo)
-        self.heavy = max(total, num) >= _QUIET
 
     def guard(self, z: complex) -> tuple[np.ndarray, np.ndarray, float]:
         """d = poles - z, |d| and its least at a finite z; PoleProximity
@@ -330,16 +315,14 @@ class PoleSet:
            num: np.ndarray | None = None, checked: bool = True
            ) -> tuple[complex, complex, complex | None, complex | None]:
         """z by model._number, f(z), f'(z) and N(z) = sum num_j/(poles_j -
-        z), z guarded against the poles and, where checked, the zeros of f
-        and an f that is not finite (a term past the doubles, whose
-        quotients would be 0 or NaN: NumericalError).  f' is summed where
-        asked for or where _clear_of_zero cannot clear z, else None; N is
-        None without num, and summed after the guard (_stacked)."""
+        z), z guarded against the poles and, where checked, the zeros of
+        f.  f' is summed where asked for or where _clear_of_zero cannot
+        clear z, else None; N is None without num, and summed after the
+        guard (_stacked)."""
         z = _number(z, complex, "z")
         x = z.real
-        # Not _hold: an empty context costs a few percent of a call here.
-        if (self.heavy or not (self.hi - x < _FAR > x - self.lo
-                               and -_FAR < z.imag < _FAR)):
+        # Not an empty context: it costs a few percent of a call here.
+        if not (self.hi - x < _FAR > x - self.lo and -_FAR < z.imag < _FAR):
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._at(z, derivative, num, checked)
         return self._at(z, derivative, num, checked)
@@ -354,9 +337,6 @@ class PoleSet:
             terms.append(num / d)
         sums = _stacked(terms, 0 if z.imag else 1 + derivative)
         f = sums[0] if sums else _fsum(terms[0])
-        if checked and not cmath.isfinite(f):
-            raise NumericalError(
-                f"the sum over the {self.what}s is not finite at z={z}")
         fp = (sums[1] if sums else _fsum(terms[1])) if derivative else None
         if not (derivative
                 or _clear_of_zero(f, c, dist, r, r * self.total / m / m)
@@ -371,9 +351,9 @@ class PoleSet:
         """Yields each point z, f and N of at(z, num=num), summed a block of
         points (_BLOCK_TERMS real terms) per _row_sums call, and whether at
         passes z without f': z finite, |d| beyond r (with room for |d|
-        rounded otherwise than in guard), no d past the doubles, f and N
-        finite, z cleared by _clear_of_zero, and its block's call did not
-        overflow.  The caller hands every other point to at."""
+        rounded otherwise than in guard), no d past the doubles and z
+        cleared by _clear_of_zero.  The caller hands every other point to
+        at."""
         c, lo, hi, r = self.c, self.lo, self.hi, self.r
         rows = max(1, _BLOCK_TERMS // (4 * self.poles.size))
         for start in range(0, points.size, rows):
@@ -382,15 +362,12 @@ class PoleSet:
                 d = self.poles - z[:, None]
                 dist = np.abs(d)
                 terms = (c / d, num / d)
-                try:
-                    sums = _row_sums(np.concatenate(
-                        [part for t in terms for part in (t.real, t.imag)]))
-                except NumericalError:
-                    sums = np.full(4 * z.size, math.nan)
+                sums = _row_sums(np.concatenate(
+                    [part for t in terms for part in (t.real, t.imag)]))
                 f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
                 far = np.maximum(hi - z.real, z.real - lo) == math.inf
-                ok = (np.isfinite(z) & np.isfinite(f) & np.isfinite(n)
-                      & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50)) & ~far
+                ok = (np.isfinite(z) & ~far
+                      & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50))
                       & _clear_of_zero(f, c, dist, r))
             # Freed before the next block forms its own: one at a time.
             del d, dist, terms, sums
@@ -438,9 +415,8 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
     conj(F(z)) exactly, since every term and sum is conjugation-symmetric.
     """
     z, f, _, _ = model._poles.at(z)
-    with _hold(model._poles.heavy):
-        coords = model.sqrt_weights / ((model.eigenvalues - z.conjugate())
-                                       * f.conjugate())
+    coords = model.sqrt_weights / ((model.eigenvalues - z.conjugate())
+                                   * f.conjugate())
     return XiVector(at=z, coords=coords)
 
 

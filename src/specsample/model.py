@@ -24,6 +24,13 @@ from .errors import (
 # Weights below this are treated as a loss of cyclicity, not as data.
 _WEIGHT_FLOOR = 1e-300
 
+# The door (_door): a model's weights, a sample set's masses and numerators
+# and a partial-fraction form's coefficients may not sum to this or past it.
+# Below it no term c_j/d_j or c_j/d_j^2 (|d_j| >= r > 2^-27), nor their sum,
+# nor a stacked row of them (scaled to 2^bits, bits < 40, over its largest
+# term) can pass the doubles: 2^(1023 - 54 - 40).
+_QUIET = 2.0 ** 929
+
 
 def _numbers(values, dtype, what: str) -> np.ndarray:
     """A copy of values as an array of dtype, float or complex.
@@ -63,6 +70,19 @@ def _largest(values: np.ndarray) -> float:
     """The largest |part| of the entries of a float or complex array."""
     parts = np.ascontiguousarray(values).view(float)
     return float(np.abs(parts).max(initial=0.0))
+
+
+def _mass_bound(m: np.ndarray) -> float:
+    """n max m_j, a bound on sum m_j."""
+    return m.size * float(m.max())
+
+
+def _door(bound: float, what: str) -> None:
+    """ValidationError naming normalize where bound, a bound on the sums of
+    a data type's point kernel (what), is at or past _QUIET."""
+    if not bound < _QUIET:
+        raise ValidationError(f"{what} {bound:.6g}, at or past 2^929: "
+                              "scale the data down, as normalize does a model")
 
 
 def _number(value, kind, what: str):
@@ -105,9 +125,8 @@ class SpectralModel:
         try:
             total = math.fsum(w.tolist())
         except OverflowError:
-            raise ValidationError(
-                "the weights sum past the largest double"
-            ) from None
+            total = math.inf
+        _door(total, "the weights sum to")
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "mu_norm_sq", total)
@@ -180,7 +199,7 @@ class StateVector:
 
     # A bound on the norm: sqrt(total weight) times it bounds sum_j
     # |sqrt(w_j) phi_j| (Cauchy-Schwarz), which decides where products
-    # with the weights are held (herglotz._QUIET).
+    # with the weights are held (_QUIET).
     @cached_property
     def _bound(self) -> float:
         return math.sqrt(2 * self.dim) * _largest(self.coords)
@@ -219,6 +238,9 @@ class SampleSet:
             raise ValidationError("a sample set needs at least one node")
         if (m <= 0.0).any():
             raise NonPositiveWeight("node weights must be strictly positive")
+        # |m_j f(x_j)| <= 1.5 m_j times a value's largest part.
+        _door(_mass_bound(m) * max(1.0, 1.5 * _largest(v)),
+              "the node weights and numerators may sum to")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", x)
         object.__setattr__(self, "node_weights", m)
@@ -231,34 +253,17 @@ class SampleSet:
     # Held for reconstruct from its first call on, so that building a
     # sample set does not pay for it.
     @cached_property
-    def _numerators(self) -> tuple[np.ndarray, int]:
-        """m_j f(x_j), the numerators of the barycentric quotient, scaled by
-        2^-shift, and shift: the least shift >= 0 that keeps
-        sum_j |m_j f(x_j)| 2^-shift below 2^(1021 - 27).  Every exclusion
-        radius is at least 1e-8 > 2^-27, so no term of N_h nor their sum can
-        then overflow.  The sum is bounded with the masses and the values
-        (these only downwards) scaled to below 1 by powers of two: no
-        product overflows, and each one lost to underflow is below 2^-1073,
-        which n 2^-1073 covers."""
-        m, v = self.node_weights, self.values
-        a = math.frexp(float(m.max()))[1]
-        b = max(0, math.frexp(float(np.abs(v.view(float)).max()))[1])
-        total = float(np.abs(np.ldexp(m, -a) * (v * math.ldexp(1.0, -b))).sum())
-        bound = total + math.ldexp(m.size, -1073)
-        shift = max(0, math.frexp(bound)[1] + a + b - (1021 - 27))
-        # In two factors, each a double: shift may pass 1074.
-        num = m * (v * math.ldexp(1.0, -(shift // 2))
-                   * math.ldexp(1.0, shift // 2 - shift))
+    def _numerators(self) -> np.ndarray:
+        """m_j f(x_j), the numerators of the barycentric quotient."""
+        num = self.node_weights * self.values
         num.flags.writeable = False
-        return num, shift
+        return num
 
     @cached_property
-    def _poles(self):  # |m_j f(x_j)| <= 1.5 m_j times a value's largest part
+    def _poles(self):
         from .herglotz import PoleSet, _pole_of_f
-        total = self.size * float(self.node_weights.max())
-        return PoleSet(self.nodes, self.node_weights, total, "sampling node",
-                       _pole_of_f, total * 1.5 * _largest(self.values))
-
+        return PoleSet(self.nodes, self.node_weights, _mass_bound(
+            self.node_weights), "sampling node", _pole_of_f)
 
 @dataclass(frozen=True)
 class MeromorphicRep:
@@ -273,14 +278,13 @@ class MeromorphicRep:
         c = _array(self.coefficients, complex, "coefficients")
         if x.size != c.size:
             raise DimensionMismatch("poles and coefficients must have equal length")
+        _door(2 * c.size * _largest(c), "the coefficients may sum to")
         object.__setattr__(self, "constant",
                            _number(self.constant, complex, "constant"))
         object.__setattr__(self, "poles", x)
         object.__setattr__(self, "coefficients", c)
 
     @cached_property
-    def _poles(self):  # of a non-empty set of poles; total bounds sum |c_n|
+    def _poles(self):  # of a non-empty set of poles, for its guard
         from .herglotz import PoleSet
-        c = self.coefficients
-        return PoleSet(self.poles, None, 2 * c.size * _largest(c),
-                       "pole of the representation")
+        return PoleSet(self.poles, None, 0.0, "pole of the representation")

@@ -10,6 +10,7 @@ in Kramer form (an independent cross-check that uses the model).
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 
 import numpy as np
@@ -21,29 +22,41 @@ from .errors import (
     NumericalError,
     PoleMismatch,
     RealPoint,
+    ValidationError,
 )
-from .herglotz import (
-    _QUIET,
-    PoleSet,
-    _complex,
-    _csum,
-    _hold,
-    _pole_of_f,
-    cauchy_rows,
-    xi,
-)
+from .herglotz import PoleSet, _complex, _csum, _pole_of_f, cauchy_rows, xi
 from .model import (
+    _QUIET,
     Coupling,
     MeromorphicRep,
     SampleSet,
     SpectralModel,
     StateVector,
     _largest,
+    _mass_bound,
     _number,
     _numbers,
     check_dims,
 )
 from .perturbation import _node_data, perturbed_spectrum
+
+_NO_HOLD = contextlib.nullcontext()
+
+
+def _hold(held: bool):
+    """np.errstate holding overflow and invalid-value warnings where held,
+    else a context that does nothing.  A state is held per call: its
+    bound against _QUIET depends on the model it meets."""
+    return np.errstate(over="ignore", invalid="ignore") if held else _NO_HOLD
+
+
+def _computed(kind, **fields):
+    """kind(**fields) for a result computed from accepted inputs, which
+    only the door (a bound at or past _QUIET) can refuse: NumericalError."""
+    try:
+        return kind(**fields)
+    except ValidationError as exc:
+        raise NumericalError(str(exc)) from None
 
 
 def mu_state(model: SpectralModel) -> StateVector:
@@ -82,29 +95,19 @@ def _sample(model: SpectralModel, h: float, *states: StateVector):
 
 
 def sample(model: SpectralModel, phi: StateVector, h: float) -> SampleSet:
-    """Sample the image of phi on the spectrum of the h-coupled operator."""
+    """Sample the image of phi on the spectrum of the h-coupled operator;
+    NumericalError where SampleSet would refuse the set (model._QUIET)."""
     nodes, weights, (values,) = _sample(model, h, phi)
-    return SampleSet(h=h, nodes=nodes, node_weights=weights, values=values)
+    return _computed(SampleSet, h=h, nodes=nodes, node_weights=weights,
+                     values=values)
 
 
-def _quotient(f_h: complex, n_h: complex, shift: int, z: complex) -> complex:
-    """N_h/F_h at z from N_h scaled by 2^-shift; NumericalError where G_h =
-    1/F_h or the quotient is past the doubles.  N_h is scaled back first
-    where it is a double: a part of the quotient far below the other would
-    lose its bits among the subnormals, scaled."""
+def _quotient(f_h: complex, n_h: complex, z: complex) -> complex:
+    """N_h/F_h at z; NumericalError where G_h = 1/F_h or the quotient is
+    past the doubles."""
     if not cmath.isfinite(1.0 / f_h):
         raise NumericalError(f"G_h = 1/F_h overflows at z={z}")
     value = n_h / f_h
-    if shift:
-        try:
-            value = complex(math.ldexp(n_h.real, shift),
-                            math.ldexp(n_h.imag, shift)) / f_h
-        except OverflowError:
-            try:
-                value = complex(math.ldexp(value.real, shift),
-                                math.ldexp(value.imag, shift))
-            except OverflowError:
-                value = math.inf
     if not cmath.isfinite(value):
         raise NumericalError(f"N_h/F_h overflows at z={z}")
     return value
@@ -112,9 +115,8 @@ def _quotient(f_h: complex, n_h: complex, shift: int, z: complex) -> complex:
 
 def _barycentric(samples: SampleSet, z: complex) -> complex:
     """N_h/F_h at one point, F_h and N_h by the samples' kernel."""
-    num, shift = samples._numerators
-    z, f_h, _, n_h = samples._poles.at(z, num=num)
-    return _quotient(f_h, n_h, shift, z)
+    z, f_h, _, n_h = samples._poles.at(z, num=samples._numerators)
+    return _quotient(f_h, n_h, z)
 
 
 def reconstruct(samples: SampleSet,
@@ -130,17 +132,16 @@ def reconstruct(samples: SampleSet,
     a point F_h and N_h are summed together: one stacked call from N = 160
     on (N = 214 at a real z), fsum below.  A grid sums them a block of
     points at a time (PoleSet.rows), and evaluates alone each point that
-    it cannot pass; it raises what the first failing point raises.  N_h is
-    summed from numerators scaled once (SampleSet._numerators) so that it
-    cannot overflow.  NumericalError where F_h, G_h or the quotient is past
-    the doubles.
+    it cannot pass; it raises what the first failing point raises.  The
+    sample set's door (model._QUIET) keeps F_h and N_h finite.
+    NumericalError where G_h or the quotient is past the doubles.
     """
     if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:
         return _barycentric(samples, z)
-    num, shift = samples._numerators
-    rows = samples._poles.rows(_numbers(z, complex, "z").ravel(), num)
+    rows = samples._poles.rows(_numbers(z, complex, "z").ravel(),
+                               samples._numerators)
     return np.array([
-        _quotient(f, n, shift, point) if ok else _barycentric(samples, point)
+        _quotient(f, n, point) if ok else _barycentric(samples, point)
         for point, f, n, ok in rows], dtype=complex).reshape(np.shape(z))
 
 
@@ -174,7 +175,7 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
             f"node {float(x[j])!r} has mass {float(samples.node_weights[j])!r}"
             f", the model's is {float(masses[j])!r}")
     g = np.where(_on(x, lam), 0.0, h)  # -1/F at each node
-    nodes = PoleSet(x, masses, x.size * float(masses.max()), "sampling node",
+    nodes = PoleSet(x, masses, _mass_bound(masses), "sampling node",
                     _pole_of_f)
 
     def at(point):
@@ -218,6 +219,8 @@ def to_partial_fractions(model: SpectralModel,
     Requires unit total weight so that mu and the normalized omega vectors
     form an orthonormal basis.  Each coefficient is the residue N/F' at
     the exact zero of F, by the node rule (see _node_data).
+    NumericalError where MeromorphicRep would refuse the form
+    (model._QUIET).
     """
     check_dims(model, phi)
     if abs(model.mu_norm_sq - 1.0) > _UNIT_WEIGHT_TOL:
@@ -226,8 +229,8 @@ def to_partial_fractions(model: SpectralModel,
         )
     poles = perturbed_spectrum(model, Coupling.infinite())
     coeffs = _node_data(model, 0.0, 1.0, poles, phi.coords[None])[1][0]
-    return MeromorphicRep(constant=mu_inner(model, phi), poles=poles,
-                          coefficients=coeffs)
+    return _computed(MeromorphicRep, constant=mu_inner(model, phi),
+                     poles=poles, coefficients=coeffs)
 
 
 def from_partial_fractions(model: SpectralModel,
@@ -251,17 +254,14 @@ def from_partial_fractions(model: SpectralModel,
 
 
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
-    """Evaluate constant + sum c_n/(z - x_n); NumericalError where a term
-    or the value is past the doubles."""
+    """Evaluate constant + sum c_n/(z - x_n).  The form's door
+    (model._QUIET) keeps the sum below 2^956, which no constant can carry
+    past the doubles."""
     z = _number(z, complex, "z")
     if not rep.poles.size:
         return rep.constant
     rep._poles.guard(z)
-    with _hold(rep._poles.heavy):
-        value = rep.constant + _csum(rep.coefficients / (z - rep.poles))
-    if not cmath.isfinite(value):
-        raise NumericalError(f"the partial fractions overflow at z={z}")
-    return value
+    return rep.constant + _csum(rep.coefficients / (z - rep.poles))
 
 
 def inner_h(model: SpectralModel, h: float, phi: StateVector,

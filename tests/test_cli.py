@@ -508,19 +508,50 @@ def test_reconstruct_names_the_first_failing_grid_point(files, capsys):
     assert captured.out == ""
 
 
-def test_reconstruct_names_a_grid_point_whose_sum_overflows(files, capsys):
-    # At 1.001 the three finite terms of F_h sum past the largest double,
+def test_reconstruct_names_a_grid_point_whose_value_overflows(files, capsys):
+    # 1e-7 from the zero of F_h at 0.5 the quotient N_h/F_h is about 5e309,
     # a NumericalError.
-    samples = {"h": 1.3, "nodes": [0.0, 0.001, 0.002],
-               "weights": [1.2e308] * 3, "values": [[1.0, 0.0]] * 3}
-    with pytest.raises(NumericalError,
-                       match="^a sum is past the largest double$") as e:
-        reconstruct(samples_from_dict(samples), 1.001)
+    samples = {"h": 1.3, "nodes": [0.0, 1.0], "weights": [1e-300] * 2,
+               "values": [[1e303, 0.0], [-1e303, 0.0]]}
+    with pytest.raises(NumericalError, match="^N_h/F_h overflows") as e:
+        reconstruct(samples_from_dict(samples), 0.5 + 1e-7)
     assert main(["reconstruct", "--samples", files("s.json", samples),
                  "--grid", files("g.json", {"points": [[100.0, 1.0],
-                                                       [1.001, 0.0]]})]) == 3
+                                                       [0.5 + 1e-7, 0.0]]})
+                 ]) == 3
     captured = capsys.readouterr()
     assert captured.err == f"grid point 1: {e.value}\n"
+    assert captured.out == ""
+
+
+def test_files_past_the_door_exit_2(files, capsys):
+    # A model or sample file whose weights may sum to 2^929 is malformed
+    # input.
+    half = 2.0 ** 928
+    model = files("m.json", {"kind": "explicit", "eigenvalues": [0.0, 1.0],
+                             "weights": [half, half]})
+    assert main(["spectrum", "--model", model, "--coupling", "1.3"]) == 2
+    assert "normalize" in capsys.readouterr().err
+    samples = files("s.json", {"h": 1.3, "nodes": [0.0, 1.0],
+                               "weights": [half, half],
+                               "values": [[0.5, 0.0], [0.0, 0.5]]})
+    grid = files("g.json", {"points": [[0.5, 1.0]]})
+    assert main(["reconstruct", "--samples", samples, "--grid", grid]) == 2
+    assert "normalize" in capsys.readouterr().err
+
+
+def test_a_sample_set_past_the_door_from_accepted_files_exits_3(files,
+                                                                capsys):
+    # Values near 1e300 put the set's numerators past 2^929.
+    unit = files("u.json", {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
+                            "weights": [1.0] * 3})
+    heavy = files("p.json", {"coords": [[1e300, 0.0], [1.0, 0.0],
+                                        [1.0, 0.0]]})
+    assert main(["sample", "--model", unit, "--state", heavy,
+                 "--coupling", "1.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: the node weights and "
+                                   "numerators may sum to")
     assert captured.out == ""
 
 

@@ -49,8 +49,12 @@ from specsample import (
     xi_norm_sq,
 )
 from specsample.herglotz import EXCLUSION_RADIUS
+from specsample.model import _QUIET
 
 from conftest import random_model, random_state
+
+# The largest total weight the door accepts.
+_BELOW = float(np.nextafter(_QUIET, 0.0))
 
 _RNG = np.random.default_rng(5)
 M = random_model(_RNG, 6)
@@ -167,9 +171,11 @@ def test_a_point_farther_than_the_doubles_from_a_pole_is_a_numerical_error():
     s = SampleSet(h=1.3, nodes=lam, node_weights=[1.0] * 3,
                   values=[1.0, 2.0, 3.0])
     m = new_model(lam, [1.0] * 3)
-    # With masses of 1e308 the near node's term clears the zero certificate
-    # at 1.7e308, so a grid takes that point's sums unless it is refused.
-    heavy = SampleSet(h=1.3, nodes=[-1e307, 1e308], node_weights=[1e308] * 2,
+    # Masses of 1e278, near the largest the door takes here, leave the
+    # near node's term below the zero certificate's slack at 1.7e308
+    # (masses of 1e308 cleared it): a grid hands the point to PoleSet.at,
+    # whose guard raises.
+    heavy = SampleSet(h=1.3, nodes=[-1e307, 1e308], node_weights=[1e278] * 2,
                       values=[1.0, 2.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -191,27 +197,25 @@ def test_a_point_farther_than_the_doubles_from_a_pole_is_a_numerical_error():
         assert math.isfinite(weyl(m, 8e307)[0].real)
 
 
-def test_a_sum_past_the_doubles_is_a_numerical_error():
-    # The three terms of F_h at 1.001 are finite; their sum is not.
-    s = SampleSet(h=1.3, nodes=[0.0, 0.001, 0.002],
+def test_a_sample_set_whose_sum_can_pass_the_doubles_is_refused():
+    # F_h's three terms at 1.001 are finite and their sum is not: masses
+    # that may sum past 2^929 are refused at the door.
+    with pytest.raises(ValidationError, match="normalize"):
+        SampleSet(h=1.3, nodes=[0.0, 0.001, 0.002],
                   node_weights=[1.2e308] * 3, values=[1.0, 1.0, 1.0])
-    for z in (1.001, [1.001]):
-        with pytest.raises(NumericalError,
-                           match="^a sum is past the largest double$"):
-            reconstruct(s, z)
 
 
 def test_public_helpers_past_the_doubles_raise_without_a_warning():
     # Terms past the doubles gave inf+0j, or a ValidationError about the
-    # coordinates they made, each after numpy's warning.
-    rep = MeromorphicRep(1.0, [0.0, 1.0], [1e308, -1e308])
+    # coordinates they made, each after numpy's warning.  A form whose
+    # coefficients may sum past 2^929 is refused at the door.
+    with pytest.raises(ValidationError, match="normalize"):
+        MeromorphicRep(1.0, [0.0, 1.0], [1e308, -1e308])
     m = new_model([0.0, 1.0, 2.0], [1.0, 1e-299, 1.0])
     zeros = perturbed_spectrum(m, Coupling.infinite())
     assert zeros.tolist() == [1.0, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericalError, match="overflow"):
-            evaluate_rep(rep, 0.5 + 1e-300j)
         for pole in zeros:
             with pytest.raises(NumericalError,
                                match="^pole 1.0 lies on an eigenvalue$"):
@@ -227,6 +231,8 @@ def test_extreme_models_return_or_raise_a_spectral_error():
     # smallest subnormal to 1e300, returns or raises a SpectralError; so
     # does weyl_h at the nodes, where 1 + hF can round to exactly 0.  The
     # suite's filter makes a RuntimeWarning an error: none may warn first.
+    # Weights of half and a fifth of the largest total below the door
+    # (2^929) reach the largest models it accepts.
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
     small = st.integers(-4, 4).map(lambda k: k / 2)
@@ -238,7 +244,8 @@ def test_extreme_models_return_or_raise_a_spectral_error():
             st.lists(st.floats(-1e307, 1e307) | small, min_size=n,
                      max_size=n, unique=True),
             st.lists(st.floats(2e-300, 1e308)
-                     | st.sampled_from([2e-300, 1e-8, 1.0, 5e307]),
+                     | st.sampled_from([2e-300, 1e-8, 1.0, 5e307,
+                                        _BELOW / 2, _BELOW / 5]),
                      min_size=n, max_size=n),
             st.lists(small, min_size=n, max_size=n))),
         z=st.complex_numbers(max_magnitude=1.7e308, allow_nan=False,

@@ -254,11 +254,11 @@ def test_compression_oracle_holds_at_an_offset_of_1e8(tiny, seed):
 
 
 def test_a_secular_residual_past_the_doubles_fails_without_a_warning():
-    # The node beside 0 is the smallest subnormal, F there is 8.8e307, and
+    # The node beside 0 is the smallest subnormal, F there is 9.0e307, and
     # 1 + hF overflows at h = 2.34: it reads inf, not numpy's warning.
     from specsample.verify import check_secular_residuals
 
-    m = new_model([0.0, 0.01], [4.51032528088474e-16, 1.79e306])
+    m = new_model([0.0, 1e-29], [1e-20, 9e278])
     result = check_secular_residuals(m, np.random.default_rng([0, 1]))
     assert not result.passed and result.detail == "max=inf"
 

@@ -255,8 +255,9 @@ def test_f_that_underflows_to_zero_is_a_zero_of_f(z):
 @pytest.mark.parametrize("z", [0.5 + 1e-7, 0.5 + 1e-7j])
 def test_a_quotient_past_the_doubles_is_a_numerical_failure(z):
     # 1e-7 from the zero of F_h at 0.5, outside the guard, N_h/F_h is about
-    # 5e309; every term of N_h and 1/F_h are finite.
-    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1.0, 1.0],
+    # 5e309; every term of N_h and 1/F_h are finite, and masses of 1e-300
+    # keep the numerators far below the door.
+    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1e-300, 1e-300],
                   values=[1e303, -1e303])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -426,22 +427,22 @@ def test_f_its_derivative_and_a_numerator_are_summed_together(n):
 
 @pytest.mark.parametrize("n", [3, _STACK_TERMS])
 def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
-    # Weights of 5e307 on the first two poles: midway between them their
-    # terms are infinite, of opposite signs, and have no sum
+    # Coordinates of 5e307 on the first two poles: midway between them the
+    # numerator's terms are infinite, of opposite signs, and have no sum
     # (NumericalError); at -0.3 they are finite and sum past the largest
     # double, which math.fsum reports (NumericalError too, not its
-    # OverflowError).
+    # OverflowError).  The state is held, and no warning is given.
     lam = np.linspace(0.0, 1.0, n)
-    m = new_model(lam, np.concatenate(([5e307, 5e307], np.ones(n - 2))))
+    m = new_model(lam, np.ones(n))
+    phi = StateVector(np.concatenate(([5e307, 5e307], np.ones(n - 2))))
     mid = 0.5 * (lam[0] + lam[1])
-    with np.errstate(all="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError, match="both infinite signs"):
-            weyl(m, mid)
-        with pytest.raises(NumericalError, match="both infinite signs"):
-            transform(m, StateVector(np.ones(n)), mid)
+            transform(m, phi, mid)
         with pytest.raises(NumericalError,
                            match="^a sum is past the largest double$"):
-            weyl(m, -0.3)
+            transform(m, phi, -0.3)
 
 
 def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
@@ -522,103 +523,17 @@ def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
             transform(m, StateVector(coords), z)
 
 
-def test_a_sum_past_the_doubles_is_a_numerical_failure():
-    # A weight of 1e308 at 0 puts F's term past the doubles at 0.3: its
-    # quotients would be 0 (transform's -0j, where the value is 1.0e-154)
-    # or NaN (weyl_h, xi, xi_norm_sq), and reconstruct's -0j where it is
-    # 1.0.  weyl returns F itself.
-    m = new_model([0.0, 1.0], [1e308, 1.0])
-    phi = StateVector([1.0, 2.0])
-    s = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1e308, 1.0],
-                  values=[1.0, 2.0])
-    points = [0.3 + 1e-3j, 0.3]
-    assert s._numerators[1] > 0
-    with np.errstate(over="ignore"):
-        assert _check(m, phi, s, points, kramer=False) == 9
-        assert cmath.isinf(weyl(m, points[0])[0])
-    # Values 1e-10 and 1e10 leave the numerators unscaled; F_h's term
-    # still overflows, and raises without a warning either way.
-    small = SampleSet(h=H, nodes=[0.0, 1.0], node_weights=[1e308, 1.0],
-                      values=[1e-10, 1e10])
-    assert small._numerators[1] == 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        for samples in (s, small):
-            for z in points:
-                with pytest.raises(NumericalError, match="not finite"):
-                    reconstruct(samples, z)
-            with pytest.raises(NumericalError, match="not finite"):
-                reconstruct(samples, [1j, *points])
-
-
-@pytest.mark.parametrize("values, z", [([1e308, 1.0, 1.0], 1e-7),
-                                       ([1e308] * 3, 1.0 + 0.5j)])
-def test_numerators_near_the_top_of_the_doubles_are_summed_scaled(values, z):
-    # Unscaled, the terms m_j f(x_j)/(x_j - z) overflow: N_h is summed from
-    # numerators scaled once by a power of two, and the quotient scaled
-    # back.
-    _check_scaled_numerators([1.0] * 3, values, z)
-
-
-def test_numerators_of_a_small_mass_beside_a_heavy_one_are_scaled():
-    # The shift is taken from masses and values each scaled to their own
-    # largest: scaled by the largest mass alone, the mass 2 underflowed,
-    # the shift read 0 and its numerator overflowed with a warning.
-    _check_scaled_numerators([2.0, 1e308, 1.0], [1e308, 0.0, 0.0], 0.5 + 1j)
-
-
-def _check_scaled_numerators(masses, values, z):
-    mpmath = pytest.importorskip("mpmath")
-    nodes = [0.0, 1.0, 2.0]
-    s = SampleSet(h=H, nodes=nodes, node_weights=masses, values=values)
-    with mpmath.workdps(50):
-        zz = mpmath.mpc(z)
-        want = complex(
-            sum(mpmath.mpf(m) * v / (x - zz)
-                for m, v, x in zip(masses, values, nodes))
-            / sum(m / (x - zz) for m, x in zip(masses, nodes)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        got = [reconstruct(s, z), *reconstruct(s, [z, 0.5 + 1j, z])[::2]]
-    for value in got:
-        assert abs(value - want) <= 1e-15 * abs(want)
-
-
-def test_scaled_numerators_keep_the_bits_of_the_unscaled_sums():
-    # Values of 1e300 scale the numerators at N = 50, whose terms stay
-    # finite off the axis: N_h is scaled back before the division, so the
-    # point and the grid give the unscaled quotient's bits.
-    rng = np.random.default_rng(50)
-    m = random_model(rng, 50)
-    s = sample(m, random_state(rng, 50), H)
-    s = SampleSet(h=H, nodes=s.nodes, node_weights=s.node_weights,
-                  values=s.values * 1e300)
-    assert s._numerators[1] > 0
-    points = [complex(x, y) for x in (-3.0, 0.3, 4.1, 20.0)
-              for y in (1e-3, -0.5, 40.0)]
-    want = []
-    for z in points:
-        d = s.nodes - z
-        want.append(_fsum(s.node_weights * s.values / d)
-                    / _fsum(s.node_weights / d))
-    want = np.array(want).tobytes()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert np.array([reconstruct(s, z) for z in points]).tobytes() == want
-        assert reconstruct(s, points).tobytes() == want
-    # A mass of 1e307 scales them too.  At 1000i the quotient is about
-    # 1 - 2.08e-306i: divided scaled, its imaginary part would fall among
-    # the subnormals and keep about 32 of its bits.
-    nodes = np.linspace(0.0, 1.0, 250)
-    masses = np.concatenate(([1e307], np.ones(249)))
-    s = SampleSet(h=H, nodes=nodes, node_weights=masses,
-                  values=np.arange(1.0, 251.0))
-    assert s._numerators[1] > 0
-    d = nodes - 1000j
-    want = _fsum(masses * s.values / d) / _fsum(masses / d)
-    assert abs(want.imag) < 1e-305
-    assert _bits(reconstruct(s, 1000j)) == _bits(want)
-    assert _bits(reconstruct(s, [1000j])) == _bits(want)
+def test_terms_past_the_doubles_are_refused_at_the_door():
+    # A weight or mass of 1e308 put F's and F_h's terms past the doubles at
+    # 0.3, where their quotients read 0 or NaN, and values of 1e308 the
+    # numerators of N_h: the door refuses each.
+    with pytest.raises(ValidationError, match="normalize"):
+        new_model([0.0, 1.0], [1e308, 1.0])
+    for masses, values in (([1e308, 1.0], [1e-10, 1e10]),
+                           ([1.0, 1.0], [1e308, 1.0])):
+        with pytest.raises(ValidationError, match="normalize"):
+            SampleSet(h=H, nodes=[0.0, 1.0], node_weights=masses,
+                      values=values)
 
 
 def _outcomes(s, points):
@@ -710,7 +625,7 @@ def test_a_grid_evaluates_a_refused_point_without_calling_itself(
                StateVector([1.0, 2.0j, -0.5]), 1.3)
     r = herglotz.EXCLUSION_RADIUS * max(1.0, s.nodes[-1] - s.nodes[0])
     z = s.nodes[1] + 1j * r * (1.0 + 2.0 ** -51)
-    (_, _, _, passed), = s._poles.rows(np.array([z]), s._numerators[0])
+    (_, _, _, passed), = s._poles.rows(np.array([z]), s._numerators)
     assert not passed
     want = reconstruct(s, z)
     calls = []
