@@ -239,7 +239,8 @@ def _slopes(c: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 
 def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
-                   r: float, bound: float | None = None) -> bool | np.ndarray:
+                   r: float, bound: float | np.ndarray | None = None
+                   ) -> bool | np.ndarray:
     """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
     and f' = _csum(_slopes(c, d)), decided without summing f'.
 
@@ -258,19 +259,16 @@ def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
     |d_j| >= r >= 1e-8), and below 2^-1072 per term c_j q_j^2, so below
     2^-1045 once divided by r.
 
-    f and dist may also hold a row of points (shapes (p,) and (p, n)); the
-    answer is then one per point, each B summed by einsum in its own order.
-    A bound given for r B is used instead: r S / m / m at a point, S at
-    least sum c_j and m = min |d_j| (PoleSet.at), above r B but for a few
-    u, well within delta, and summing nothing (it divides by m twice: m^2
-    can overflow where the terms of f' do not).
+    A bound given for r B is used instead, the first certificate: r S / m
+    / m, S the pole set's fsum of the c_j and m = min |d_j|, above r B but
+    for a few u, well within delta, and summing nothing (it divides by m
+    twice: m^2 can overflow where the terms of f' do not).  With it, f and
+    the bound may hold a row of points (PoleSet.rows), one answer each.
     """
     n = dist.shape[-1]
     if bound is None:
         q = r / dist
-        cq = c * q
-        bound = (float(np.dot(cq, q)) if q.ndim == 1
-                 else np.einsum("ij,ij->i", cq, q)) / r
+        bound = float(np.dot(c * q, q)) / r
     return (f != 0) & (abs(f) >= (bound * (1.0 + (n + 64) * 2.0 ** -52)
                                   + n * (1.0 + r) * 2.0 ** -1020))
 
@@ -286,14 +284,24 @@ def _pole_of_f(z: complex, r: float) -> PoleProximity:
 
 class PoleSet:
     """The point kernel of an increasing, non-empty set of real poles with
-    masses c, named what in its errors, its zero guard raising zero(z, r):
-    its ends, radius r and total, a bound on sum c_j."""
+    masses c (None for a guard alone), named what in its errors, its zero
+    guard raising zero(z, r): its ends, radius r and total, the fsum of
+    the c_j, from which _clear_of_zero's first certificate is formed."""
 
-    def __init__(self, poles: np.ndarray, c: np.ndarray | None, total: float,
+    def __init__(self, poles: np.ndarray, c: np.ndarray | None,
                  what: str = "eigenvalue", zero: Callable = _zero_of_f):
-        self.poles, self.c, self.total, self.what = poles, c, total, what
+        self.poles, self.c, self.what = poles, c, what
         self.lo, self.hi, self.zero = float(poles[0]), float(poles[-1]), zero
         self.r = _radius(self.hi - self.lo)
+        self.total = 0.0 if c is None else math.fsum(c.tolist())
+
+    def held(self, z: complex) -> bool:
+        """Whether z is _FAR from an end pole or from the axis, where a
+        square or Smith's division of d can overflow: its sums hold numpy's
+        warnings."""
+        x = z.real
+        return not (self.hi - x < _FAR > x - self.lo
+                    and -_FAR < z.imag < _FAR)
 
     def guard(self, z: complex) -> tuple[np.ndarray, np.ndarray, float]:
         """d = poles - z, |d| and its least at a finite z; PoleProximity
@@ -320,9 +328,8 @@ class PoleSet:
         clear z, else None; N is None without num, and summed after the
         guard (_stacked)."""
         z = _number(z, complex, "z")
-        x = z.real
         # Not an empty context: it costs a few percent of a call here.
-        if not (self.hi - x < _FAR > x - self.lo and -_FAR < z.imag < _FAR):
+        if self.held(z):
             with np.errstate(over="ignore", invalid="ignore"):
                 return self._at(z, derivative, num, checked)
         return self._at(z, derivative, num, checked)
@@ -352,8 +359,9 @@ class PoleSet:
         points (_BLOCK_TERMS real terms) per _row_sums call, and whether at
         passes z without f': z finite, |d| beyond r (with room for |d|
         rounded otherwise than in guard), no d past the doubles and z
-        cleared by _clear_of_zero.  The caller hands every other point to
-        at."""
+        cleared by the first certificate of _clear_of_zero, which sums
+        nothing.  The caller hands every other point to at, which tries
+        the summed bound and then f'."""
         c, lo, hi, r = self.c, self.lo, self.hi, self.r
         rows = max(1, _BLOCK_TERMS // (4 * self.poles.size))
         for start in range(0, points.size, rows):
@@ -366,9 +374,9 @@ class PoleSet:
                     [part for t in terms for part in (t.real, t.imag)]))
                 f, n = (_complex(re, im) for re, im in sums.reshape(2, 2, -1))
                 far = np.maximum(hi - z.real, z.real - lo) == math.inf
-                ok = (np.isfinite(z) & ~far
-                      & (dist.min(axis=1) > r * (1.0 + 2.0 ** -50))
-                      & _clear_of_zero(f, c, dist, r))
+                m = dist.min(axis=1)
+                ok = (np.isfinite(z) & ~far & (m > r * (1.0 + 2.0 ** -50))
+                      & _clear_of_zero(f, c, dist, r, r * self.total / m / m))
             # Freed before the next block forms its own: one at a time.
             del d, dist, terms, sums
             yield from zip(z.tolist(), f.tolist(), n.tolist(), ok.tolist())

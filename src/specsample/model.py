@@ -72,11 +72,6 @@ def _largest(values: np.ndarray) -> float:
     return float(np.abs(parts).max(initial=0.0))
 
 
-def _mass_bound(m: np.ndarray) -> float:
-    """n max m_j, a bound on sum m_j."""
-    return m.size * float(m.max())
-
-
 def _door(bound: float, what: str) -> None:
     """ValidationError naming normalize where bound, a bound on the sums of
     a data type's point kernel (what), is at or past _QUIET."""
@@ -148,7 +143,7 @@ class SpectralModel:
     @cached_property
     def _poles(self):
         from .herglotz import PoleSet
-        return PoleSet(self.eigenvalues, self.weights, self.mu_norm_sq)
+        return PoleSet(self.eigenvalues, self.weights)
 
 
 def new_model(eigenvalues, weights) -> SpectralModel:
@@ -168,7 +163,7 @@ class Coupling:
     value: float | None
 
     @staticmethod
-    def finite(h: float | str) -> "Coupling":
+    def finite(h: float) -> "Coupling":
         return Coupling(_number(h, float, "coupling"))
 
     @staticmethod
@@ -238,8 +233,9 @@ class SampleSet:
             raise ValidationError("a sample set needs at least one node")
         if (m <= 0.0).any():
             raise NonPositiveWeight("node weights must be strictly positive")
-        # |m_j f(x_j)| <= 1.5 m_j times a value's largest part.
-        _door(_mass_bound(m) * max(1.0, 1.5 * _largest(v)),
+        # sum m_j <= n max m_j, and |m_j f(x_j)| <= 1.5 m_j times a
+        # value's largest part.
+        _door(m.size * float(m.max()) * max(1.0, 1.5 * _largest(v)),
               "the node weights and numerators may sum to")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "nodes", x)
@@ -262,8 +258,8 @@ class SampleSet:
     @cached_property
     def _poles(self):
         from .herglotz import PoleSet, _pole_of_f
-        return PoleSet(self.nodes, self.node_weights, _mass_bound(
-            self.node_weights), "sampling node", _pole_of_f)
+        return PoleSet(self.nodes, self.node_weights, "sampling node",
+                       _pole_of_f)
 
 @dataclass(frozen=True)
 class MeromorphicRep:
@@ -287,4 +283,4 @@ class MeromorphicRep:
     @cached_property
     def _poles(self):  # of a non-empty set of poles, for its guard
         from .herglotz import PoleSet
-        return PoleSet(self.poles, None, 0.0, "pole of the representation")
+        return PoleSet(self.poles, None, "pole of the representation")

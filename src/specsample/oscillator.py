@@ -104,7 +104,7 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
     no finite set of levels whose spread would scale it.
     """
     z = _number(z, complex, "z")
-    PoleSet(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), None, 0.0,
+    PoleSet(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), None,
             "oscillator level").guard(z)
     return _refined(lambda points: _integral_value(z, points), quad_points,
                     1e-8, "integral")

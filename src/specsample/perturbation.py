@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
-from .herglotz import _BLOCK_TERMS, _complex, cauchy_rows
+from .herglotz import _BLOCK_TERMS, _FAR, _complex, cauchy_rows
 from .model import Coupling, SpectralModel, _number, new_model
 
 # Steps a root may take before its bracket must keep up with bisection.
@@ -318,8 +318,11 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     InconsistentNodes: a node count other than the number of roots, or a
     node farther from its root than 1e-9 times the scale at h = 0, else
     _NODE_DISTANCE_TOL times the scale (or a few rounding errors).
-    NumericalError: two roots on one double, a mass that rounds to 0
-    (naming an overflow of R'), or an image value that is not finite.
+    NumericalError: two roots on one double, a root _FAR = 2^511 or
+    farther from its origin (every other pole is at least as far, so each
+    term of R' squares past the doubles and R' reads 0), a mass that
+    rounds to 0 (naming an overflow of R'), or an image value that is not
+    finite.
     """
     x = np.asarray(nodes, dtype=float)
     lam, w = model.eigenvalues, model.weights
@@ -342,6 +345,13 @@ def _node_data(model: SpectralModel, a: float, b: float, nodes,
     if same.size:
         raise NumericalError(f"two roots round to {float(root[same[0]])!r} "
                              f"at h={h}")
+    far = ~(np.abs(tau) < _FAR)
+    if far.any():
+        j = int(far.argmax())
+        raise NumericalError(
+            f"node {float(x[j])!r} lies {abs(float(tau[j])):.3e} from "
+            f"eigenvalue {float(lam[k[j]])!r}, at or past 2^511: its mass "
+            "takes squares past the doubles")
     coords = np.empty((0, model.dim)) if coords is None else coords
     wk = w[k]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -390,7 +400,8 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     poles there (see _node_data), so it stays accurate for roots that hug
     a pole or lie closer together than the rounding of x_j.  Raises
     InconsistentNodes for nodes that are not the spectrum at h, and
-    NumericalError naming a node whose mass rounds to 0.
+    NumericalError naming a node whose mass rounds to 0 or that lies 2^511
+    or farther from its origin.
     """
     return _node_data(model, 1.0, _number(h, float, "h"), nodes)[0]
 

@@ -33,7 +33,6 @@ from .model import (
     SpectralModel,
     StateVector,
     _largest,
-    _mass_bound,
     _number,
     _numbers,
     check_dims,
@@ -46,7 +45,8 @@ _NO_HOLD = contextlib.nullcontext()
 def _hold(held: bool):
     """np.errstate holding overflow and invalid-value warnings where held,
     else a context that does nothing.  A state is held per call: its
-    bound against _QUIET depends on the model it meets."""
+    bound against _QUIET depends on the model it meets; a form's point
+    where PoleSet.held says."""
     return np.errstate(over="ignore", invalid="ignore") if held else _NO_HOLD
 
 
@@ -175,8 +175,7 @@ def kramer_reconstruct(model: SpectralModel, samples: SampleSet,
             f"node {float(x[j])!r} has mass {float(samples.node_weights[j])!r}"
             f", the model's is {float(masses[j])!r}")
     g = np.where(_on(x, lam), 0.0, h)  # -1/F at each node
-    nodes = PoleSet(x, masses, _mass_bound(masses), "sampling node",
-                    _pole_of_f)
+    nodes = PoleSet(x, masses, "sampling node", _pole_of_f)
 
     def at(point):
         f = model._poles.at(point)[1]
@@ -256,12 +255,14 @@ def from_partial_fractions(model: SpectralModel,
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     """Evaluate constant + sum c_n/(z - x_n).  The form's door
     (model._QUIET) keeps the sum below 2^956, which no constant can carry
-    past the doubles."""
+    past the doubles; a z _FAR out holds numpy's warnings, as PoleSet.at
+    does, where a term's division overflows on its way to 0."""
     z = _number(z, complex, "z")
     if not rep.poles.size:
         return rep.constant
     rep._poles.guard(z)
-    return rep.constant + _csum(rep.coefficients / (z - rep.poles))
+    with _hold(rep._poles.held(z)):
+        return rep.constant + _csum(rep.coefficients / (z - rep.poles))
 
 
 def inner_h(model: SpectralModel, h: float, phi: StateVector,

@@ -157,6 +157,15 @@ def test_spectrum_with_an_underflowed_node_mass_is_a_numerical_failure(
     assert "has no positive mass" in capsys.readouterr().err
 
 
+def test_spectrum_with_a_node_2_to_511_from_its_origin_is_a_numerical_failure(
+        files, capsys):
+    model = {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
+             "weights": [0.5, 0.25, 0.25]}
+    assert main(["spectrum", "--model", files("m.json", model),
+                 "--coupling", "1e155"]) == 3
+    assert "at or past 2^511" in capsys.readouterr().err
+
+
 # Eigenvalues 0 and 1e-310 around a node at 5e-324: the terms of F there
 # are -inf and +inf.
 TINY_GAP = {"kind": "explicit", "eigenvalues": [0.0, 1e-310, 1.0],

@@ -161,6 +161,35 @@ def test_node_weight_sum_matches_total():
         assert math.fsum(w) == pytest.approx(m.mu_norm_sq, rel=1e-9)
 
 
+# At an offset of 2^511 (herglotz._FAR) or more from its origin, every
+# other pole of a root is at least as far, so each term of R' squares past
+# the doubles and R' reads 0: the masses of [0, 1, 2] with weights
+# [.5, .25, .25] summed to 4.0 at h = 1e155 and 2.0 at h = -1e160, a model
+# of total 2^928 read 4 times its total at h = 1.3, and one of total 1e150
+# at h = 1e5 did too.
+FAR_NODES = [([0.5, 0.25, 0.25], 1e155), ([0.5, 0.25, 0.25], -1e160),
+             ([2.0 ** 927, 2.0 ** 926, 2.0 ** 926], 1.3),
+             ([5e149, 2.5e149, 2.5e149], 1e5)]
+
+
+@pytest.mark.parametrize("weights, h", FAR_NODES)
+def test_a_node_2_to_511_from_its_origin_is_a_numerical_failure(weights, h):
+    m = new_model([0.0, 1.0, 2.0], weights)
+    nodes = perturbed_spectrum(m, Coupling.finite(h))
+    with pytest.raises(NumericalError, match=r"at or past 2\^511"):
+        node_weights(m, h, nodes)
+    with pytest.raises(NumericalError, match=r"at or past 2\^511"):
+        perturbed_model(m, h)
+    with pytest.raises(NumericalError, match=r"at or past 2\^511"):
+        sample(m, random_state(np.random.default_rng(0), 3), h)
+
+
+def test_masses_of_a_far_node_below_2_to_511_sum_to_the_total():
+    m = new_model([0.0, 1.0, 2.0], [0.5, 0.25, 0.25])
+    nodes = perturbed_spectrum(m, Coupling.finite(1e150))
+    assert math.fsum(node_weights(m, 1e150, nodes)) == 1.0
+
+
 def test_node_data_sums_only_the_rows_it_returns(monkeypatch, tmp_path,
                                                  capsys):
     # The masses come from one kernel pass at the roots; the pass at the

@@ -199,3 +199,16 @@ def test_an_ordinary_point_evaluation_enters_no_errstate(n, monkeypatch):
     # A point far out enters one.
     weyl(m, 1e200)
     assert len(entered) == 1
+    evaluate_rep(rep, 1e308 + 1e308j)
+    assert len(entered) == 2
+
+
+@pytest.mark.parametrize("z", [1e308 + 1e308j, -1e308 - 1e308j])
+def test_a_form_far_out_evaluates_without_a_warning(z):
+    # Smith's division of c_n by z - x_n overflows its denominator on the
+    # way to a term that rounds to 0: numpy warned "overflow encountered in
+    # divide".  The form holds the point, as PoleSet.at does past _FAR.
+    rep = MeromorphicRep(1.0, [0.0, 1.0], [1.0, -1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert evaluate_rep(rep, z) == 1.0

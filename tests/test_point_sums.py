@@ -616,6 +616,31 @@ def test_grid_blocks_keep_the_bits_and_the_shape(monkeypatch):
     assert isinstance(reconstruct(s, np.complex128(0.3 + 1j)), complex)
 
 
+def test_a_grid_row_passes_by_the_first_certificate_alone():
+    # A grid clears a row by r S / m^2 alone, S the pole set's own fsum of
+    # the masses and m the row's least |d|; a row only the summed bound
+    # clears goes to PoleSet.at, which gives it the bits of the point call.
+    # At h = 1.3 the exterior node of a model of total 70 carries most of
+    # the mass, so S is far below n max m, and some rows go to at.
+    rng = np.random.default_rng(3)
+    m = random_model(rng, 100, normalized=False)
+    s = sample(m, random_state(rng, 100), H)
+    poles = s._poles
+    assert poles.total == math.fsum(s.node_weights.tolist())
+    x = s.nodes
+    grid = (rng.uniform(x[0] - 5.0, x[-1] + 5.0, 1000)
+            + 1j * 10.0 ** rng.uniform(-3.0, 1.0, 1000)
+            * rng.choice([-1.0, 1.0], 1000))
+    handed = 0
+    for z, f, _, ok in poles.rows(grid, s._numerators):
+        _, dist, least = poles.guard(z)
+        first = poles.r * poles.total / least / least
+        assert ok == _clear_of_zero(f, poles.c, dist, poles.r, first)
+        handed += not ok and _clear_of_zero(f, poles.c, dist, poles.r)
+    assert handed > 0
+    assert _check_grid(s, list(grid)) == 0
+
+
 def test_a_grid_evaluates_a_refused_point_without_calling_itself(
         monkeypatch):
     # Just past r from a node the grid's margin refuses the point, which

@@ -13,10 +13,13 @@ inputs:
 - a random state and the heavy states of coordinates 1, 1e300 (1 + i) and
   1e308;
 - points off the axis, on it, 0.9, 1.1 and 3 radii from poles, nodes and
-  zeros of F, and from 1e153 to 1e300.
+  zeros of F, from 1e153 to 1e300, and +-(1e308 + 1e308j).
 
-It prints one line per case, its id and a digest.  Run it on two source
-trees and count the cases that differ:
+It prints one line per case, its id and a digest.  A RuntimeWarning is
+numpy reporting an overflow or a NaN outside the np.errstate block meant
+to hold it: where a case's outcome is one, the sweep lists those cases on
+stderr and exits 1.  Run it on two source trees and count the cases that
+differ:
 
     PYTHONPATH=base/src python tools/bitsweep.py > base.txt
     PYTHONPATH=src python tools/bitsweep.py > head.txt
@@ -53,6 +56,7 @@ class Sweep:
     def __init__(self):
         self.cases: list[tuple[str, str]] = []
         self.seen: dict[str, int] = {}
+        self.warned: list[str] = []
 
     def run(self, evaluator: str, where: str, evaluate):
         """Records evaluate()'s digest as the case "evaluator where" (and
@@ -65,6 +69,8 @@ class Sweep:
         try:
             out = evaluate()
         except Exception as exc:  # RuntimeWarning too
+            if isinstance(exc, RuntimeWarning):
+                self.warned.append(case)
             self.cases.append((case, _digest(exc)))
             return None
         self.cases.append((case, _digest(_parts(out))))
@@ -105,7 +111,8 @@ def _points(m, seed):
     r = 1e-8 * scale
     return ([complex(a, b) for a, b in zip(x, y)] + [complex(a) for a in x[:3]]
             + _near(lam, r) + _near(zeros, r)
-            + [1e153, -1e154j, 1.3e154 + 1e154j, 1e200, -1e300, 1e300j])
+            + [1e153, -1e154j, 1.3e154 + 1e154j, 1e200, -1e300, 1e300j,
+               1e308 + 1e308j, -1e308 - 1e308j])
 
 
 def _states(rng, n):
@@ -161,7 +168,7 @@ def _sets(sweep, name, s, points):
                   lambda: ss.reconstruct(t, grid))
 
 
-def sweep_all() -> list[tuple[str, str]]:
+def sweep_all() -> Sweep:
     import specsample as ss
 
     sweep = Sweep()
@@ -204,7 +211,7 @@ def sweep_all() -> list[tuple[str, str]]:
                         lambda: ss.kramer_reconstruct(m, s, z))
                 run("kramer_reconstruct", f"{at}/grid",
                     lambda: ss.kramer_reconstruct(m, s, few))
-    return sweep.cases
+    return sweep
 
 
 def _read(path: str) -> dict[str, str]:
@@ -239,8 +246,13 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        cases = sweep_all()
-    sys.stdout.write("".join(f"{case}\t{digest}\n" for case, digest in cases))
+        sweep = sweep_all()
+    sys.stdout.write("".join(f"{case}\t{digest}\n"
+                             for case, digest in sweep.cases))
+    if sweep.warned:
+        print(f"{len(sweep.warned)} cases raise a RuntimeWarning:",
+              *sweep.warned, sep="\n", file=sys.stderr)
+        return 1
     return 0
 
 
