@@ -191,7 +191,7 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except MemoryError:
         # The dense N x N arrays left: the eigvalsh inputs of truncate and
-        # compression_spectrum, and jacobi._twisted.
+        # compression_spectrum.
         print("numerical failure: out of memory", file=sys.stderr)
         return EXIT_NUMERICAL
     except SpectralError as exc:

@@ -27,9 +27,9 @@ where a certificate, |f| >= r sum c_j/|x_j - z|^2 with a margin for
 rounding (_clear_of_zero), cannot rule the zero guard out; elsewhere it
 is summed and the guard decides exactly as without the certificate.
 weyl, weyl_h and xi_norm_sq always sum F', which they return.  A point
-farther than the largest double from a pole and a sum past the doubles (a
-state's numerator) are NumericalErrors; below model._QUIET no sum of
-masses can pass them.
+farther than the largest double from a pole and a sum past the doubles are
+NumericalErrors; below the doors (model._door) no sum of masses or
+numerators can pass them.
 """
 from __future__ import annotations
 

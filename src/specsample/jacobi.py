@@ -25,6 +25,7 @@ from .model import (
     SampleSet,
     SpectralModel,
     _array,
+    _count,
     _number,
     new_model,
 )
@@ -70,20 +71,21 @@ class PolynomialEval:
     Q_prime: np.ndarray
 
 
-def _require(params: JacobiParams, n: int) -> None:
-    if n < 1:
-        raise ValidationError("polynomial degree must be at least 1")
+def _require(params: JacobiParams, n: int) -> int:
+    """The degree n by model._count, where params reach it."""
+    n = _count(n, "polynomial degree", 1)
     if params.q.size < n or params.b.size < n - 1:
         raise InsufficientCoefficients(
             f"need q_1..q_{n} and b_1..b_{n - 1}; have {params.q.size} and "
             f"{params.b.size}"
         )
+    return n
 
 
 def polys(params: JacobiParams, z: complex, n: int) -> PolynomialEval:
     """Run the three-term recurrence (and its derivative) up to degree n;
     NumericalError where it overflows."""
-    _require(params, n)
+    n = _require(params, n)
     z = _number(z, complex, "z")
     q, b1 = params.q, params.offdiag(1)
     P = np.empty(n + 1, dtype=complex)
@@ -113,7 +115,7 @@ _PIVMIN = 1e-280
 
 def sturm_count(params: JacobiParams, n: int, t: float) -> int:
     """Number of eigenvalues of the n-truncation strictly below t."""
-    _require(params, n)
+    n = _require(params, n)
     q, b, t = params.q, params.b, float(t)
     count, d = 0, 1.0
     for k in range(n):
@@ -128,13 +130,30 @@ def _nudge(d: np.ndarray) -> np.ndarray:
     return np.where(np.abs(d) < _PIVMIN, -_PIVMIN, d)
 
 
+# Terms per array of a _twisted pass, which holds about seven of them: a
+# block of columns (values of lam) at a time, 8 MiB each.
+_TWIST_TERMS = 1 << 20
+
+
 def _twisted(q: np.ndarray, b: np.ndarray,
              lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """log(z_1^2/|z|^2) and the Rayleigh step gamma_r/|z|^2 at each lam_j,
     for the vector z (z_r = 1) of the twisted factorization of J - lam_j
     (Parlett & Dhillon, LAA 267, 1997): top-down pivots d_k and bottom-up
     pivots e_k meet at the r of least |gamma_k| = |d_k + e_k - (q_k - lam_j)|.
+    Each column is its own: blocks of _TWIST_TERMS terms give its bits,
+    and every block is at least two columns wide, as a block of one sums
+    its column in another order.
     """
+    step = max(2, _TWIST_TERMS // q.size)
+    parts = [_twisted_block(q, b, block)
+             for block in np.split(lam, range(step, lam.size - 1, step))]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _twisted_block(q: np.ndarray, b: np.ndarray,
+                   lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_twisted at the columns lam."""
     # Row k, column j: pivot k of J - lam_j; the loop fills d[1:], e[:-1].
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         a = q[:, None] - lam
@@ -144,18 +163,19 @@ def _twisted(q: np.ndarray, b: np.ndarray,
             d[k] = _nudge(a[k] - b2[k - 1] / d[k - 1])
             e[-1 - k] = _nudge(a[-1 - k] - b2[-k] / e[-k])
         gamma = d + e - a
-        cols = np.arange(q.size)
+        rows = np.arange(q.size)
         r = np.argmin(np.abs(gamma), axis=0)
         logb = np.log(b)[:, None]
         # z_k = -b_k z_(k+1)/d_k above r and -b_(k-1) z_(k-1)/e_k below.
-        up = np.where(cols[:-1, None] < r, logb - np.log(np.abs(d[:-1])), 0.0)
-        down = np.where(cols[1:, None] > r, logb - np.log(np.abs(e[1:])), 0.0)
+        up = np.where(rows[:-1, None] < r, logb - np.log(np.abs(d[:-1])), 0.0)
+        down = np.where(rows[1:, None] > r, logb - np.log(np.abs(e[1:])), 0.0)
         log_z = np.zeros_like(a)
         log_z[:-1] += np.cumsum(up[::-1], axis=0)[::-1]
         log_z[1:] += np.cumsum(down, axis=0)
         # z_r = 1 is near the largest component: the sum cannot overflow.
         norm_sq = np.sum(np.exp(2.0 * log_z), axis=0)
-        return 2.0 * log_z[0] - np.log(norm_sq), gamma[r, cols] / norm_sq
+        return (2.0 * log_z[0] - np.log(norm_sq),
+                gamma[r, np.arange(lam.size)] / norm_sq)
 
 
 def truncate(params: JacobiParams, n: int) -> SpectralModel:
@@ -168,9 +188,7 @@ def truncate(params: JacobiParams, n: int) -> SpectralModel:
     recurrence for P_k(lam) fails.  A weight at or below the model floor
     raises NumericalError.
     """
-    if n < 2:
-        raise ValidationError("truncation size must be at least 2")
-    _require(params, n)
+    n = _require(params, _count(n, "truncation size", 2))
     q, b = params.q[:n], params.b[: n - 1]
     lam = np.linalg.eigvalsh(np.diag(q) + np.diag(b, 1) + np.diag(b, -1))
     lam = lam + _twisted(q, b, lam)[1]

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -25,7 +26,8 @@ from .errors import (
 _WEIGHT_FLOOR = 1e-300
 
 # The door (_door): a model's weights, a sample set's masses and numerators
-# and a partial-fraction form's coefficients may not sum to this or past it.
+# and a partial-fraction form's coefficients may not sum to this or past it,
+# nor a state's numerators sqrt(w_j) phi_j with any model.
 # Below it no term c_j/d_j or c_j/d_j^2 (|d_j| >= r > 2^-27), nor their sum,
 # nor a stacked row of them (scaled to 2^bits, bits < 40, over its largest
 # term) can pass the doubles: 2^(1023 - 54 - 40).
@@ -72,11 +74,12 @@ def _largest(values: np.ndarray) -> float:
     return float(np.abs(parts).max(initial=0.0))
 
 
-def _door(bound: float, what: str) -> None:
+def _door(bound: float, what: str, bits: int = 929) -> None:
     """ValidationError naming normalize where bound, a bound on the sums of
-    a data type's point kernel (what), is at or past _QUIET."""
-    if not bound < _QUIET:
-        raise ValidationError(f"{what} {bound:.6g}, at or past 2^929: "
+    a data type's point kernel (what), is at or past 2^bits: _QUIET, or
+    2^464 for a state's norm."""
+    if not bound < 2.0 ** bits:
+        raise ValidationError(f"{what} {bound:.6g}, at or past 2^{bits}: "
                               "scale the data down, as normalize does a model")
 
 
@@ -92,6 +95,21 @@ def _number(value, kind, what: str):
         raise ValidationError(f"{what} must be a number: {exc}") from None
     if not cmath.isfinite(out):
         raise ValidationError(f"{what} must be finite, not {out}")
+    return out
+
+
+def _count(value, what: str, least: int) -> int:
+    """value as an int by operator.index, at least least: ValidationError
+    naming what where it is a bool, not an integer, or smaller."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValidationError(f"{what} must be an integer, not a bool")
+    try:
+        out = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, not "
+                              f"{type(value).__name__}") from None
+    if out < least:
+        raise ValidationError(f"{what} must be at least {least}")
     return out
 
 
@@ -182,8 +200,12 @@ class StateVector:
     coords: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "coords",
-                           _array(self.coords, complex, "coords"))
+        coords = _array(self.coords, complex, "coords")
+        # A norm below 2^464 keeps sum_j |sqrt(w_j) phi_j| <= sqrt(total
+        # weight) |phi| (Cauchy-Schwarz) below _QUIET with every model.
+        _door(math.sqrt(2 * coords.size) * _largest(coords),
+              "the coords may have a norm of", 464)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dim(self) -> int:
@@ -191,13 +213,6 @@ class StateVector:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
-
-    # A bound on the norm: sqrt(total weight) times it bounds sum_j
-    # |sqrt(w_j) phi_j| (Cauchy-Schwarz), which decides where products
-    # with the weights are held (_QUIET).
-    @cached_property
-    def _bound(self) -> float:
-        return math.sqrt(2 * self.dim) * _largest(self.coords)
 
 
 def check_dims(model: SpectralModel, phi: StateVector) -> None:

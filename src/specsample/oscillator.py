@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
 )
 from .herglotz import PoleSet, weyl
-from .model import _WEIGHT_FLOOR, SpectralModel, _number, new_model
+from .model import _WEIGHT_FLOOR, SpectralModel, _count, _number, new_model
 
 _PI4 = math.pi ** -0.25
 
@@ -36,8 +36,7 @@ def _hermgauss(points: int):
 def oscillator_model(levels: int, normalized: bool = False) -> SpectralModel:
     """Finite model with eigenvalues 1, 3, ..., 2*levels-1 and raw weights
     1/n!; total raw weight tends to e as levels grow."""
-    if levels < 2:
-        raise ValidationError("at least two levels are required")
+    levels = _count(levels, "levels", 2)
     # 1/167! is below the weight floor: more than 167 levels are refused
     # before they are allocated.
     w = [1.0]
@@ -55,12 +54,12 @@ def oscillator_model(levels: int, normalized: bool = False) -> SpectralModel:
 def osc_F_series(z: complex, terms: int) -> complex:
     """Partial sum of F(z) = sum 1/(n! (2n+1-z)): F of the terms-level
     model."""
-    return weyl(oscillator_model(terms), z)[0]
+    return weyl(oscillator_model(_count(terms, "terms", 2)), z)[0]
 
 
 def osc_F_tail_bound(z: complex, terms: int) -> float:
     """Bound on the dropped tail: sum_{n>=terms} 1/(n! |2n+1-z|)."""
-    z = _number(z, complex, "z")
+    z, terms = _number(z, complex, "z"), _count(terms, "terms", 0)
     dist = min(abs(2.0 * n + 1.0 - z) for n in range(terms, terms + 64))
     return 2.0 / (math.factorial(min(terms, 170)) * dist)
 
@@ -104,6 +103,7 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
     no finite set of levels whose spread would scale it.
     """
     z = _number(z, complex, "z")
+    quad_points = _count(quad_points, "quad_points", 1)
     PoleSet(np.array([2.0 * math.floor(z.real / 2.0) + 1.0]), None,
             "oscillator level").guard(z)
     return _refined(lambda points: _integral_value(z, points), quad_points,
@@ -140,6 +140,7 @@ def hermite_overlap(n: int, quad_points: int) -> float:
     of the eigenfunction and the cyclic vector combine into the weight,
     leaving the entire function psi_n(x) * pi^(-1/4) exp(sqrt(2) x - 1/2).
     """
+    n, quad_points = _count(n, "n", 0), _count(quad_points, "quad_points", 1)
     if n > 20:
         raise ValidationError("overlap recurrence validated only up to n=20")
 

@@ -10,7 +10,6 @@ in Kramer form (an independent cross-check that uses the model).
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 
 import numpy as np
@@ -26,33 +25,21 @@ from .errors import (
 )
 from .herglotz import PoleSet, _complex, _csum, _pole_of_f, cauchy_rows, xi
 from .model import (
-    _QUIET,
     Coupling,
     MeromorphicRep,
     SampleSet,
     SpectralModel,
     StateVector,
-    _largest,
     _number,
     _numbers,
     check_dims,
 )
 from .perturbation import _node_data, perturbed_spectrum
 
-_NO_HOLD = contextlib.nullcontext()
-
-
-def _hold(held: bool):
-    """np.errstate holding overflow and invalid-value warnings where held,
-    else a context that does nothing.  A state is held per call: its
-    bound against _QUIET depends on the model it meets; a form's point
-    where PoleSet.held says."""
-    return np.errstate(over="ignore", invalid="ignore") if held else _NO_HOLD
-
-
 def _computed(kind, **fields):
     """kind(**fields) for a result computed from accepted inputs, which
-    only the door (a bound at or past _QUIET) can refuse: NumericalError."""
+    only the door (model._door) or a value past the doubles can refuse:
+    NumericalError."""
     try:
         return kind(**fields)
     except ValidationError as exc:
@@ -60,27 +47,23 @@ def _computed(kind, **fields):
 
 
 def mu_state(model: SpectralModel) -> StateVector:
-    """The cyclic vector itself, in eigenbasis coordinates."""
-    return StateVector(model.sqrt_weights.astype(complex))
+    """The cyclic vector itself, in eigenbasis coordinates; NumericalError
+    past the state's door."""
+    return _computed(StateVector, coords=model.sqrt_weights.astype(complex))
 
 
 def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
-    """<mu, phi> (anti-linear in mu); NumericalError past the doubles."""
-    with _hold(math.sqrt(model.mu_norm_sq) * phi._bound >= _QUIET):
-        value = _csum(model.sqrt_weights * phi.coords)
-    if not cmath.isfinite(value):
-        raise NumericalError("<mu, phi> overflows")
-    return value
+    """<mu, phi> (anti-linear in mu).  The state's door keeps the sum of
+    sqrt(w_j) phi_j below model._QUIET."""
+    check_dims(model, phi)
+    return _csum(model.sqrt_weights * phi.coords)
 
 
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
-    """The image function of phi at z, <xi(z), phi>; NumericalError where
-    its numerator's sum is past the doubles."""
+    """The image function of phi at z, <xi(z), phi>.  The state's door
+    keeps its numerator's terms and sum within the doubles."""
     check_dims(model, phi)
-    with _hold(math.sqrt(model.mu_norm_sq) * phi._bound >= _QUIET):
-        z, f, _, num = model._poles.at(z, num=model.sqrt_weights * phi.coords)
-    if not cmath.isfinite(num):
-        raise NumericalError(f"the numerator of f overflows at z={z}")
+    z, f, _, num = model._poles.at(z, num=model.sqrt_weights * phi.coords)
     return num / f
 
 
@@ -198,17 +181,17 @@ _UNIT_WEIGHT_TOL = 1e-12
 def omega_state(model: SpectralModel, pole: float) -> StateVector:
     """Eigenvector of the infinitely-coupled operator at one of its
     eigenvalues, with coordinates sqrt(w_j)/(lam_j - pole).  A pole on an
-    eigenvalue, where it would divide by zero, and coordinates past the
-    doubles are NumericalErrors."""
+    eigenvalue, where it would divide by zero, or past the doubles from
+    one, and coordinates past the state's door are NumericalErrors."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = model.eigenvalues - pole
         coords = model.sqrt_weights / d
     if not d.all():
         raise NumericalError(f"pole {float(pole)!r} lies on an eigenvalue")
-    if not (np.isfinite(d).all() and np.isfinite(coords).all()):
+    if not np.isfinite(d).all():
         raise NumericalError(f"the coordinates at pole {float(pole)!r} "
                              "overflow")
-    return StateVector(coords.astype(complex))
+    return _computed(StateVector, coords=coords.astype(complex))
 
 
 def to_partial_fractions(model: SpectralModel,
@@ -235,7 +218,8 @@ def to_partial_fractions(model: SpectralModel,
 def from_partial_fractions(model: SpectralModel,
                            rep: MeromorphicRep) -> StateVector:
     """Preimage of a partial-fraction function under the transform; a pole
-    on an eigenvalue, where it would divide by zero, is a NumericalError."""
+    on an eigenvalue, where it would divide by zero, and a preimage past the
+    state's door are NumericalErrors."""
     poles = perturbed_spectrum(model, Coupling.infinite())
     if rep.poles.size != poles.size or (
         rep.poles.size
@@ -249,7 +233,8 @@ def from_partial_fractions(model: SpectralModel,
     c = rep.coefficients
     re, im = cauchy_rows(rep.poles, np.stack((c.real, c.imag)),
                          model.eigenvalues)
-    return StateVector(model.sqrt_weights * (rep.constant - _complex(re, im)))
+    return _computed(StateVector, coords=model.sqrt_weights
+                     * (rep.constant - _complex(re, im)))
 
 
 def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
@@ -261,8 +246,10 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     if not rep.poles.size:
         return rep.constant
     rep._poles.guard(z)
-    with _hold(rep._poles.held(z)):
-        return rep.constant + _csum(rep.coefficients / (z - rep.poles))
+    if rep._poles.held(z):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return rep.constant + _csum(rep.coefficients / (z - rep.poles))
+    return rep.constant + _csum(rep.coefficients / (z - rep.poles))
 
 
 def inner_h(model: SpectralModel, h: float, phi: StateVector,
@@ -270,9 +257,9 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
     """Inner product of image functions in L^2 of the h-sampling measure;
     NumericalError where it is past the doubles."""
     _, weights, (f, g) = _sample(model, h, phi, psi)
-    # Bounds each m_j conj(f_j), each product with g_j, and their sum.
-    top = 2 * f.size * _largest(weights) * _largest(f)
-    with _hold(top * max(1.0, _largest(g)) >= _QUIET):
+    # A value far past its state's norm at a tiny mass can take a term
+    # past the doubles.
+    with np.errstate(over="ignore", invalid="ignore"):
         value = _csum(weights * np.conj(f) * g)
     if not cmath.isfinite(value):
         raise NumericalError("the inner product overflows")
@@ -293,7 +280,7 @@ def blaschke_swap(model: SpectralModel, phi: StateVector,
     """Move a non-real zero w of the image function to its conjugate.
 
     The preimage picks up the unitary multiplier (lam_j - conj(w))/(lam_j - w),
-    so the norm is preserved exactly.
+    so the norm is preserved exactly; NumericalError past the state's door.
     """
     check_dims(model, phi)
     w = _number(w, complex, "w")
@@ -306,18 +293,17 @@ def blaschke_swap(model: SpectralModel, phi: StateVector,
             f"|f(w)| = {abs(value):.3e} exceeds the zero tolerance {bound:.3e}"
         )
     mult = (model.eigenvalues - w.conjugate()) / (model.eigenvalues - w)
-    return StateVector(phi.coords * mult)
+    return _computed(StateVector, coords=phi.coords * mult)
 
 
 def apply_perturbed(model: SpectralModel, h: float,
                     phi: StateVector) -> StateVector:
     """Apply the h-coupled operator in eigenbasis coordinates;
-    NumericalError where a coordinate is past the doubles."""
+    NumericalError where a coordinate is past the doubles or the state's
+    door."""
     check_dims(model, phi)
     h = _number(h, float, "h")
     with np.errstate(over="ignore", invalid="ignore"):
         coords = (model.eigenvalues * phi.coords
                   + h * mu_inner(model, phi) * model.sqrt_weights)
-    if not np.isfinite(coords).all():
-        raise NumericalError("a coordinate of A_h phi overflows")
-    return StateVector(coords)
+    return _computed(StateVector, coords=coords)

@@ -5,7 +5,6 @@ Complex scalars are encoded everywhere as two-element arrays [re, im].
 from __future__ import annotations
 
 import json
-import operator
 
 from .errors import ValidationError
 from .model import SampleSet, SpectralModel, StateVector, new_model
@@ -48,14 +47,14 @@ def model_from_dict(data: dict) -> SpectralModel:
         from .jacobi import JacobiParams, truncate
 
         params = JacobiParams(_field(data, "q"), _field(data, "b"))
-        return truncate(params, _field(data, "truncation", operator.index))
+        return truncate(params, _field(data, "truncation"))
     if kind == "oscillator":
         from .oscillator import oscillator_model
 
         normalized = data.get("normalized", False)
         if not isinstance(normalized, bool):
             raise ValidationError("bad field 'normalized': not a boolean")
-        return oscillator_model(_field(data, "levels", operator.index),
+        return oscillator_model(_field(data, "levels"),
                                 normalized)
     raise ValidationError(f"unknown model kind {kind!r}")
 

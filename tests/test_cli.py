@@ -551,16 +551,36 @@ def test_files_past_the_door_exit_2(files, capsys):
 
 def test_a_sample_set_past_the_door_from_accepted_files_exits_3(files,
                                                                 capsys):
-    # Values near 1e300 put the set's numerators past 2^929.
+    # A coordinate of 1e135 on a weight of 1e-299 gives a value near
+    # 1e135 / sqrt(1e-299) at the node beside it, which puts the set's
+    # numerators at 2.55e285, past 2^929; the model and the state are
+    # accepted.
+    model = files("u.json", {"kind": "explicit",
+                             "eigenvalues": [0.0, 1.0, 2.0],
+                             "weights": [1.0, 1e-299, 1.0]})
+    state = files("p.json", {"coords": [[1.0, 0.0], [1e135, 0.0],
+                                        [1.0, 0.0]]})
+    assert main(["sample", "--model", model, "--state", state,
+                 "--coupling", "1.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: the node weights and "
+                                   "numerators may sum to 2.55095e+285")
+    assert captured.out == ""
+
+
+def test_a_state_file_past_the_door_exits_2(files, capsys):
+    # A state whose norm may reach 2^464 is malformed input, whatever model
+    # it meets.
     unit = files("u.json", {"kind": "explicit", "eigenvalues": [0.0, 1.0, 2.0],
                             "weights": [1.0] * 3})
     heavy = files("p.json", {"coords": [[1e300, 0.0], [1.0, 0.0],
                                         [1.0, 0.0]]})
     assert main(["sample", "--model", unit, "--state", heavy,
-                 "--coupling", "1.3"]) == 3
+                 "--coupling", "1.3"]) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("numerical failure: the node weights and "
-                                   "numerators may sum to")
+    assert captured.err.startswith("error: the coords may have a norm of "
+                                   "2.44949e+300, at or past 2^464")
+    assert "normalize" in captured.err
     assert captured.out == ""
 
 

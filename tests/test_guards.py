@@ -25,9 +25,12 @@ from specsample import (
     apply_perturbed,
     blaschke_swap,
     evaluate_rep,
+    from_partial_fractions,
+    hermite_overlap,
     inner_h,
     jm_reconstruct,
     kramer_reconstruct,
+    mu_state,
     new_model,
     node_weights,
     normalize,
@@ -37,8 +40,10 @@ from specsample import (
     osc_F_series,
     osc_F_tail_bound,
     perturbed_spectrum,
+    polys,
     reconstruct,
     sample,
+    sturm_count,
     to_partial_fractions,
     transform,
     truncate,
@@ -208,21 +213,70 @@ def test_a_sample_set_whose_sum_can_pass_the_doubles_is_refused():
 def test_public_helpers_past_the_doubles_raise_without_a_warning():
     # Terms past the doubles gave inf+0j, or a ValidationError about the
     # coordinates they made, each after numpy's warning.  A form whose
-    # coefficients may sum past 2^929 is refused at the door.
+    # coefficients may sum past 2^929 is refused at the door, and a state
+    # computed from accepted inputs past the doubles or the state's door
+    # (a norm of 2^464) is a NumericalError.
     with pytest.raises(ValidationError, match="normalize"):
         MeromorphicRep(1.0, [0.0, 1.0], [1e308, -1e308])
     m = new_model([0.0, 1.0, 2.0], [1.0, 1e-299, 1.0])
     zeros = perturbed_spectrum(m, Coupling.infinite())
     assert zeros.tolist() == [1.0, 1.0]
+    unit = new_model([0.0, 1.0, 2.0], [1.0] * 3)
+    rep = to_partial_fractions(normalize(unit), StateVector([1.0, 2.0, 3.0]))
+    heavy = MeromorphicRep(rep.constant, rep.poles, rep.coefficients * 1e250)
+    door = "at or past 2.464.*normalize"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for pole in zeros:
             with pytest.raises(NumericalError,
                                match="^pole 1.0 lies on an eigenvalue$"):
                 omega_state(m, pole)
-        with pytest.raises(NumericalError, match="overflows"):
-            apply_perturbed(new_model([0.0, 1.0, 2.0], [1.0] * 3), 1e308,
-                            StateVector([1e308, 1.0, 1.0]))
+        with pytest.raises(NumericalError, match="^coords must be finite$"):
+            apply_perturbed(unit, 1e308, StateVector([1e100, 1.0, 1.0]))
+        with pytest.raises(NumericalError, match=door):
+            apply_perturbed(unit, 1e200, StateVector([1.0, 1.0, 1.0]))
+        with pytest.raises(NumericalError, match=door):
+            omega_state(unit, 1e-200)
+        with pytest.raises(NumericalError, match=door):
+            mu_state(new_model([0.0, 1.0], [2.0 ** 928, 1.0]))
+        with pytest.raises(NumericalError, match=door):
+            from_partial_fractions(normalize(unit), heavy)
+        # At this zero w of f the swap's multiplier on the pole at 0 is
+        # e^(-i pi/4): it turns phi_0 = a (1 + i), whose parts are the
+        # state's largest, into a sqrt(2), past the door.
+        w = 0.5 + 0.5j * math.tan(math.pi / 8)
+        p = (1 - 2.0 ** -20) * 2.0 ** 464 / math.sqrt(6.0) * (1 + 1j)
+        phi = StateVector([p, -(p / -w + p / (2 - w)) * (1 - w), p])
+        with pytest.raises(NumericalError, match=door):
+            blaschke_swap(unit, phi, w)
+
+
+# Every argument that counts (a degree, a size, levels, terms or points),
+# as (function, the argument's name in the error).
+COUNTS = [
+    (lambda n: hermite_overlap(n, 128), "n"),
+    (lambda n: hermite_overlap(3, n), "quad_points"),
+    (lambda n: polys(JAC, 0.5 + 1j, n), "polynomial degree"),
+    (lambda n: truncate(JAC, n), "truncation size"),
+    (lambda n: sturm_count(JAC, n, 2.5), "polynomial degree"),
+    (lambda n: jm_reconstruct(JAC, n, S10, 0.5 + 1j), "polynomial degree"),
+    (oscillator_model, "levels"),
+    (lambda n: osc_F_series(0.5 + 1j, n), "terms"),
+    (lambda n: osc_F_tail_bound(0.5 + 1j, n), "terms"),
+    (lambda n: osc_F_integral(0.5 + 1j, n), "quad_points"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True, -1, "3"])
+@pytest.mark.parametrize("call,what", COUNTS,
+                         ids=[f"{i}-{what}" for i, (_, what)
+                              in enumerate(COUNTS)])
+def test_a_count_that_is_not_one_is_a_validation_error(call, what, value):
+    # hermite_overlap(-1, 128) returned the n = 1 overlap and polys(p, z,
+    # True) ran degree 1; floats and strings raised a bare TypeError, and
+    # negative terms and points a bare ValueError.
+    with pytest.raises(ValidationError, match=f"^{what} must be "):
+        call(value)
 
 
 def test_extreme_models_return_or_raise_a_spectral_error():

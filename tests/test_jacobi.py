@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from specsample import (
     weyl,
     weyl_approx,
 )
+from specsample import jacobi
 
 from conftest import random_state
 
@@ -241,6 +244,47 @@ def test_truncate_against_80_digit_eigensolver(kind, n):
     old = np.abs(_sturm_newton_nodes(params, n) - ref).max()
     assert np.abs(m.eigenvalues - ref).max() <= old + np.spacing(
         np.abs(ref).max())
+
+
+def _traced(call):
+    """call()'s result and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, n, width", [("free", 30, 2), ("uniform", 60, 7),
+                                            ("random", 45, 4),
+                                            ("random", 300, 13),
+                                            ("free", 300, 16)])
+def test_truncate_in_blocks_equals_the_one_block_truncation(monkeypatch,
+                                                            kind, n, width):
+    # Each _twisted pass runs over blocks of `width` columns of lam; at
+    # n = 45 with 4 columns a block, and at n = 300 with 13, the one column
+    # left over joins the last block: one alone reduces in another order,
+    # which moves a log-weight of the random n = 45 matrix by 8.9e-16.
+    # Eigenvalues and weights keep their bits, and the traced peak falls.
+    params = (_rand_params(np.random.default_rng(n), n) if kind == "random"
+              else _wide(kind, n))
+    want, whole = _traced(lambda: truncate(params, n))
+    monkeypatch.setattr(jacobi, "_TWIST_TERMS", width * n)
+    got, blocked = _traced(lambda: truncate(params, n))
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert blocked < whole
+
+
+@pytest.mark.parametrize("n", [10, 20, 40])
+def test_free_weyl_approximants_converge_to_the_semicircle_transform(n):
+    # The free Jacobi matrix (q = 0, b = 1): m(z) = (-z + sqrt(z^2 - 4))/2,
+    # the branch with Im m > 0, and -Q_n/P_n is within 1.21 |m|^(2n) of it.
+    params = JacobiParams(np.zeros(n + 1), np.ones(n + 1))
+    z = 0.5 + 0.5j
+    root = np.sqrt(z * z - 4.0)
+    m = next(v for v in ((-z + root) / 2, (-z - root) / 2) if v.imag > 0)
+    assert abs(weyl_approx(params, z, n) - m) <= 1.5 * abs(m) ** (2 * n)
 
 
 def test_truncate_refuses_weights_below_the_model_floor():

@@ -13,6 +13,7 @@ from specsample import (
     UnsortedEigenvalues,
     ValidationError,
     apply_perturbed,
+    mu_inner,
     new_model,
     node_weights,
     normalize,
@@ -65,6 +66,10 @@ def test_new_model_rejects_mismatch_and_small():
         new_model([0, 1, 2], [0.5, 0.5])
     with pytest.raises(ValidationError):
         new_model([0.0], [1.0])
+    # A state of another dimension broadcast against the weights: mu_inner
+    # returned 3+0j here.
+    with pytest.raises(DimensionMismatch):
+        mu_inner(new_model([0, 1, 2], [1.0] * 3), StateVector([1.0]))
 
 
 def test_round_trip_preserves_fields():

@@ -2,13 +2,15 @@
 
 A model, a sample set and a partial-fraction form whose masses, numerators
 or coefficients may sum to model._QUIET = 2^929 or past it are refused
-(ValidationError naming normalize), so no term of their sums can pass the
-doubles; a state holds a bound on its norm, decided per call, and a point
-past _FAR from a pole is held for d^2.  On every side of those boundaries
+(ValidationError naming normalize), and so is a state whose norm may reach
+2^464, which keeps its numerators below 2^929 with any model: no term of
+their sums can pass the doubles.  A point past _FAR from a pole is held for
+d^2.  On every side of those boundaries
 the evaluators must give the reference's bits (test_point_sums) without a
 warning, and an ordinary model's point evaluation must enter no
 np.errstate at all.
 """
+import math
 import warnings
 
 import numpy as np
@@ -41,32 +43,47 @@ from conftest import random_model, random_state
 from test_point_sums import H, _check, _check_grid, _fsum, _points
 
 BELOW = np.nextafter(_QUIET, 0.0)
+STATE_DOOR = "at or past 2.464.*normalize"
+
+
+def _edge():
+    """The heaviest model the door takes, on three poles, and a state whose
+    norm bound sqrt(6) max|part| is 2^463, next to the state's door."""
+    m = new_model([0.0, 1.0, 2.0], [BELOW / 2, BELOW / 4, BELOW / 4])
+    top = 2.0 ** 463 / math.sqrt(6.0)
+    return m, StateVector([top, top * 1j, -top * (1 - 1e-3j)])
 
 
 @pytest.mark.parametrize("z", [1e-6, 0.5 + 1e-3j])
 def test_state_terms_past_the_doubles_raise_without_a_warning(z):
-    # sqrt(w_j) phi_j / (lam_j - z) passes the doubles: numpy warned
+    # sqrt(w_j) phi_j / (lam_j - z) passed the doubles: numpy warned
     # "overflow encountered in divide", and transform returned its inf.
-    m = new_model([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-    phi = StateVector([1e308, 1e308, 1.0])
+    # Such a state is refused at its door; at the edge of it, with the
+    # heaviest model, transform gives the reference's bits.
+    m, edge = _edge()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError):
-            transform(m, phi, z)
+        with pytest.raises(ValidationError, match=STATE_DOOR):
+            StateVector([1e308, 1e308, 1.0])
+        assert _check(m, edge, None, [z], kramer=False) == 0
 
 
 def test_inner_products_past_the_doubles_raise_without_a_warning():
-    # sqrt(1e279) 1e308 overflows: numpy warned "overflow encountered in
-    # multiply", and mu_inner returned inf+0j.  inner_h did the same where
-    # a tiny mass far out gives values near 4e201 (a case hypothesis found).
-    m = new_model([0.0, 1.0, 2.0], [1e279, 1.0, 1.0])
+    # sqrt(1e279) 1e308 overflowed: numpy warned "overflow encountered in
+    # multiply", and mu_inner returned inf+0j.  The state is refused at its
+    # door, and at the edge mu_inner gives the reference's bits.  inner_h
+    # did the same where a tiny mass far out gives values near 4e201 (a
+    # case hypothesis found).
+    m, edge = _edge()
     far = new_model([-2.0, 0.0, 1.891703202184998e169],
                     [4.444684991391323e24, 1.0, 1e-8])
     phi = StateVector([1j, 1j, 1j])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match="overflows"):
-            mu_inner(m, StateVector([1e308, 1.0, 1.0]))
+        with pytest.raises(ValidationError, match=STATE_DOOR):
+            StateVector([1e308, 1.0, 1.0])
+        assert (np.array(mu_inner(m, edge)).tobytes()
+                == np.array(_fsum(m.sqrt_weights * edge.coords)).tobytes())
         with pytest.raises(NumericalError, match="overflows"):
             inner_h(far, 1e-8, phi, phi)
 
@@ -148,14 +165,16 @@ def test_data_at_or_past_the_door_are_refused(total):
 
 
 def test_results_past_the_door_are_numerical_failures():
-    # Values near 1e300 put the set's numerators, and the form's
-    # coefficients, past the door; each was computed from accepted inputs.
-    m = new_model([0.0, 1.0, 2.0], [1.0] * 3)
-    phi = StateVector([1e300, 1.0, 1.0])
-    with pytest.raises(NumericalError, match="at or past 2.929"):
-        sample(m, phi, 1.3)
-    with pytest.raises(NumericalError, match="at or past 2.929"):
-        to_partial_fractions(normalize(m), phi)
+    # A value near 1e135 / sqrt(1e-299) puts the set's numerators at
+    # 2.55e285, and residues near 1e139 times a mass of about 1e150 (poles
+    # 1e150 apart) the form's coefficients at 4.55e289, past the door;
+    # each was computed from accepted inputs.
+    m = new_model([0.0, 1.0, 2.0], [1.0, 1e-299, 1.0])
+    with pytest.raises(NumericalError, match="2.55095e.285, at or past 2.929"):
+        sample(m, StateVector([1.0, 1e135, 1.0]), 1.3)
+    spread = normalize(new_model([0.0, 1e150, 3e150], [1.0] * 3))
+    with pytest.raises(NumericalError, match="4.55224e.289, at or past 2.929"):
+        to_partial_fractions(spread, StateVector([1e139, -1e139, 1e139]))
 
 
 @pytest.mark.parametrize("size", [np.nextafter(_FAR, 0.0), _FAR, 1.2e154,
@@ -185,6 +204,9 @@ def test_an_ordinary_point_evaluation_enters_no_errstate(n, monkeypatch):
         entered.append(kwargs)
         return errstate(*args, **kwargs)
 
+    # The state at the edge of its door, on the heaviest model, enters none
+    # either.
+    heavy, edge = _edge()
     monkeypatch.setattr(np, "errstate", counted)
     for z in (0.3 + 0.5j, 0.3, 2.0 - 1e-3j):
         weyl(m, z)
@@ -192,9 +214,11 @@ def test_an_ordinary_point_evaluation_enters_no_errstate(n, monkeypatch):
         xi(m, z)
         xi_norm_sq(m, z.real)
         transform(m, phi, z)
+        transform(heavy, edge, z)
         reconstruct(s, z)
         evaluate_rep(rep, z)
     mu_inner(m, phi)
+    mu_inner(heavy, edge)
     assert entered == []
     # A point far out enters one.
     weyl(m, 1e200)

@@ -431,18 +431,23 @@ def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
     # numerator's terms are infinite, of opposite signs, and have no sum
     # (NumericalError); at -0.3 they are finite and sum past the largest
     # double, which math.fsum reports (NumericalError too, not its
-    # OverflowError).  The state is held, and no warning is given.
+    # OverflowError).  The state's door refuses such coordinates, so the
+    # kernel takes them as a numerator, which its caller holds.
     lam = np.linspace(0.0, 1.0, n)
     m = new_model(lam, np.ones(n))
-    phi = StateVector(np.concatenate(([5e307, 5e307], np.ones(n - 2))))
+    coords = np.concatenate(([5e307, 5e307], np.ones(n - 2)))
+    num = m.sqrt_weights * coords
     mid = 0.5 * (lam[0] + lam[1])
+    with pytest.raises(ValidationError, match="at or past 2.464"):
+        StateVector(coords)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match="both infinite signs"):
-            transform(m, phi, mid)
-        with pytest.raises(NumericalError,
-                           match="^a sum is past the largest double$"):
-            transform(m, phi, -0.3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="both infinite signs"):
+                m._poles.at(mid, num=num)
+            with pytest.raises(NumericalError,
+                               match="^a sum is past the largest double$"):
+                m._poles.at(-0.3, num=num)
 
 
 def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
@@ -504,11 +509,13 @@ def test_every_point_sum_stacks_from_its_count_of_real_terms(n, monkeypatch):
 
 
 def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
-    # N = 200: transform stacks F with its numerator, 4N real terms.  Next
-    # to a zero of F, coordinates 1e308 at the two poles beside it give the
-    # numerator terms of both infinite signs, and the stacked call a NaN.
-    # The sums are then taken as transform reads them: F first, whose zero
-    # guard raises before the numerator's sum, which has no value.
+    # N = 200: the kernel stacks F with a numerator, 4N real terms, as
+    # transform does.  Next to a zero of F, coordinates 1e308 at the two
+    # poles beside it (past the state's door, so taken as a numerator) give
+    # the numerator terms of both infinite signs, and the stacked call a
+    # NaN.  The sums are then taken as the kernel reads them: F first,
+    # whose zero guard raises before the numerator's sum, which has no
+    # value.
     n = _STACK_TERMS // 4
     m = random_model(np.random.default_rng(n), n)
     x = perturbed_spectrum(m, Coupling.infinite())[n // 2]
@@ -516,11 +523,12 @@ def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
     coords = np.ones(n, dtype=complex)
     coords[k - 1:k + 1] = 1e308
     z = x + 1e-12j
-    with np.errstate(over="ignore"):
-        terms = m.sqrt_weights * coords / (m.eigenvalues - z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        num = m.sqrt_weights * coords
+        terms = num / (m.eigenvalues - z)
         assert np.isneginf(terms.real).any() and np.isposinf(terms.real).any()
         with pytest.raises(ZeroOfF):
-            transform(m, StateVector(coords), z)
+            m._poles.at(z, num=num)
 
 
 def test_terms_past_the_doubles_are_refused_at_the_door():

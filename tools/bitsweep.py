@@ -10,8 +10,10 @@ inputs:
 - models whose total weight is 2^928 or just below 2^929, and sample sets
   whose node weights and numerators may sum to just below 2^929;
 - the couplings h in {1.3, -0.7, 1e-8, 1e8};
-- a random state and the heavy states of coordinates 1, 1e300 (1 + i) and
-  1e308;
+- a random state, the state of ones, a state whose norm bound is 2^463,
+  next to the state's door (2^464), and the states of coordinates
+  1e300 (1 + i) and 1e308, which the door refuses: each state is built as
+  a case of its own, and evaluated where it is accepted;
 - points off the axis, on it, 0.9, 1.1 and 3 radii from poles, nodes and
   zeros of F, from 1e153 to 1e300, and +-(1e308 + 1e308j).
 
@@ -31,6 +33,7 @@ that one side refuses, and the evaluations on it) counts as differing.
 from __future__ import annotations
 
 import hashlib
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -87,6 +90,8 @@ def _parts(out):
         return (out.constant, out.poles, out.coefficients)
     if isinstance(out, ss.XiVector):
         return (out.at, out.coords)
+    if isinstance(out, ss.StateVector):
+        return (out.coords,)
     return out if isinstance(out, tuple) else (out,)
 
 
@@ -115,14 +120,20 @@ def _points(m, seed):
                1e308 + 1e308j, -1e308 - 1e308j])
 
 
-def _states(rng, n):
+def _states(n):
+    """A function that builds each state of dimension n, called in this
+    order."""
     import specsample as ss
     from conftest import random_state
 
-    return {"random": random_state(rng, n),
-            "ones": ss.StateVector(np.ones(n)),
-            "1e300(1+i)": ss.StateVector(np.full(n, 1e300 * (1 + 1j))),
-            "1e308": ss.StateVector(np.full(n, 1e308))}
+    rng = np.random.default_rng(n)
+    # Parts of 2^463 / sqrt(2n): the norm bound sqrt(2n) max|part| is 2^463.
+    edge = 2.0 ** 463 / math.sqrt(2 * n)
+    return {"random": lambda: random_state(rng, n),
+            "ones": lambda: ss.StateVector(np.ones(n)),
+            "1e300(1+i)": lambda: ss.StateVector(np.full(n, 1e300 * (1 + 1j))),
+            "1e308": lambda: ss.StateVector(np.full(n, 1e308)),
+            "edge": lambda: ss.StateVector(np.full(n, edge * (1 + 1j)))}
 
 
 def _models():
@@ -174,7 +185,11 @@ def sweep_all() -> Sweep:
     sweep = Sweep()
     run = sweep.run
     for name, m in _models():
-        states = _states(np.random.default_rng(m.dim), m.dim)
+        states = {}
+        for label, build in _states(m.dim).items():
+            phi = run("StateVector", f"{name}/{label}", build)
+            if phi is not None:
+                states[label] = phi
         points = _points(m, m.dim)
         for z in points:
             at = f"{name}/{z!r}"
