@@ -105,32 +105,6 @@ def _csum(terms: np.ndarray) -> complex:
     return sums[0] if sums else _fsum(terms)
 
 
-def _extract(t: np.ndarray):
-    """One error-free extraction of the rows of t: each row's sum r rounded
-    once, whether it is certified correctly rounded, and tau, low with
-    tau + sum(low) equal to the row's sum exactly (see _row_sums)."""
-    n = t.shape[1]
-    bits = (n + 2).bit_length()
-    top = np.maximum.reduce(np.abs(t), axis=1)
-    sigma = np.ldexp(float(1 << bits), np.frexp(top)[1])[:, None]
-    q = t + sigma
-    q -= sigma
-    tau = np.add.reduce(q, axis=1)
-    low = np.subtract(t, q, out=q)
-    e = np.add.reduce(low, axis=1)
-    r = tau + e
-    back = r - tau
-    g = (tau - (r - back)) + (e - back)
-    # beta rounded up to a power of two; one below the smallest subnormal
-    # rounds to 0, and then e is exact, its error being a multiple of that
-    # double.
-    beta = sigma[:, 0] * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
-    # No r = 0 is certified (half the gap below the smallest subnormal
-    # rounds to 0), nor an infinite or NaN r (g is NaN).
-    gap = np.spacing(np.nextafter(np.abs(r), 0.0))
-    return r, np.abs(g) + beta < 0.5 * gap, tau, low
-
-
 def _row_sums(t: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of each row of t, which is what math.fsum
     returns for the row, bit for bit.
@@ -143,29 +117,38 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     cannot depend on numpy's summation order.  A row is certified when the
     TwoSum error g of r = fl(tau + e) and beta together stay below half the
     gap from |r| to the next double towards zero: then r is the rounded
-    sum.  A row that cancels heavily is certified by a second extraction,
-    of its exact remainder [tau, low], unless r = 0 (a row of zeros, say:
-    the imaginary parts at a real point, which sum to 0.0).  Every other
-    row (a zero sum, a tie, a sum past the largest double, a non-finite
-    term) takes math.fsum; a row whose partial sums overflow raises
-    NumericalError, and a row holding both infinities is NaN.
+    sum.  Every other row (a tie, a heavy cancellation, a zero sum, a sum
+    past the largest double, a non-finite term) takes math.fsum; a row
+    whose partial sums overflow raises NumericalError, and a row holding
+    both infinities is NaN.
     """
-    r, certified, tau, low = _extract(t)
-    if np.count_nonzero(certified) < certified.size:
-        rows = np.flatnonzero(~certified & (r != 0.0))
-        if rows.size:
-            rest = np.concatenate((tau[rows, None], low[rows]), axis=1)
-            r[rows], certified[rows] = _extract(rest)[:2]
-        for i in np.flatnonzero(~certified):
-            try:
-                # math.fsum keeps no zero partial: zeros of either sign sum
-                # to 0.0.
-                r[i] = math.fsum(memoryview(t[i])) if t[i].any() else 0.0
-            except ValueError:  # -inf + inf: NaN, as numpy sums it
-                r[i] = math.nan
-            except OverflowError:
-                raise NumericalError("a sum is past the largest double"
-                                     ) from None
+    n = t.shape[1]
+    bits = (n + 2).bit_length()
+    top = np.maximum.reduce(np.abs(t), axis=1)
+    sigma = np.ldexp(float(1 << bits), np.frexp(top)[1])[:, None]
+    q = t + sigma
+    q -= sigma
+    tau = np.add.reduce(q, axis=1)
+    e = np.add.reduce(np.subtract(t, q, out=q), axis=1)
+    r = tau + e
+    back = r - tau
+    g = (tau - (r - back)) + (e - back)
+    # beta rounded up to a power of two; one below the smallest subnormal
+    # rounds to 0, and then e is exact, its error being a multiple of that
+    # double.
+    beta = sigma[:, 0] * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
+    # No r = 0 is certified (half the gap below the smallest subnormal
+    # rounds to 0), nor an infinite or NaN r (g is NaN).
+    gap = np.spacing(np.nextafter(np.abs(r), 0.0))
+    for i in np.flatnonzero(~(np.abs(g) + beta < 0.5 * gap)):
+        try:
+            # math.fsum keeps no zero partial: zeros of either sign sum to
+            # 0.0.
+            r[i] = math.fsum(memoryview(t[i])) if t[i].any() else 0.0
+        except ValueError:  # -inf + inf: NaN, as numpy sums it
+            r[i] = math.nan
+        except OverflowError:
+            raise NumericalError("a sum is past the largest double") from None
     return r
 
 

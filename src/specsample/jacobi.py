@@ -116,7 +116,7 @@ _PIVMIN = 1e-280
 def sturm_count(params: JacobiParams, n: int, t: float) -> int:
     """Number of eigenvalues of the n-truncation strictly below t."""
     n = _require(params, n)
-    q, b, t = params.q, params.b, float(t)
+    q, b, t = params.q, params.b, _number(t, float, "t")
     count, d = 0, 1.0
     for k in range(n):
         d = (q[k] - t) - (b[k - 1] * b[k - 1] / d if k else 0.0)

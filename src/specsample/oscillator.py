@@ -112,7 +112,7 @@ def osc_F_integral(z: complex, quad_points: int) -> complex:
 
 def mu_pointwise(x: float) -> float:
     """Closed form of the cyclic vector on the line."""
-    x = float(x)
+    x = _number(x, float, "x")
     return _PI4 * math.exp(-0.5 * (x * x - 2.0 * math.sqrt(2.0) * x + 1.0))
 
 

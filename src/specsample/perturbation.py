@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InconsistentNodes, NumericalError
 from .herglotz import _BLOCK_TERMS, _FAR, _complex, cauchy_rows
-from .model import Coupling, SpectralModel, _number, new_model
+from .model import Coupling, SpectralModel, _array, _number, new_model
 
 # Steps a root may take before its bracket must keep up with bisection.
 _FREE_STEPS = 16
@@ -398,12 +398,13 @@ def node_weights(model: SpectralModel, h: float, nodes) -> np.ndarray:
     solve at h: tau^2 / (h^2 (w_k + tau^2 R')), tau the solver's offset of
     the root from its origin lam_k and R' the sum of F' over the other
     poles there (see _node_data), so it stays accurate for roots that hug
-    a pole or lie closer together than the rounding of x_j.  Raises
-    InconsistentNodes for nodes that are not the spectrum at h, and
-    NumericalError naming a node whose mass rounds to 0 or that lies 2^511
-    or farther from its origin.
+    a pole or lie closer together than the rounding of x_j.  The nodes are
+    taken by model._array.  Raises InconsistentNodes for nodes that are not
+    the spectrum at h, and NumericalError naming a node whose mass rounds
+    to 0 or that lies 2^511 or farther from its origin.
     """
-    return _node_data(model, 1.0, _number(h, float, "h"), nodes)[0]
+    return _node_data(model, 1.0, _number(h, float, "h"),
+                      _array(nodes, float, "nodes"))[0]
 
 
 def perturbed_model(model: SpectralModel, h: float) -> SpectralModel:

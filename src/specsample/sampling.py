@@ -183,13 +183,14 @@ def omega_state(model: SpectralModel, pole: float) -> StateVector:
     eigenvalues, with coordinates sqrt(w_j)/(lam_j - pole).  A pole on an
     eigenvalue, where it would divide by zero, or past the doubles from
     one, and coordinates past the state's door are NumericalErrors."""
+    pole = _number(pole, float, "pole")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         d = model.eigenvalues - pole
         coords = model.sqrt_weights / d
     if not d.all():
-        raise NumericalError(f"pole {float(pole)!r} lies on an eigenvalue")
+        raise NumericalError(f"pole {pole!r} lies on an eigenvalue")
     if not np.isfinite(d).all():
-        raise NumericalError(f"the coordinates at pole {float(pole)!r} "
+        raise NumericalError(f"the coordinates at pole {pole!r} "
                              "overflow")
     return _computed(StateVector, coords=coords.astype(complex))
 

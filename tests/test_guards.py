@@ -13,6 +13,7 @@ import pytest
 
 from specsample import (
     Coupling,
+    DimensionMismatch,
     JacobiParams,
     MeromorphicRep,
     NumericalError,
@@ -30,6 +31,7 @@ from specsample import (
     inner_h,
     jm_reconstruct,
     kramer_reconstruct,
+    mu_pointwise,
     mu_state,
     new_model,
     node_weights,
@@ -276,6 +278,39 @@ def test_a_count_that_is_not_one_is_a_validation_error(call, what, value):
     # True) ran degree 1; floats and strings raised a bare TypeError, and
     # negative terms and points a bare ValueError.
     with pytest.raises(ValidationError, match=f"^{what} must be "):
+        call(value)
+
+
+# Arguments that once skipped the input rule, as (call, value, error):
+# node_weights raised a bare ValueError for strings, returned weights for
+# 2-d nodes and InconsistentNodes for booleans or a NaN; sturm_count took
+# "0.5" and True and counted 0 at NaN; mu_pointwise took "1.0" and gave NaN
+# at inf; omega_state raised a bare UFuncTypeError for a string, took True
+# as 1.0 and called NaN an overflow.
+MALFORMED = [
+    (lambda v: node_weights(M, 1.3, v), ["a"] * 6, ValidationError),
+    (lambda v: node_weights(M, 1.3, v), [S.nodes], DimensionMismatch),
+    (lambda v: node_weights(M, 1.3, v), [True] * 6, ValidationError),
+    (lambda v: node_weights(M, 1.3, v), np.r_[math.nan, S.nodes[1:]],
+     ValidationError),
+    (lambda v: sturm_count(JAC, 3, v), "0.5", ValidationError),
+    (lambda v: sturm_count(JAC, 3, v), True, ValidationError),
+    (lambda v: sturm_count(JAC, 3, v), math.nan, ValidationError),
+    (mu_pointwise, "1.0", ValidationError),
+    (mu_pointwise, math.inf, ValidationError),
+    (mu_pointwise, math.nan, ValidationError),
+    (lambda v: omega_state(M, v), "0.5", ValidationError),
+    (lambda v: omega_state(M, v), True, ValidationError),
+    (lambda v: omega_state(M, v), math.nan, ValidationError),
+]
+
+
+@pytest.mark.parametrize("call,value,error", MALFORMED,
+                         ids=[f"{i}-{error.__name__}" for i, (_, _, error)
+                              in enumerate(MALFORMED)])
+def test_a_malformed_argument_is_refused_by_the_input_rule(call, value,
+                                                           error):
+    with pytest.raises(error):
         call(value)
 
 

@@ -15,7 +15,12 @@ inputs:
   1e300 (1 + i) and 1e308, which the door refuses: each state is built as
   a case of its own, and evaluated where it is accepted;
 - points off the axis, on it, 0.9, 1.1 and 3 radii from poles, nodes and
-  zeros of F, from 1e153 to 1e300, and +-(1e308 + 1e308j).
+  zeros of F, from 1e153 to 1e300, and +-(1e308 + 1e308j);
+- node_weights on the solver's nodes at each h, and omega_state at each
+  zero of F;
+- malformed arguments of node_weights, sturm_count, mu_pointwise and
+  omega_state (strings, booleans, 2-d nodes, NaN and inf), each recorded
+  as its refusal.
 
 It prints one line per case, its id and a digest.  A RuntimeWarning is
 numpy reporting an overflow or a NaN outside the np.errstate block meant
@@ -102,20 +107,24 @@ def _near(poles, r, count=4):
             for d in (1.0, 1j)]
 
 
-def _points(m, seed):
+def _zeros(m):
+    """The zeros of F, or none where the solve raises."""
     import specsample as ss
 
+    try:
+        return ss.perturbed_spectrum(m, ss.Coupling.infinite())
+    except ss.SpectralError:
+        return np.empty(0)
+
+
+def _points(m, seed):
     lam, scale = m.eigenvalues, m.scale
     rng = np.random.default_rng(seed)
     x = rng.uniform(lam[0] - scale, lam[-1] + scale, 6)
     y = 10.0 ** rng.uniform(-12, 0, 6) * scale * rng.choice([-1, 1], 6)
-    try:
-        zeros = ss.perturbed_spectrum(m, ss.Coupling.infinite())
-    except ss.SpectralError:
-        zeros = []
     r = 1e-8 * scale
     return ([complex(a, b) for a, b in zip(x, y)] + [complex(a) for a in x[:3]]
-            + _near(lam, r) + _near(zeros, r)
+            + _near(lam, r) + _near(_zeros(m), r)
             + [1e153, -1e154j, 1.3e154 + 1e154j, 1e200, -1e300, 1e300j,
                1e308 + 1e308j, -1e308 - 1e308j])
 
@@ -179,11 +188,35 @@ def _sets(sweep, name, s, points):
                   lambda: ss.reconstruct(t, grid))
 
 
+def _malformed(sweep):
+    """Each malformed argument's refusal, on the random model of N = 10."""
+    import specsample as ss
+    from conftest import random_model
+
+    m = random_model(np.random.default_rng(10), 10)
+    nodes = ss.perturbed_spectrum(m, ss.Coupling.finite(1.3))
+    jac = ss.JacobiParams(np.arange(1.0, 13.0), np.ones(12))
+    for label, value in (("strings", ["a"] * 10), ("2-d", [nodes]),
+                         ("bools", [True] * 10),
+                         ("nan", np.r_[math.nan, nodes[1:]])):
+        sweep.run("node_weights", f"malformed/{label}",
+                  lambda: ss.node_weights(m, 1.3, value))
+    for value in ("0.5", True, math.nan):
+        sweep.run("sturm_count", f"malformed/{value!r}",
+                  lambda: ss.sturm_count(jac, 3, value))
+        sweep.run("omega_state", f"malformed/{value!r}",
+                  lambda: ss.omega_state(m, value))
+    for value in ("1.0", math.inf, math.nan):
+        sweep.run("mu_pointwise", f"malformed/{value!r}",
+                  lambda: ss.mu_pointwise(value))
+
+
 def sweep_all() -> Sweep:
     import specsample as ss
 
     sweep = Sweep()
     run = sweep.run
+    _malformed(sweep)
     for name, m in _models():
         states = {}
         for label, build in _states(m.dim).items():
@@ -202,6 +235,9 @@ def sweep_all() -> Sweep:
             for label, phi in states.items():
                 run("transform", f"{at}/{label}",
                     lambda: ss.transform(m, phi, z))
+        for pole in _zeros(m).tolist():
+            run("omega_state", f"{name}/{pole!r}",
+                lambda: ss.omega_state(m, pole))
         unit = ss.normalize(m)
         for label, phi in states.items():
             run("mu_inner", f"{name}/{label}", lambda: ss.mu_inner(m, phi))
@@ -212,6 +248,8 @@ def sweep_all() -> Sweep:
                     run("evaluate_rep", f"{name}/{label}/{z!r}",
                         lambda: ss.evaluate_rep(rep, z))
         for h in H:
+            run("node_weights", f"{name}/{h}", lambda: ss.node_weights(
+                m, h, ss.perturbed_spectrum(m, ss.Coupling.finite(h))))
             for label, phi in states.items():
                 at = f"{name}/{h}/{label}"
                 run("inner_h", at,
