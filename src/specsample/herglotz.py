@@ -7,14 +7,14 @@ model size, by a vectorized error-free extraction that certifies each row
 correctly rounded, and math.fsum for the rest (_row_sums).  That serves
 real sums at many real points or pole offsets (cauchy_rows), and every
 complex sum of a point evaluator, all taken by one kernel (PoleSet) held
-once per pole set: below _STACK_TERMS real terms per call, not counting
-the imaginary parts of F's terms at a real point, which are zeros, each
-part is one math.fsum; from there on they are stacked into one _row_sums
-call, which is faster there.  A grid of points takes f and a numerator's
-sum at a block of points in one _row_sums call (PoleSet.rows), and
-PoleSet.at at the points it cannot pass.  The kernel enters np.errstate
-only at a point _FAR out: the data types refuse masses, numerators and
-coefficients whose terms could pass the doubles (model._QUIET).
+once per pole set: below _STACK_TERMS real terms per call, two per
+complex term at every point, each part is one math.fsum; from there on
+they are stacked into one _row_sums call, which is faster there (_sums).
+A grid of points takes f and a numerator's sum at a block of points in one
+_row_sums call (PoleSet.rows), and PoleSet.at at the points it cannot
+pass.  The kernel enters np.errstate only at a point _FAR out: the data
+types refuse masses, numerators and coefficients whose terms could pass
+the doubles (model._QUIET).
 
 Pole guards, one policy for every point evaluator of the package: within
 r = EXCLUSION_RADIUS * max(1, spread of its poles) of a pole it raises
@@ -50,7 +50,7 @@ EXCLUSION_RADIUS = 1e-8
 _BLOCK_TERMS = 1 << 15
 
 # Real terms per call from which a point evaluator's sums are stacked into
-# one _row_sums call (_stacked); below it each part is one math.fsum.  They
+# one _row_sums call (_sums); below it each part is one math.fsum.  They
 # break even at about 650 terms in 4 rows (F with F' or a numerator off the
 # axis: 29.3 us by fsum against 29.9 stacked at N = 150, 33.9 against 32.6
 # at N = 175), 575 in 3 and 750 in 2; at N = 400 a 4-row call takes 72.5 us
@@ -77,32 +77,23 @@ def _fsum(terms: np.ndarray) -> complex:
         raise NumericalError("a sum is past the largest double") from None
 
 
-def _stacked(terms: list[np.ndarray], real: int) -> list[complex] | None:
-    """The sums of equal-length complex arrays, their parts stacked into one
-    (rows, n) buffer for one _row_sums call, bit for bit their _fsums.  The
-    imaginary parts of the first real arrays (F's and F''s terms at a real
-    point) are zeros, which fsum sums to 0.0: they are neither counted nor
-    summed.  None below _STACK_TERMS real terms, and where the call
-    overflows or gives a NaN (a NaN term, or both infinities): the caller
-    then takes each _fsum in the order that decides which error it raises."""
-    if (2 * len(terms) - real) * terms[0].size < _STACK_TERMS:
-        return None
-    try:
-        sums = _row_sums(np.array([t.real for t in terms]
-                                  + [t.imag for t in terms[real:]]))
-    except NumericalError:
-        return None
-    sums = sums.tolist()
-    if any(map(math.isnan, sums)):
-        return None
+def _sums(terms: list[np.ndarray]) -> list[complex]:
+    """The _fsum of each of equal-length complex arrays, bit for bit.  From
+    _STACK_TERMS real terms their parts are stacked into one (rows, n)
+    buffer for one _row_sums call; below it, and where that call overflows
+    or gives a NaN (a NaN term, or both infinities), each array takes its
+    _fsum in order, which raises the first array's error."""
     k = len(terms)
-    return list(map(complex, sums[:k], [0.0] * real + sums[k:]))
-
-
-def _csum(terms: np.ndarray) -> complex:
-    """_fsum of one complex array, _stacked from _STACK_TERMS real terms."""
-    sums = _stacked([terms], 0)
-    return sums[0] if sums else _fsum(terms)
+    if 2 * k * terms[0].size >= _STACK_TERMS:
+        try:
+            sums = _row_sums(np.array([t.real for t in terms]
+                                      + [t.imag for t in terms])).tolist()
+        except NumericalError:
+            pass
+        else:
+            if not any(map(math.isnan, sums)):
+                return list(map(complex, sums[:k], sums[k:]))
+    return list(map(_fsum, terms))
 
 
 def _row_sums(t: np.ndarray) -> np.ndarray:
@@ -225,7 +216,7 @@ def _clear_of_zero(f: complex | np.ndarray, c: np.ndarray, dist: np.ndarray,
                    r: float, bound: float | np.ndarray | None = None
                    ) -> bool | np.ndarray:
     """Whether _near_zero(f, f', r) is False for f = sum c_j/d_j, c_j >= 0
-    and f' = _csum(_slopes(c, d)), decided without summing f'.
+    and f' = _fsum(_slopes(c, d)), decided without summing f'.
 
     B = sum c_j/|d_j|^2 bounds |f'|, so the rule cannot fire once
     |f| >= r B (1 + delta) + slack.  r B is summed as sum c_j q_j^2 / r,
@@ -308,8 +299,8 @@ class PoleSet:
         """z by model._number, f(z), f'(z) and N(z) = sum num_j/(poles_j -
         z), z guarded against the poles and, where checked, the zeros of
         f.  f' is summed where asked for or where _clear_of_zero cannot
-        clear z, else None; N is None without num, and summed after the
-        guard (_stacked)."""
+        clear z, else None; N is None without num.  f, f' where asked for
+        and N are summed together (_sums), before the guard."""
         z = _number(z, complex, "z")
         # Not an empty context: it costs a few percent of a call here.
         if self.held(z):
@@ -325,17 +316,15 @@ class PoleSet:
             terms.append(_slopes(c, d))
         if num is not None:
             terms.append(num / d)
-        sums = _stacked(terms, 0 if z.imag else 1 + derivative)
-        f = sums[0] if sums else _fsum(terms[0])
-        fp = (sums[1] if sums else _fsum(terms[1])) if derivative else None
+        sums = _sums(terms)
+        f, fp = sums[0], sums[1] if derivative else None
         if not (derivative
                 or _clear_of_zero(f, c, dist, r, r * self.total / m / m)
                 or _clear_of_zero(f, c, dist, r)):
             fp = _fsum(_slopes(c, d))
         if checked and fp is not None and _near_zero(f, fp, r):
             raise self.zero(z, r)
-        return z, f, fp, (None if num is None else sums[-1] if sums
-                          else _fsum(terms[-1]))
+        return z, f, fp, None if num is None else sums[-1]
 
     def rows(self, points: np.ndarray, num: np.ndarray):
         """Yields each point z, f and N of at(z, num=num), summed a block of
@@ -412,5 +401,5 @@ def xi(model: SpectralModel, z: complex) -> XiVector:
 
 
 def xi_norm_sq(model: SpectralModel, x: float) -> float:
-    """Squared norm of xi at a real point, F'/F^2 = -G_0' of weyl_h."""
-    return -weyl_h(model, 0.0, x)[2].real
+    """Squared norm of xi at a real point x, F'/F^2 = -G_0' of weyl_h."""
+    return -weyl_h(model, 0.0, _number(x, float, "x"))[2].real

@@ -85,8 +85,14 @@ def _door(bound: float, what: str, bits: int = 929) -> None:
 
 def _number(value, kind, what: str):
     """kind(value), float or complex, by the rule of _array: a str, bytes
-    or bool is not a number.  Every point evaluator takes its point by it."""
-    if isinstance(value, (str, bytes, bool)):
+    or bool is not a number, nor a numpy value whose dtype _numbers
+    refuses (kind() would read np.True_ as 1 and drop an imaginary part).
+    A value whose type is kind itself needs no test, which keeps the
+    common case cheap.
+    Every point evaluator takes its point by it."""
+    if type(value) is not kind and (isinstance(value, (str, bytes, bool)) or (
+            isinstance(value, (np.generic, np.ndarray)) and value.dtype.kind
+            not in ("iufc" if kind is complex else "iuf"))):
         raise ValidationError(
             f"{what} must be a number, not {type(value).__name__}")
     try:

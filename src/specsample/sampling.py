@@ -23,7 +23,7 @@ from .errors import (
     RealPoint,
     ValidationError,
 )
-from .herglotz import PoleSet, _complex, _csum, _pole_of_f, cauchy_rows, xi
+from .herglotz import PoleSet, _complex, _pole_of_f, _sums, cauchy_rows, xi
 from .model import (
     Coupling,
     MeromorphicRep,
@@ -56,7 +56,7 @@ def mu_inner(model: SpectralModel, phi: StateVector) -> complex:
     """<mu, phi> (anti-linear in mu).  The state's door keeps the sum of
     sqrt(w_j) phi_j below model._QUIET."""
     check_dims(model, phi)
-    return _csum(model.sqrt_weights * phi.coords)
+    return _sums([model.sqrt_weights * phi.coords])[0]
 
 
 def transform(model: SpectralModel, phi: StateVector, z: complex) -> complex:
@@ -113,9 +113,9 @@ def reconstruct(samples: SampleSet,
     or an array of points (an array of the same shape), as for
     kramer_reconstruct, and each point gives the same bits either way.  At
     a point F_h and N_h are summed together: one stacked call from N = 160
-    on (N = 214 at a real z), fsum below.  A grid sums them a block of
-    points at a time (PoleSet.rows), and evaluates alone each point that
-    it cannot pass; it raises what the first failing point raises.  The
+    on, at a real z too, fsum below.  A grid sums them a block of points
+    at a time (PoleSet.rows), and evaluates alone each point that it
+    cannot pass; it raises what the first failing point raises.  The
     sample set's door (model._QUIET) keeps F_h and N_h finite.
     NumericalError where G_h or the quotient is past the doubles.
     """
@@ -249,8 +249,9 @@ def evaluate_rep(rep: MeromorphicRep, z: complex) -> complex:
     rep._poles.guard(z)
     if rep._poles.held(z):
         with np.errstate(over="ignore", invalid="ignore"):
-            return rep.constant + _csum(rep.coefficients / (z - rep.poles))
-    return rep.constant + _csum(rep.coefficients / (z - rep.poles))
+            return rep.constant + _sums([rep.coefficients
+                                         / (z - rep.poles)])[0]
+    return rep.constant + _sums([rep.coefficients / (z - rep.poles)])[0]
 
 
 def inner_h(model: SpectralModel, h: float, phi: StateVector,
@@ -261,7 +262,7 @@ def inner_h(model: SpectralModel, h: float, phi: StateVector,
     # A value far past its state's norm at a tiny mass can take a term
     # past the doubles.
     with np.errstate(over="ignore", invalid="ignore"):
-        value = _csum(weights * np.conj(f) * g)
+        value = _sums([weights * np.conj(f) * g])[0]
     if not cmath.isfinite(value):
         raise NumericalError("the inner product overflows")
     return value

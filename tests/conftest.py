@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from specsample import SpectralModel, StateVector, new_model
-from specsample.herglotz import _csum, _slopes
 
 
 @pytest.fixture
@@ -52,8 +51,12 @@ def layout_model(n: int, layout: str, tiny: bool, seed: int) -> SpectralModel:
 
 def weyl_raw(m: SpectralModel, x) -> tuple[complex, complex]:
     """F and F' at x as weyl sums them, without its pole guard."""
+    # Private names, imported here: tools/bitsweep.py loads this module
+    # against the source tree it sweeps, which may lack them.
+    from specsample.herglotz import _slopes, _sums
+
     d = m.eigenvalues - x
-    return _csum(m.weights / d), _csum(_slopes(m.weights, d))
+    return tuple(_sums([m.weights / d, _slopes(m.weights, d)]))
 
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:

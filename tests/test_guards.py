@@ -129,6 +129,11 @@ def _finite(value) -> bool:
                          ids=[f"{c[0]}-{c[1]}" for c in CASES])
 def test_guard_radius(name, near, point, r, error, direction):
     evaluate = EVALUATORS[name]
+    if name == "xi_norm_sq" and direction == 1j:
+        # The squared norm at a real point: off the axis x is refused.
+        with pytest.raises(ValidationError, match="x must be a number"):
+            evaluate(point + 1.1 * r * direction)
+        return
     with pytest.raises(error):
         evaluate(point + 0.9 * r * direction)
     assert _finite(evaluate(point + 1.1 * r * direction))
@@ -302,6 +307,17 @@ MALFORMED = [
     (lambda v: omega_state(M, v), "0.5", ValidationError),
     (lambda v: omega_state(M, v), True, ValidationError),
     (lambda v: omega_state(M, v), math.nan, ValidationError),
+    # A numpy boolean or complex value for a real argument: float() would
+    # read it as 1.0 or drop its imaginary part.
+    *[(call, value, ValidationError)
+      for call in (lambda v: sample(M, PHI, v), lambda v: weyl_h(M, v, 0.5j),
+                   lambda v: Coupling.finite(v),
+                   lambda v: sturm_count(JAC, 3, v),
+                   lambda v: xi_norm_sq(M, v), lambda v: omega_state(M, v))
+      for value in (np.True_, np.complex128(1.3 + 0.5j))],
+    (lambda v: sturm_count(JAC, 3, v), np.complex128(0.1 + 5j),
+     ValidationError),
+    (lambda v: xi_norm_sq(M, v), 0.5 + 0.7j, ValidationError),
 ]
 
 

@@ -283,7 +283,7 @@ def test_huge_points_evaluate_without_warnings(z):
 
 # Model sizes on both sides of the crossover: F with F' or with the
 # numerator (reconstruct's F_h with N_h too) stacks 4N real terms per call,
-# and at a real point F with F' 2N.
+# F alone 2N.
 SIZES = sorted({_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
                 _STACK_TERMS // 2 - 1, _STACK_TERMS // 2, 400})
 
@@ -338,8 +338,8 @@ def test_single_sums_across_the_crossover_equal_fsum(n):
 @pytest.mark.parametrize("n", [_STACK_TERMS // 4 - 1, _STACK_TERMS // 4,
                                _STACK_TERMS // 2 - 1, _STACK_TERMS // 2])
 def test_kramer_sums_equal_the_per_point_fsum(n):
-    # A point sums F over the eigenvalues, 2N real terms (N at a real
-    # point), then F_h and the numerator over the nodes, 4N (3N): each
+    # A point sums F over the eigenvalues, 2N real terms, then F_h and
+    # the numerator over the nodes, 4N, at a real point too: each
     # call is summed by fsum below the crossover and stacked from it on,
     # and a grid is the point calls.
     rng = np.random.default_rng(n)
@@ -356,8 +356,10 @@ def test_kramer_sums_equal_the_per_point_fsum(n):
 
 
 def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
-    # transform stacks F with its numerator, 4N real terms, and reconstruct
-    # F_h with N_h, also 4N.
+    # transform stacks F with its numerator, 4N real terms, reconstruct F_h
+    # with N_h and xi_norm_sq F with F', also 4N.  A real point is counted
+    # as any other: the imaginary parts of the terms of F, F' and F_h,
+    # zeros there, are stacked too.
     calls = []
     row_sums = herglotz._row_sums
     monkeypatch.setattr(herglotz, "_row_sums",
@@ -366,39 +368,21 @@ def test_the_crossover_picks_the_path_by_the_terms_per_call(monkeypatch):
                        (_STACK_TERMS // 4, [(4, _STACK_TERMS // 4)])]:
         m = random_model(np.random.default_rng(n), n)
         phi = random_state(np.random.default_rng(n), n)
-        calls.clear()
-        transform(m, phi, 0.3 + 1.0j)
-        assert calls == stacked
-    for n, stacked in [(_STACK_TERMS // 4 - 1, []),
-                       (_STACK_TERMS // 4, [(4, _STACK_TERMS // 4)])]:
-        m = random_model(np.random.default_rng(n), n)
-        s = sample(m, random_state(np.random.default_rng(n), n), H)
-        calls.clear()
-        reconstruct(s, 0.3 + 1.0j)
-        assert calls == stacked
-    # At a real point the imaginary parts of the terms of F and F' are
-    # zeros, left out of the call and of the count: xi_norm_sq stacks 2N
-    # real terms, transform 3N.
-    for n, stacked in [(_STACK_TERMS // 2 - 1, []),
-                       (_STACK_TERMS // 2, [(2, _STACK_TERMS // 2)])]:
-        m = random_model(np.random.default_rng(n), n)
-        calls.clear()
-        xi_norm_sq(m, 0.3)
-        assert calls == stacked
-    for n, stacked in [(_STACK_TERMS // 3, []),
-                       (_STACK_TERMS // 3 + 1, [(3, _STACK_TERMS // 3 + 1)])]:
-        m = random_model(np.random.default_rng(n), n)
-        phi = random_state(np.random.default_rng(n), n)
-        calls.clear()
-        transform(m, phi, 0.3)
-        assert calls == stacked
+        s = sample(m, phi, H)
+        for evaluate in (lambda: transform(m, phi, 0.3 + 1.0j),
+                         lambda: reconstruct(s, 0.3 + 1.0j),
+                         lambda: xi_norm_sq(m, 0.3),
+                         lambda: transform(m, phi, 0.3)):
+            calls.clear()
+            evaluate()
+            assert calls == stacked
 
 
 def test_terms_a_declined_stacked_call_formed_are_summed_as_they_are(
         monkeypatch):
-    # At a real point F with F' holds 4N terms but only 2N live real ones:
-    # for N = 200 they are summed without a stacked call, and the terms of
-    # F' are formed once.
+    # At a real point F with F' holds 4N real terms, as off the axis: at
+    # N = 160 they are stacked, and the terms of F' that the call sums are
+    # formed once.
     n = _STACK_TERMS // 4
     m = random_model(np.random.default_rng(n), n)
     calls = []
@@ -450,10 +434,10 @@ def test_a_point_sum_past_the_doubles_raises_on_both_sides(n):
                 m._poles.at(-0.3, num=num)
 
 
-def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
-        monkeypatch):
-    # At a real z, F_h's terms have imaginary parts of zeros: F_h with N_h
-    # holds 3N live real terms, 600 at N = 200, so no stacked call is made.
+def test_reconstruct_at_a_real_point_stacks_as_off_the_axis(monkeypatch):
+    # At a real z, F_h's terms have imaginary parts of zeros, which are
+    # stacked too: F_h with N_h holds 4N real terms, 800 at N = 200, in one
+    # stacked call that gives fsum's bits.
     n = _STACK_TERMS // 4
     rng = np.random.default_rng(n)
     m = random_model(rng, n)
@@ -465,7 +449,8 @@ def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
     d = s.nodes - complex(0.3)
     want = _fsum(s.node_weights * s.values / d) / _fsum(s.node_weights / d)
     assert _bits(reconstruct(s, 0.3)) == _bits(want)
-    assert calls == []
+    assert calls == [(4, n)]
+    calls.clear()
     reconstruct(s, 0.3 + 1e-3j)
     assert calls == [(4, n)]
 
@@ -475,9 +460,9 @@ def test_reconstruct_at_a_real_point_below_the_live_count_stacks_nothing(
                                _STACK_TERMS // 2 + 1, _STACK_TERMS - 1,
                                _STACK_TERMS])
 def test_every_point_sum_stacks_from_its_count_of_real_terms(n, monkeypatch):
-    # weyl holds 4N real terms off the axis and 2N at a real point, xi 2N
-    # and N: the imaginary parts of F's and F''s terms at a real point are
-    # zeros, and not counted.  The single sums of mu_inner, inner_h and
+    # weyl holds 4N real terms and xi 2N, at a real point too: the
+    # imaginary parts of F's and F''s terms there are zeros, counted and
+    # stacked as any others.  The single sums of mu_inner, inner_h and
     # evaluate_rep hold 2N whatever their imaginary parts.
     rng = np.random.default_rng(n)
     m = random_model(rng, n)
@@ -493,8 +478,8 @@ def test_every_point_sum_stacks_from_its_count_of_real_terms(n, monkeypatch):
     row_sums = herglotz._row_sums
     monkeypatch.setattr(herglotz, "_row_sums",
                         lambda t: calls.append(t.shape) or row_sums(t))
-    cases = [(lambda: weyl(m, 0.3 + 1j), 4, n), (lambda: weyl(m, 0.3), 2, n),
-             (lambda: xi(m, 0.3 + 1j), 2, n), (lambda: xi(m, 0.3), 1, n)]
+    cases = [(lambda: weyl(m, 0.3 + 1j), 4, n), (lambda: weyl(m, 0.3), 4, n),
+             (lambda: xi(m, 0.3 + 1j), 2, n), (lambda: xi(m, 0.3), 2, n)]
     cases += [(evaluate, 2, n) for evaluate in (
         lambda: mu_inner(m, phi), lambda: mu_inner(m, real),
         lambda: inner_h(m, H, phi, real), lambda: inner_h(m, H, real, real))]
@@ -513,9 +498,8 @@ def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
     # transform does.  Next to a zero of F, coordinates 1e308 at the two
     # poles beside it (past the state's door, so taken as a numerator) give
     # the numerator terms of both infinite signs, and the stacked call a
-    # NaN.  The sums are then taken as the kernel reads them: F first,
-    # whose zero guard raises before the numerator's sum, which has no
-    # value.
+    # NaN.  Each sum is then one fsum, in order, before the zero guard: F
+    # has its sum, and the numerator's, which has none, raises.
     n = _STACK_TERMS // 4
     m = random_model(np.random.default_rng(n), n)
     x = perturbed_spectrum(m, Coupling.infinite())[n // 2]
@@ -527,7 +511,7 @@ def test_a_stacked_call_that_gives_a_nan_leaves_the_sums_to_the_caller():
         num = m.sqrt_weights * coords
         terms = num / (m.eigenvalues - z)
         assert np.isneginf(terms.real).any() and np.isposinf(terms.real).any()
-        with pytest.raises(ZeroOfF):
+        with pytest.raises(NumericalError, match="both infinite signs"):
             m._poles.at(z, num=num)
 
 

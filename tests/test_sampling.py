@@ -168,7 +168,8 @@ def test_inner_h_solves_once_and_matches_two_samples(monkeypatch, tmp_path):
     m = random_model(rng, 7)
     phi, psi = random_state(rng, m.dim), random_state(rng, m.dim)
     fs, gs = sample(m, phi, 1.3), sample(m, psi, 1.3)
-    expected = herglotz._csum(fs.node_weights * np.conj(fs.values) * gs.values)
+    expected = herglotz._sums([fs.node_weights * np.conj(fs.values)
+                               * gs.values])[0]
     solves = []
     solve = perturbation._secular_roots
     monkeypatch.setattr(perturbation, "_secular_roots",

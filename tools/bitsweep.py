@@ -19,8 +19,10 @@ inputs:
 - node_weights on the solver's nodes at each h, and omega_state at each
   zero of F;
 - malformed arguments of node_weights, sturm_count, mu_pointwise and
-  omega_state (strings, booleans, 2-d nodes, NaN and inf), each recorded
-  as its refusal.
+  omega_state (strings, booleans, 2-d nodes, NaN and inf), a numpy
+  boolean and a numpy complex value for each real argument (h, t, x and
+  pole), and xi_norm_sq at a non-real point, each recorded as its
+  refusal.
 
 It prints one line per case, its id and a digest.  A RuntimeWarning is
 numpy reporting an overflow or a NaN outside the np.errstate block meant
@@ -97,6 +99,8 @@ def _parts(out):
         return (out.at, out.coords)
     if isinstance(out, ss.StateVector):
         return (out.coords,)
+    if isinstance(out, ss.SpectralModel):
+        return (out.eigenvalues, out.weights)
     return out if isinstance(out, tuple) else (out,)
 
 
@@ -209,6 +213,23 @@ def _malformed(sweep):
     for value in ("1.0", math.inf, math.nan):
         sweep.run("mu_pointwise", f"malformed/{value!r}",
                   lambda: ss.mu_pointwise(value))
+    # A numpy boolean or complex value for a real argument, which float()
+    # would read as 1.0 or without its imaginary part.
+    phi = ss.StateVector(np.ones(10, dtype=complex))
+    real = {"sample": lambda v: ss.sample(m, phi, v),
+            "weyl_h": lambda v: ss.weyl_h(m, v, 0.5j),
+            "node_weights": lambda v: ss.node_weights(m, v, nodes),
+            "perturbed_model": lambda v: ss.perturbed_model(m, v),
+            "inner_h": lambda v: ss.inner_h(m, v, phi, phi),
+            "apply_perturbed": lambda v: ss.apply_perturbed(m, v, phi),
+            "sturm_count": lambda v: ss.sturm_count(jac, 3, v),
+            "xi_norm_sq": lambda v: ss.xi_norm_sq(m, v),
+            "omega_state": lambda v: ss.omega_state(m, v)}
+    for value in (np.True_, np.complex128(1.3 + 0.5j)):
+        for name, call in real.items():
+            sweep.run(name, f"malformed/{value!r}", lambda: call(value))
+    sweep.run("xi_norm_sq", "malformed/(0.5+0.7j)",
+              lambda: ss.xi_norm_sq(m, 0.5 + 0.7j))
 
 
 def sweep_all() -> Sweep:
