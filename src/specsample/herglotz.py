@@ -4,12 +4,14 @@ Every sum is the correctly rounded sum of its terms, so results are
 reproducible across platforms.  Rows of real terms are summed a block at a
 time, at most _BLOCK_TERMS terms per array so memory stays bounded at any
 model size, by a vectorized error-free extraction that certifies each row
-correctly rounded, and math.fsum for the rest (_row_sums).  That serves
-real sums at many real points or pole offsets (cauchy_rows), and every
-complex sum of a point evaluator, all taken by one kernel (PoleSet) held
-once per pole set: below _STACK_TERMS real terms per call, two per
-complex term at every point, each part is one math.fsum; from there on
-they are stacked into one _row_sums call, which is faster there (_sums).
+correctly rounded, on Python floats for a point's few rows, on arrays
+for blocks, with a second extraction for long rows that cancel past its
+bound, and math.fsum for the rest (_row_sums).  That serves real sums at
+many real points or pole offsets (cauchy_rows), and every complex sum of
+a point evaluator, all taken by one kernel (PoleSet) held once per pole
+set: below _STACK_TERMS real terms per call, two per complex term at
+every point, each part is one math.fsum; from there on they are stacked
+into one _row_sums call, which is faster there (_sums).
 A grid of points takes f and a numerator's sum at a block of points in one
 _row_sums call (PoleSet.rows), and PoleSet.at at the points it cannot
 pass.  The kernel enters np.errstate only at a point _FAR out: the data
@@ -51,12 +53,17 @@ _BLOCK_TERMS = 1 << 15
 
 # Real terms per call from which a point evaluator's sums are stacked into
 # one _row_sums call (_sums); below it each part is one math.fsum.  They
-# break even at about 650 terms in 4 rows (F with F' or a numerator off the
-# axis: 29.3 us by fsum against 29.9 stacked at N = 150, 33.9 against 32.6
-# at N = 175), 575 in 3 and 750 in 2; at N = 400 a 4-row call takes 72.5 us
-# by fsum and 40.6 stacked (medians of 20 alternating in-process rounds;
-# Python 3.11, numpy 2.4, a shared 2-vCPU x86-64 host).
+# break even at 600 to 660 terms in 2, 4 or 6 rows: transform (4 rows)
+# stacked takes 1.04-1.12 times the fsum time at N = 120 to 150, 0.89-1.01
+# at N = 160 and 0.49-0.56 at N = 400 (16 points, medians of 6 to 10
+# alternating rounds on one CPU; Python 3.11, numpy 2.4, a shared 2-vCPU
+# x86-64 host).
 _STACK_TERMS = 640
+
+# Rows of a stack that _row_sums certifies on Python floats: one point's
+# sums, F, F' and a numerator, each in two parts (and a block of
+# cauchy_rows or PoleSet.rows where long rows leave room for few).
+_SHORT_ROWS = 6
 
 # Past _FAR in |Re d_j| or |Im d_j|, d_j^2 can overflow.
 _FAR = 2.0 ** 511
@@ -96,6 +103,49 @@ def _sums(terms: list[np.ndarray]) -> list[complex]:
     return list(map(_fsum, terms))
 
 
+def _extract(t: np.ndarray):
+    """One error-free extraction of the rows of t (see _row_sums): r, each
+    row's sum rounded once, a list for up to _SHORT_ROWS rows, certified
+    on Python floats; the uncertified rows a second extraction may certify
+    (r finite and not 0, g below half the gap), and the others; tau and
+    low, tau + sum(low) the row's exact sum."""
+    n = t.shape[1]
+    bits = (n + 2).bit_length()
+    top = np.maximum.reduce(np.abs(t), axis=1)
+    sigma = np.ldexp(float(1 << bits), np.frexp(top)[1])
+    q = t + sigma[:, None]
+    q -= sigma[:, None]
+    tau = np.add.reduce(q, axis=1)
+    low = np.subtract(t, q, out=q)
+    e = np.add.reduce(low, axis=1)
+    # beta = sigma * u2 rounded up to a power of two; one below the
+    # smallest subnormal rounds to 0, and then e is exact, its error being
+    # a multiple of that double.  No r = 0 is certified (half the gap
+    # below the smallest subnormal rounds to 0), nor an infinite or NaN r
+    # (g is NaN).
+    u2 = math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
+    retry, fail = [], []
+    if len(t) <= _SHORT_ROWS:
+        r = []
+        for i, (s, a, b) in enumerate(zip(sigma.tolist(), tau.tolist(),
+                                          e.tolist())):
+            x = a + b
+            back = x - a
+            g = abs((a - (x - back)) + (b - back))
+            half = 0.5 * math.ulp(math.nextafter(abs(x), 0.0))
+            if not g + s * u2 < half:
+                (retry if g < half and x else fail).append(i)
+            r.append(x)
+        return r, retry, fail, tau, low
+    r = tau + e
+    back = r - tau
+    g = np.abs((tau - (r - back)) + (e - back))
+    half = 0.5 * np.spacing(np.nextafter(np.abs(r), 0.0))
+    for i in np.flatnonzero(~(g + sigma * u2 < half)).tolist():
+        (retry if g[i] < half[i] and r[i] else fail).append(i)
+    return r, retry, fail, tau, low
+
+
 def _row_sums(t: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of each row of t, which is what math.fsum
     returns for the row, bit for bit.
@@ -108,30 +158,27 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
     cannot depend on numpy's summation order.  A row is certified when the
     TwoSum error g of r = fl(tau + e) and beta together stay below half the
     gap from |r| to the next double towards zero: then r is the rounded
-    sum.  Every other row (a tie, a heavy cancellation, a zero sum, a sum
-    past the largest double, a non-finite term) takes math.fsum; a row
-    whose partial sums overflow raises NumericalError, and a row holding
-    both infinities is NaN.
+    sum.
+
+    The certificate is sized to its stack (_extract): a point's sums, at
+    most _SHORT_ROWS rows, on Python floats, where a dozen numpy calls on a
+    few elements would cost more than the extraction; blocks of rows on
+    arrays.  beta grows as n^2, so from n of a few thousand it fails the
+    rows that cancel, a tenth of the node rule's.  Such a row gets a second
+    extraction, of its exact remainder [tau, low], whose beta is narrower
+    by about as much as the row cancels.  Every row left (a zero sum or a
+    tie, which skip that, a sum past the largest double, a non-finite
+    term) takes math.fsum; a row whose partial sums overflow raises
+    NumericalError, and a row holding both infinities is NaN.
     """
-    n = t.shape[1]
-    bits = (n + 2).bit_length()
-    top = np.maximum.reduce(np.abs(t), axis=1)
-    sigma = np.ldexp(float(1 << bits), np.frexp(top)[1])[:, None]
-    q = t + sigma
-    q -= sigma
-    tau = np.add.reduce(q, axis=1)
-    e = np.add.reduce(np.subtract(t, q, out=q), axis=1)
-    r = tau + e
-    back = r - tau
-    g = (tau - (r - back)) + (e - back)
-    # beta rounded up to a power of two; one below the smallest subnormal
-    # rounds to 0, and then e is exact, its error being a multiple of that
-    # double.
-    beta = sigma[:, 0] * math.ldexp(1.0, 2 * n.bit_length() + 2 - 106)
-    # No r = 0 is certified (half the gap below the smallest subnormal
-    # rounds to 0), nor an infinite or NaN r (g is NaN).
-    gap = np.spacing(np.nextafter(np.abs(r), 0.0))
-    for i in np.flatnonzero(~(np.abs(g) + beta < 0.5 * gap)):
+    r, retry, fail, tau, low = _extract(t)
+    if retry:
+        again, still, ties = _extract(np.concatenate((tau[retry, None],
+                                                      low[retry]), axis=1))[:3]
+        for i, s in zip(retry, again):
+            r[i] = s
+        fail += [retry[j] for j in still + ties]
+    for i in fail:
         try:
             # math.fsum keeps no zero partial: zeros of either sign sum to
             # 0.0.
@@ -140,7 +187,7 @@ def _row_sums(t: np.ndarray) -> np.ndarray:
             r[i] = math.nan
         except OverflowError:
             raise NumericalError("a sum is past the largest double") from None
-    return r
+    return np.asarray(r)
 
 
 def cauchy_rows(poles: np.ndarray, coeffs: np.ndarray, points: np.ndarray,

@@ -1,15 +1,16 @@
-"""The row-sum kernel of cauchy_rows: every row must equal the per-row
-math.fsum of its terms bit for bit (the correctly rounded sum), whatever
-numpy's summation order, including the rows the extraction cannot certify
-and hands to math.fsum.  Examples are derandomized so the suite stays
-deterministic."""
+"""The row-sum kernel of cauchy_rows and the point sums: every row must
+equal the per-row math.fsum of its terms bit for bit (the correctly rounded
+sum), whatever numpy's summation order and whichever certificate takes the
+stack (on Python floats up to _SHORT_ROWS rows, on arrays past it),
+including the rows a second extraction certifies and those handed to
+math.fsum.  Examples are derandomized so the suite stays deterministic."""
 import math
 
 import numpy as np
 import pytest
 
 from specsample import NumericalError, new_model
-from specsample.herglotz import cauchy_rows
+from specsample.herglotz import _SHORT_ROWS, _row_sums, cauchy_rows
 from specsample.perturbation import _secular_roots
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -192,3 +193,66 @@ def test_rows_do_not_depend_on_the_order_of_the_poles(n):
         got = cauchy_rows(lam[perm], coeffs[:, perm], offset, (1, 2, 1),
                           back[origin])
         assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def stack_rows(draw):
+    """term_rows, and rows that only fsum or a second extraction settle:
+    zeros of both signs, infinite terms of one sign or of both, partial
+    sums past the largest double, and long rows that cancel to a small
+    remainder, beyond the first certificate's bound."""
+    shape = draw(st.sampled_from(["terms", "signed-zeros", "infinite",
+                                  "both-infinities", "overflow",
+                                  "long-cancel"]))
+    if shape == "terms":
+        return draw(term_rows())
+    if shape == "signed-zeros":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=1,
+                             max_size=8))
+    if shape == "infinite":
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        return [1.0, sign * math.inf, -3.5, sign * math.inf]
+    if shape == "both-infinities":
+        return [math.inf, 2.0, -math.inf]
+    if shape == "overflow":
+        return draw(st.sampled_from([[1e308, 1e308, -1e308],
+                                     [-1.7e308, -1e308, 1.7e308]]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=draw(st.integers(300, 1500)))
+    rest = rng.normal() * 10.0 ** rng.integers(-12, -3)
+    return x.tolist() + (-x).tolist() + [rest]
+
+
+@SETTINGS
+@hypothesis.given(rows=st.lists(stack_rows(), min_size=1,
+                                max_size=_SHORT_ROWS))
+def test_both_certificates_give_each_row_its_fsum(rows):
+    # A stack of up to _SHORT_ROWS rows takes the float certificate, and
+    # the same rows repeated past that size the array one: each must give
+    # every row math.fsum's bits, NaN where it holds both infinities, and
+    # NumericalError where a partial sum passes the largest double.
+    width = max(map(len, rows))
+    t = np.array([r + [0.0] * (width - len(r)) for r in rows])
+    tiled = np.tile(t, (_SHORT_ROWS // len(rows) + 1, 1))
+    assert len(tiled) > _SHORT_ROWS
+    want = []
+    try:
+        for row in t.tolist():
+            try:
+                want.append(math.fsum(row))
+            except ValueError:  # -inf + inf
+                want.append(math.nan)
+    except OverflowError:
+        want = None
+    # Infinite terms make the extraction's sigma, q and sums overflow or
+    # NaN, whose warnings the kernel's callers hold (cauchy_rows).
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stack in (t, tiled):
+            if want is None:
+                with pytest.raises(NumericalError,
+                                   match="past the largest double"):
+                    _row_sums(stack)
+            else:
+                got = _row_sums(stack)
+                assert got.tobytes() == np.tile(
+                    want, len(stack) // len(t)).tobytes()

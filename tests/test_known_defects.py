@@ -27,6 +27,7 @@ from specsample import (
     to_partial_fractions,
     transform,
     weyl,
+    weyl_h,
 )
 from specsample.verify import run_verification
 
@@ -92,6 +93,39 @@ def test_node_masses_sum_to_the_total(lam, w, h):
     nodes = perturbed_spectrum(m, Coupling.finite(h))
     total = node_weights(m, h, nodes).sum()
     assert abs(total / m.mu_norm_sq - 1.0) <= 1e-14
+
+
+@_defect("R' overflows where two eigenvalues nearly coincide: the root "
+         "next to 1e-310 is 5.56e-309", AssertionError)
+def test_root_next_to_a_subnormal_eigenvalue():
+    # At h = 5e-324 the root above 1e-310 lies 4.94e-324 above it: the
+    # 80-digit root, by bisection on the sign of 1 + hF.
+    mp = pytest.importorskip("mpmath")
+    lam = [0.0, 1e-310, 1.0]
+    x = perturbed_spectrum(new_model(lam, [1.0] * 3), Coupling.finite(5e-324))
+    with mp.workdps(80):
+        h, poles = mp.mpf(5e-324), [mp.mpf(v) for v in lam]
+        a, b = poles[1], poles[1] + mp.mpf(2e-323)
+        for _ in range(300):
+            c = (a + b) / 2
+            if 1 + h * sum(1 / (p - c) for p in poles) < 0:
+                a = c
+            else:
+                b = c
+        root = float(a)
+    assert abs(x[1] - root) <= 1e-12 * root, (x[1], root)
+
+
+@_defect("F(z)^2 underflows, although -F'/F^2 is about -1.7e299",
+         NumericalError)
+def test_weyl_h_where_f_squared_underflows():
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        d = [mp.mpf(v) - mp.mpf(1e8) for v in (0, 1, 2)]
+        f = sum(mp.mpf(2e-300) / v for v in d)
+        want = float(-sum(mp.mpf(2e-300) / v ** 2 for v in d) / f ** 2)
+    got = weyl_h(new_model([0.0, 1.0, 2.0], [2e-300] * 3), 1.3, 1e8)[2]
+    assert abs(got - want) <= 1e-14 * abs(want)
 
 
 @_defect("d^2 takes inf - inf at a huge |z|", AssertionError)

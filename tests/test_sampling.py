@@ -455,6 +455,27 @@ def test_sample_on_tiny_weights_sums_few_rows_by_fsum(monkeypatch, layout):
     assert (~np.isfinite(terms).all(axis=1)).sum() > 100
 
 
+def test_long_node_rule_rows_seldom_reach_fsum(monkeypatch):
+    # At N = 5000 the first certificate's bound, 4 n^2 u^2 sigma, fails
+    # about a tenth of the node rule's rows, which cancel (2,622 of 25,000
+    # here); with the second extraction 65 of them reach math.fsum.
+    import specsample.herglotz as herglotz
+
+    rng = np.random.default_rng(0)
+    m = new_model(np.sort(rng.uniform(-10, 10, 5000)),
+                  rng.uniform(0.1, 1, 5000))
+    phi = random_state(rng, 5000)
+    perturbed_spectrum(m, Coupling.finite(1.3))  # the solve, cached
+    counting, rows = _CountingMath(), []
+    row_sums = herglotz._row_sums
+    monkeypatch.setattr(herglotz, "math", counting)
+    monkeypatch.setattr(herglotz, "_row_sums",
+                        lambda t: rows.append(len(t)) or row_sums(t))
+    sample(m, phi, 1.3)
+    assert counting.fsum_rows < 0.01 * sum(rows), (counting.fsum_rows,
+                                                   sum(rows))
+
+
 PHI3 = StateVector([1.0, 2.0 - 1.0j, 3.0])
 
 

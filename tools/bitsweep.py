@@ -22,7 +22,10 @@ inputs:
   omega_state (strings, booleans, 2-d nodes, NaN and inf), a numpy
   boolean and a numpy complex value for each real argument (h, t, x and
   pole), and xi_norm_sq at a non-real point, each recorded as its
-  refusal.
+  refusal;
+- sample and node_weights at h = 1.3, and to_partial_fractions, at
+  N = 5000, whose rows the row sums certify by a second extraction where
+  the first fails.
 
 It prints one line per case, its id and a digest.  A RuntimeWarning is
 numpy reporting an overflow or a NaN outside the np.errstate block meant
@@ -232,12 +235,33 @@ def _malformed(sweep):
               lambda: ss.xi_norm_sq(m, 0.5 + 0.7j))
 
 
+def _long_rows(sweep):
+    """sample and node_weights at h = 1.3, and to_partial_fractions, on
+    the seed-0 model of N = 5000 with eigenvalues U(-10, 10) and weights
+    U(0.1, 1): rows long enough that the row sums certify many of them by
+    a second extraction."""
+    import specsample as ss
+    from conftest import random_state
+
+    rng = np.random.default_rng(0)
+    m = ss.new_model(np.sort(rng.uniform(-10, 10, 5000)),
+                     rng.uniform(0.1, 1, 5000))
+    phi = random_state(rng, 5000)
+    nodes = ss.perturbed_spectrum(m, ss.Coupling.finite(1.3))
+    sweep.run("node_weights", "long-5000/1.3",
+              lambda: ss.node_weights(m, 1.3, nodes))
+    sweep.run("sample", "long-5000/1.3", lambda: ss.sample(m, phi, 1.3))
+    sweep.run("to_partial_fractions", "long-5000",
+              lambda: ss.to_partial_fractions(ss.normalize(m), phi))
+
+
 def sweep_all() -> Sweep:
     import specsample as ss
 
     sweep = Sweep()
     run = sweep.run
     _malformed(sweep)
+    _long_rows(sweep)
     for name, m in _models():
         states = {}
         for label, build in _states(m.dim).items():
